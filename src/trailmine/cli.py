@@ -84,8 +84,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--features", choices=["stationary", "pageviews"], default="stationary")
     p.add_argument("--alpha", type=float, default=0.15)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=100000)
     p.add_argument("--rules", help="rules file fixing the vocabulary (default: built-in)")
 
     p = sub.add_parser("cluster", help="K-means over the feature matrix")
@@ -214,8 +212,7 @@ def _cmd_features(args) -> int:
     traces = read_traces_jsonl(args.traces)
     features = build_feature_matrix(
         traces, vocab.n,
-        feature_kind=args.features, alpha=args.alpha,
-        tol=args.tol, max_iter=args.max_iter, label_names=vocab.names(),
+        feature_kind=args.features, alpha=args.alpha, label_names=vocab.names(),
     )
     write_feature_csv(features, args.out)
     print(f"wrote {features.m} x {features.n} {args.features} features to {args.out}")

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .markov import FeatureMatrix, count_transitions
+from .markov import FeatureMatrix, count_transitions_by_group
 from .sessions import UserTrace
 
 __all__ = [
@@ -254,27 +254,24 @@ def profile_clusters(
     if not isinstance(traces, Mapping):
         traces = {t.user: t for t in traces}
     n = features.n
+    members = [traces[user] for user in features.user_ids]
+    counts, hists = count_transitions_by_group(
+        [t.sequence for t in members], model.assignments, model.K, n,
+    )
+    actions = np.array([t.action_count(break_label) for t in members], dtype=np.int64)
     profiles = []
     for k in range(model.K):
-        members = [features.user_ids[i] for i in np.flatnonzero(model.assignments == k)]
-        actions = []
-        hist = np.zeros(n, dtype=np.int64)
-        counts = np.zeros((n, n), dtype=np.int64)
-        for user in members:
-            trace = traces[user]
-            actions.append(trace.action_count(break_label))
-            hist += np.bincount(np.asarray(trace.sequence), minlength=n)
-            counts += count_transitions(trace.sequence, n).counts
-        flat = counts.ravel()
+        own = actions[model.assignments == k]
+        flat = counts[k].ravel()
         order = np.argsort(-flat, kind="stable")[:top_transitions]
         top = [(int(i // n), int(i % n), int(flat[i])) for i in order if flat[i] > 0]
         profiles.append(
             ClusterProfile(
                 cluster=k,
-                size=len(members),
-                mean_actions=float(np.mean(actions)) if actions else 0.0,
-                median_actions=float(np.median(actions)) if actions else 0.0,
-                action_histogram=hist,
+                size=len(own),
+                mean_actions=float(np.mean(own)) if own.size else 0.0,
+                median_actions=float(np.median(own)) if own.size else 0.0,
+                action_histogram=hists[k],
                 top_transitions=top,
             )
         )

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .markov import TransitionCounts, build_transition_model, count_transitions
+from .markov import TransitionCounts, build_transition_model, count_transitions_by_group
 from .pca import PcaModel, pca_fit, pca_project
 from .sessions import UserTrace
 
@@ -115,12 +115,10 @@ def aggregate_cluster_actions(
     once per resource its user is attributed under. Raises
     :class:`UnassignedUser` when a user has no assignment.
     """
-    profiles = []
-    for resource in sorted(resource_traces):
-        cluster_counts = np.zeros(K, dtype=np.int64)
-        counts = np.zeros((n, n), dtype=np.int64)
-        label_counts = np.zeros(n, dtype=np.int64)
-        users = 0
+    resources = sorted(resource_traces)
+    cluster_counts = np.zeros((len(resources), K), dtype=np.int64)
+    sequences, groups = [], []
+    for r, resource in enumerate(resources):
         for trace in resource_traces[resource]:
             try:
                 cluster = assignments[trace.user]
@@ -128,20 +126,21 @@ def aggregate_cluster_actions(
                 raise UnassignedUser(trace.user) from None
             if not 0 <= cluster < K:
                 raise UnassignedUser(f"{trace.user}: cluster {cluster} out of range")
-            cluster_counts[cluster] += trace.action_count(break_label)
-            counts += count_transitions(trace.sequence, n).counts
-            label_counts += np.bincount(np.asarray(trace.sequence), minlength=n)
-            users += 1
-        profiles.append(
-            ResourceProfile(
-                resource=resource,
-                visits=int(cluster_counts.sum()),
-                user_count=users,
-                cluster_action_counts=cluster_counts,
-                counts=TransitionCounts(n, counts),
-                label_counts=label_counts,
-            )
+            cluster_counts[r, cluster] += trace.action_count(break_label)
+            sequences.append(trace.sequence)
+            groups.append(r)
+    counts, label_counts = count_transitions_by_group(sequences, groups, len(resources), n)
+    profiles = [
+        ResourceProfile(
+            resource=resource,
+            visits=int(cluster_counts[r].sum()),
+            user_count=len(resource_traces[resource]),
+            cluster_action_counts=cluster_counts[r],
+            counts=TransitionCounts(n, counts[r]),
+            label_counts=label_counts[r],
         )
+        for r, resource in enumerate(resources)
+    ]
     profiles.sort(key=lambda p: (-p.visits, p.resource))
     return profiles
 

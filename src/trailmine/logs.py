@@ -10,7 +10,7 @@ from __future__ import annotations
 import gzip
 import ipaddress
 import re
-from calendar import timegm
+from calendar import monthrange, timegm
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -64,9 +64,10 @@ _MONTHS = {
 _MONTH_NAMES = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
                 "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
-# (year, month) -> epoch seconds of the first of that month; log files span
-# few distinct months so this cache makes timestamp parsing a dict lookup.
-_MONTH_EPOCH: dict[tuple[int, int], int] = {}
+# (year, month) -> (epoch seconds of the first of that month, days in the
+# month); log files span few distinct months so this cache makes timestamp
+# parsing a dict lookup.
+_MONTH_EPOCH: dict[tuple[int, int], tuple[int, int]] = {}
 
 
 def parse_clf_timestamp(ts: str) -> int:
@@ -89,10 +90,16 @@ def parse_clf_timestamp(ts: str) -> int:
     elif sign != "+":
         raise InvalidTimestamp(f"bad timezone offset in: {ts!r}")
     key = (year, mon)
-    base = _MONTH_EPOCH.get(key)
-    if base is None:
-        base = timegm((year, mon, 1, 0, 0, 0))
-        _MONTH_EPOCH[key] = base
+    month = _MONTH_EPOCH.get(key)
+    if month is None:
+        try:
+            month = (timegm((year, mon, 1, 0, 0, 0)), monthrange(year, mon)[1])
+        except ValueError as exc:  # a year outside 1..9999
+            raise InvalidTimestamp(f"bad timestamp field: {ts!r}") from exc
+        _MONTH_EPOCH[key] = month
+    base, days = month
+    if day > days:
+        raise InvalidTimestamp(f"day {day} does not exist in {ts[3:11]}: {ts!r}")
     return base + (day - 1) * 86400 + hh * 3600 + mm * 60 + ss - off
 
 
@@ -309,11 +316,17 @@ def default_filter_config() -> FilterConfig:
 
 
 def open_log(path: str | Path):
-    """Open a plain or gzip-compressed log file for text reading."""
+    """Open a plain or gzip-compressed log file for text reading.
+
+    Lines end at LF only, the rule the parallel ingest applies to its
+    byte ranges, so CR, form feed and the Unicode line separators stay
+    inside a line. The grammar's trailing whitespace absorbs the CR of a
+    CRLF ending.
+    """
     path = str(path)
     if path.endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8", errors="replace")
-    return open(path, encoding="utf-8", errors="replace")
+        return gzip.open(path, "rt", encoding="utf-8", errors="replace", newline="\n")
+    return open(path, encoding="utf-8", errors="replace", newline="\n")
 
 
 def iter_log_records(

@@ -8,11 +8,24 @@ aperiodic, so a unique stationary distribution exists. The stationary
 vector, not the order-blind page-view vector, is the per-user behavior
 feature: two traces with identical page views but different ordering get
 different stationary vectors.
+
+Features are built in one columnar pass over blocks of at most 16
+users: a block's traces are flattened into one label array (labels are
+range-checked there, once), each user's transition counts come from one
+``bincount`` over ``user*n*n + from*n + to``, and the block's stationary
+vectors come from one stacked linear solve of ``pi (P - I) = 0`` with
+its last equation replaced by ``sum(pi) = 1``. For these small dense
+chains a direct solve is exact to rounding and far cheaper than power
+iteration, which stays available through :func:`stationary_distribution`
+as the independent cross-check. Cluster profiles and resource
+comparison share the same count pass through
+:func:`count_transitions_by_group`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +40,7 @@ __all__ = [
     "PageViewVector",
     "FeatureMatrix",
     "count_transitions",
+    "count_transitions_by_group",
     "build_transition_model",
     "stationary_distribution",
     "page_view_vector",
@@ -37,6 +51,13 @@ __all__ = [
 DEFAULT_ALPHA = 0.15
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
+
+# A block holds at most _BLOCK sequences (the users of one stacked solve)
+# and, unless one sequence alone is longer, at most _BLOCK_LABELS labels.
+# This bounds the working set: the feature pass never holds an (m, n, n)
+# tensor, and no pass holds the flattened labels of the whole corpus.
+_BLOCK = 16
+_BLOCK_LABELS = 1 << 13
 
 
 class LabelOutOfRange(ValueError):
@@ -105,22 +126,119 @@ class PageViewVector:
     views: np.ndarray
 
 
-def _as_label_array(trace: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
-    arr = np.asarray(trace, dtype=np.int64)
-    if arr.ndim != 1:
-        raise ValueError("trace must be one-dimensional")
+def _check_labels(arr: np.ndarray, n: int) -> np.ndarray:
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         raise LabelOutOfRange(f"trace labels must lie in [0, {n})")
     return arr
 
 
+def _as_label_array(trace: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
+    arr = np.asarray(trace, dtype=np.int64)
+    if arr.ndim != 1:
+        raise ValueError("trace must be one-dimensional")
+    return _check_labels(arr, n)
+
+
+def _flatten(sequences: Sequence[Sequence[int]], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All sequences as one label array plus offsets (length m + 1), labels checked once."""
+    offsets = np.zeros(len(sequences) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences)),
+              out=offsets[1:])
+    labels = np.fromiter(chain.from_iterable(sequences), dtype=np.int64, count=int(offsets[-1]))
+    return _check_labels(labels, n), offsets
+
+
+def _blocks(sequences: Sequence[Sequence[int]], n: int):
+    """Consecutive blocks of sequences, flattened, within the block bounds.
+
+    Yields ``(lo, hi, labels, seq)`` for ``sequences[lo:hi]``, where
+    ``seq[i]`` is the block-local index of the sequence holding label i.
+    """
+    lo, m = 0, len(sequences)
+    while lo < m:
+        hi, size = lo + 1, len(sequences[lo])
+        while hi < min(lo + _BLOCK, m) and size + len(sequences[hi]) <= _BLOCK_LABELS:
+            size += len(sequences[hi])
+            hi += 1
+        labels, offsets = _flatten(sequences[lo:hi], n)
+        yield lo, hi, labels, np.repeat(np.arange(hi - lo), np.diff(offsets))
+        lo = hi
+
+
+def _step_keys(labels: np.ndarray, seq: np.ndarray, groups: np.ndarray, n: int) -> np.ndarray:
+    """``group*n*n + from*n + to`` of every step that stays inside one sequence.
+
+    ``groups[s]`` is the group of block sequence s.
+    """
+    keys = groups[seq[1:]]  # built in place: one step-sized array at a time
+    keys *= n
+    keys += labels[:-1]
+    keys *= n
+    keys += labels[1:]
+    return keys[seq[1:] == seq[:-1]]
+
+
+def _add_counts(flat: np.ndarray, keys: np.ndarray) -> None:
+    """``flat[k] += (keys == k).sum()`` for every k; shifts ``keys`` in place.
+
+    Only the range of ``keys`` is counted, so a block touching few groups
+    allocates no array the size of ``flat``.
+    """
+    if keys.size:
+        base = int(keys.min())
+        keys -= base
+        hits = np.bincount(keys)
+        flat[base:base + hits.size] += hits
+
+
+def count_transitions_by_group(
+    sequences: Sequence[Sequence[int]],
+    groups: Sequence[int] | np.ndarray,
+    n_groups: int,
+    n: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum transition and label counts of sequences over groups in one pass.
+
+    ``groups[s]`` in [0, n_groups) names the group of ``sequences[s]``; a
+    sequence may appear several times under different groups. Returns
+    ``(counts, label_counts)`` of shapes (n_groups, n, n) and
+    (n_groups, n), where ``counts[g, i, j]`` sums the i -> j steps of the
+    group's sequences.
+    """
+    groups = np.asarray(groups, dtype=np.int64)
+    if groups.shape != (len(sequences),):
+        raise ValueError("groups must name one group per sequence")
+    if groups.size and (groups.min() < 0 or groups.max() >= n_groups):
+        raise ValueError(f"groups must lie in [0, {n_groups})")
+    counts = np.zeros(n_groups * n * n, dtype=np.int64)
+    label_counts = np.zeros(n_groups * n, dtype=np.int64)
+    for lo, hi, labels, seq in _blocks(sequences, n):
+        own = groups[lo:hi]
+        _add_counts(counts, _step_keys(labels, seq, own, n))
+        keys = own[seq]
+        keys *= n
+        keys += labels
+        _add_counts(label_counts, keys)
+    return counts.reshape(n_groups, n, n), label_counts.reshape(n_groups, n)
+
+
 def count_transitions(trace: Sequence[int] | np.ndarray, n: int) -> TransitionCounts:
     """Count adjacent label pairs of a trace into an n x n matrix."""
-    arr = _as_label_array(trace, n)
-    counts = np.zeros((n, n), dtype=np.int64)
-    if arr.size >= 2:
-        np.add.at(counts, (arr[:-1], arr[1:]), 1)
-    return TransitionCounts(n, counts)
+    counts, _ = count_transitions_by_group([_as_label_array(trace, n)], [0], 1, n)
+    return TransitionCounts(n, counts[0])
+
+
+def _smooth(counts: np.ndarray, alpha: float) -> np.ndarray:
+    """(counts + alpha/n) / (rowsum + alpha) over the last two axes of a count stack."""
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
+    rowsums = counts.sum(axis=-1, dtype=np.float64)
+    if alpha == 0 and (rowsums == 0).any():
+        bad = int(np.argwhere(rowsums == 0)[0][-1])
+        raise ZeroRowWithoutTeleport(f"row {bad} has no transitions and alpha = 0")
+    P = counts + alpha / counts.shape[-1]
+    P /= (rowsums + alpha)[..., None]
+    return P
 
 
 def build_transition_model(
@@ -133,19 +251,10 @@ def build_transition_model(
     alpha = 0 every row must have at least one observed transition, else
     :class:`ZeroRowWithoutTeleport` is raised.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
     A = counts.counts if isinstance(counts, TransitionCounts) else np.asarray(counts)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("counts must be a square matrix")
-    n = A.shape[0]
-    rowsums = A.sum(axis=1, dtype=np.float64)
-    if alpha == 0 and (rowsums == 0).any():
-        bad = int(np.flatnonzero(rowsums == 0)[0])
-        raise ZeroRowWithoutTeleport(f"row {bad} has no transitions and alpha = 0")
-    W = A + alpha / n
-    P = W / (rowsums + alpha)[:, None]
-    return TransitionModel(n=n, alpha=float(alpha), P=P)
+    return TransitionModel(n=A.shape[0], alpha=float(alpha), P=_smooth(A, alpha))
 
 
 def _stationary_power(P: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, int, float]:
@@ -161,20 +270,34 @@ def _stationary_power(P: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndar
     raise NoConvergence(max_iter, residual)
 
 
-def _stationary_direct(P: np.ndarray) -> np.ndarray:
-    # Solve pi (P - I) = 0 with the normalization sum(pi) = 1 replacing
-    # one redundant equation.
-    n = P.shape[0]
-    M = P.T - np.eye(n)
-    M[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
+def _stationary_direct(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Stationary vectors of a (B, n, n) stack of row-stochastic matrices.
+
+    Solves pi (P - I) = 0 with the normalization sum(pi) = 1 replacing
+    the last (redundant) equation, in one stacked solve. If any system of
+    the stack is singular, every one of them is solved with ``lstsq``.
+    Overwrites ``P``. Returns the (B, n) vectors, their l1 residuals
+    ||pi P - pi||_1 and the number of ``lstsq`` solves.
+    """
+    B, n, _ = P.shape
+    M = P.transpose(0, 2, 1)  # a view: the system P^T - I is built in place
+    diag = np.arange(n)
+    M[:, diag, diag] -= 1.0
+    last = M[:, -1, :].copy()  # the replaced equation, kept for the residual
+    M[:, -1, :] = 1.0
+    b = np.zeros((B, n, 1))
+    b[:, -1] = 1.0
+    fallbacks = 0
     try:
-        pi = np.linalg.solve(M, b)
+        pi = np.linalg.solve(M, b)[..., 0]
     except np.linalg.LinAlgError:
-        pi = np.linalg.lstsq(M, b, rcond=None)[0]
-    pi = np.clip(pi, 0.0, None)
-    return pi / pi.sum()
+        pi = np.stack([np.linalg.lstsq(M[u], b[u, :, 0], rcond=None)[0] for u in range(B)])
+        fallbacks = B
+    np.clip(pi, 0.0, None, out=pi)
+    pi /= pi.sum(axis=1, keepdims=True)
+    r = np.einsum("uij,uj->ui", M, pi)
+    r[:, -1] = np.einsum("uj,uj->u", last, pi)
+    return pi, np.abs(r).sum(axis=1), fallbacks
 
 
 def stationary_distribution(
@@ -188,15 +311,14 @@ def stationary_distribution(
     ``method="power"`` iterates pi <- pi P from the uniform start until
     the l1 residual ||pi P - pi||_1 drops to ``tol`` and raises
     :class:`NoConvergence` when the budget runs out; ``method="direct"``
-    solves the linear system and serves as cross-check and fallback.
+    solves the linear system, as :func:`build_feature_matrix` does.
     """
     if method == "power":
         pi, iterations, residual = _stationary_power(model.P, tol, max_iter)
         return StationaryDistribution(pi, "power", iterations, residual)
     if method == "direct":
-        pi = _stationary_direct(model.P)
-        residual = float(np.abs(pi @ model.P - pi).sum())
-        return StationaryDistribution(pi, "direct", 0, residual)
+        pi, residual, _ = _stationary_direct(model.P[None].copy())
+        return StationaryDistribution(pi[0], "direct", 0, float(residual[0]))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -208,12 +330,19 @@ def page_view_vector(trace: Sequence[int] | np.ndarray, n: int) -> PageViewVecto
 
 @dataclass(slots=True)
 class FeatureMatrix:
-    """Per-user feature vectors over the shared n-dimensional label space."""
+    """Per-user feature vectors over the shared n-dimensional label space.
+
+    For stationary features, ``max_residual`` is the worst l1 residual
+    ||pi P - pi||_1 over the users and ``fallbacks`` counts the users
+    whose stationary vector came from ``lstsq``.
+    """
 
     user_ids: list[str]
     X: np.ndarray
     feature_kind: str
     label_names: list[str] = field(default_factory=list)
+    max_residual: float = 0.0
+    fallbacks: int = 0
 
     @property
     def m(self) -> int:
@@ -229,31 +358,28 @@ def build_feature_matrix(
     n: int,
     feature_kind: str = "stationary",
     alpha: float = DEFAULT_ALPHA,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     label_names: list[str] | None = None,
 ) -> FeatureMatrix:
     """Stack per-user features into an m x n matrix.
 
     Chains are built over the full vocabulary dimension (BREAK included)
-    so all users share one coordinate system. On :class:`NoConvergence`
-    the direct solver is used for that user.
+    so all users share one coordinate system. Stationary vectors are
+    solved directly, a block of users per stacked solve.
     """
     if feature_kind not in ("stationary", "pageviews"):
         raise ValueError(f"unknown feature kind {feature_kind!r}")
-    user_ids: list[str] = []
-    rows: list[np.ndarray] = []
-    for trace in traces:
-        user_ids.append(trace.user)
+    traces = list(traces)
+    user_ids = [t.user for t in traces]
+    X = np.zeros((len(traces), n))
+    max_residual, fallbacks = 0.0, 0
+    for lo, hi, labels, seq in _blocks([t.sequence for t in traces], n):
+        size = hi - lo
         if feature_kind == "pageviews":
-            rows.append(page_view_vector(trace.sequence, n).views.astype(np.float64))
+            X[lo:hi] = np.bincount(seq * n + labels, minlength=size * n).reshape(size, n)
             continue
-        counts = count_transitions(trace.sequence, n)
-        model = build_transition_model(counts, alpha)
-        try:
-            dist = stationary_distribution(model, tol=tol, max_iter=max_iter)
-        except NoConvergence:
-            dist = stationary_distribution(model, method="direct")
-        rows.append(dist.pi)
-    X = np.vstack(rows) if rows else np.zeros((0, n))
-    return FeatureMatrix(user_ids, X, feature_kind, list(label_names or []))
+        keys = _step_keys(labels, seq, np.arange(size), n)
+        counts = np.bincount(keys, minlength=size * n * n).reshape(size, n, n)
+        X[lo:hi], residual, lstsq_solves = _stationary_direct(_smooth(counts, alpha))
+        max_residual = max(max_residual, float(residual.max()))
+        fallbacks += lstsq_solves
+    return FeatureMatrix(user_ids, X, feature_kind, list(label_names or []), max_residual, fallbacks)

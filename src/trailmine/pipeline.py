@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from configparser import ConfigParser
 from multiprocessing import Pool
 from pathlib import Path
@@ -283,7 +283,13 @@ def _worker_ingest(task: tuple[str, int, int]):
     with open(path, "rb") as fh:
         fh.seek(start)
         blob = fh.read(end - start)
-    lines = blob.decode("utf-8", errors="replace").splitlines()
+    # The line rule of open_log: lines end at b"\n" only (str.splitlines
+    # would also split on \x0c, \x1c-\x1e, \x85, \u2028 and \u2029). No
+    # UTF-8 sequence contains that byte, so splitting the decoded text on
+    # "\n" splits the bytes before decoding, replacement characters included.
+    lines = blob.decode("utf-8", errors="replace").split("\n")
+    if lines and not lines[-1]:
+        lines.pop()  # the range's final newline ends a line, it starts none
     batch, stats = _ingest_lines(lines, _WORKER["ruleset"], _WORKER["filter"], _WORKER["format"])
     # already factorized: pickles as small string pools plus index arrays
     return batch, asdict(stats)
@@ -685,8 +691,6 @@ class PipelineConfig:
     gap_minutes: float = 30.0
     alpha: float = 0.15
     feature_kind: str = "stationary"
-    tol: float = 1e-10
-    max_iter: int = 100_000
     k: int | None = None          # None: use the elbow knee
     k_range: tuple[int, int] = (1, 25)
     seed: int = 0
@@ -703,6 +707,9 @@ class PipelineConfig:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
         section = parser["pipeline"] if parser.has_section("pipeline") else parser["DEFAULT"]
+        unknown = sorted(set(section) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
         cfg = cls()
         if "logs" in section:
             cfg.logs = section["logs"].split()
@@ -710,10 +717,10 @@ class PipelineConfig:
                     "asset_patterns", "feature_kind"):
             if key in section:
                 setattr(cfg, key, section[key])
-        for key in ("gap_minutes", "alpha", "tol", "threshold_pct"):
+        for key in ("gap_minutes", "alpha", "threshold_pct"):
             if key in section:
                 setattr(cfg, key, float(section[key]))
-        for key in ("max_iter", "seed", "restarts", "pca_components",
+        for key in ("seed", "restarts", "pca_components",
                     "top_actions", "top_resources", "jobs", "k"):
             if key in section:
                 setattr(cfg, key, int(section[key]))
@@ -814,14 +821,16 @@ def run_pipeline(config: PipelineConfig) -> dict:
         features = build_feature_matrix(
             traces, vocab.n,
             feature_kind=config.feature_kind, alpha=config.alpha,
-            tol=config.tol, max_iter=config.max_iter,
             label_names=vocab.names(),
         )
         write_feature_csv(features, out_dir / "features.csv")
         manifest["outputs"].append("features.csv")
     except Exception as exc:
         fail("features", exc)
-    record("features", t0, users=features.m, kind=config.feature_kind)
+    record(
+        "features", t0, users=features.m, kind=config.feature_kind,
+        max_residual=features.max_residual, lstsq_fallbacks=features.fallbacks,
+    )
 
     # elbow
     t0 = time.perf_counter()

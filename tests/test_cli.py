@@ -73,6 +73,10 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
+    for flag in ("--tol", "--max-iter"):  # the stationary solve is direct, no iteration knobs
+        with pytest.raises(SystemExit) as exc:
+            main(["features", "--traces", "t.jsonl", "--out", "f.csv", flag, "1"])
+        assert exc.value.code == 1
 
 
 def test_data_error_exit_code(tmp_path):

@@ -10,7 +10,7 @@ from trailmine.cluster import (
     profile_clusters,
     total_sum_of_squares,
 )
-from trailmine.markov import FeatureMatrix
+from trailmine.markov import FeatureMatrix, count_transitions
 from trailmine.sessions import UserTrace
 
 
@@ -139,3 +139,27 @@ def test_profile_clusters_single_user():
     assert profiles[0].mean_actions == 5 == profiles[0].median_actions
     assert profiles[0].action_histogram.tolist() == [1, 2, 2, 1]
     assert profiles[0].top_transitions[0][2] >= 1
+
+
+def test_profiles_equal_sums_of_per_trace_counts():
+    rng = np.random.default_rng(8)
+    n, BREAK = 6, 5
+    traces = [_trace(f"u{i}", rng.integers(0, n, size=int(rng.integers(1, 25))), BREAK)
+              for i in range(25)]
+    fm = FeatureMatrix([t.user for t in traces], rng.random((25, n)), "stationary")
+    model = kmeans_fit(fm, 3, seed=0)
+    profiles = profile_clusters(fm, model, traces, break_label=BREAK, top_transitions=n * n)
+    for k, prof in enumerate(profiles):
+        members = [t for t, a in zip(traces, model.assignments) if a == k]
+        counts = sum((count_transitions(t.sequence, n).counts for t in members),
+                     np.zeros((n, n), dtype=np.int64))
+        flat = counts.ravel()
+        order = np.argsort(-flat, kind="stable")
+        assert prof.top_transitions == [(int(i // n), int(i % n), int(flat[i]))
+                                        for i in order if flat[i] > 0]
+        hist = np.bincount(np.concatenate([t.sequence for t in members]), minlength=n)
+        assert prof.action_histogram.tolist() == hist.tolist()
+        actions = [t.action_count(BREAK) for t in members]
+        assert prof.size == len(members)
+        assert prof.mean_actions == float(np.mean(actions))
+        assert prof.median_actions == float(np.median(actions))

@@ -9,6 +9,7 @@ from trailmine.compare import (
     project_resources,
     transition_diff,
 )
+from trailmine.markov import count_transitions
 from trailmine.sessions import UserTrace
 
 BREAK = 33
@@ -108,6 +109,32 @@ def test_aggregate_single_user():
     assert p.visits == 17 and p.user_count == 1
     assert p.cluster_ranks()[2] == 1
     assert p.counts.counts[12, 12] == 16
+
+
+def test_aggregate_counts_equal_sums_of_per_trace_counts():
+    rng = np.random.default_rng(4)
+    traces = []
+    for u in range(40):
+        pairs = [(BREAK, None) if rng.random() < 0.1 else
+                 (int(rng.integers(0, 33)), ["A", "B", "C"][int(rng.integers(3))])
+                 for _ in range(int(rng.integers(1, 30)))]
+        traces.append(_trace(f"u{u}", pairs))
+    assignments = {t.user: int(rng.integers(3)) for t in traces}
+    by_resource = extract_resource_traces(traces, threshold_pct=20, break_label=BREAK)
+    profiles = aggregate_cluster_actions(by_resource, assignments, K=3, n=N, break_label=BREAK)
+    assert sorted(p.resource for p in profiles) == sorted(by_resource)
+    for p in profiles:
+        members = by_resource[p.resource]
+        want = sum((count_transitions(t.sequence, N).counts for t in members),
+                   np.zeros((N, N), dtype=np.int64))
+        assert (p.counts.counts == want).all()
+        assert p.label_counts.tolist() == np.bincount(
+            np.concatenate([t.sequence for t in members]), minlength=N).tolist()
+        clusters = np.zeros(3, dtype=np.int64)
+        for t in members:
+            clusters[assignments[t.user]] += t.action_count(BREAK)
+        assert p.cluster_action_counts.tolist() == clusters.tolist()
+        assert p.user_count == len(members) and p.visits == clusters.sum()
 
 
 def test_aggregate_unassigned_user():

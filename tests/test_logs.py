@@ -62,6 +62,30 @@ def test_invalid_timestamp_is_malformed():
     assert issubclass(InvalidTimestamp, MalformedLine)
 
 
+@pytest.mark.parametrize(
+    "stamp", ["31/Feb/2016:00:00:00 +0000", "29/Feb/2015:00:00:00 +0000",
+              "31/Apr/2016:12:00:00 +0000", "01/Jan/0000:00:00:00 +0000"],
+)
+def test_impossible_dates_are_invalid(stamp):
+    with pytest.raises(InvalidTimestamp):
+        logs.parse_clf_timestamp(stamp)
+
+
+def test_leap_day_is_valid():
+    leap = logs.parse_clf_timestamp("29/Feb/2016:00:00:00 +0000")
+    assert leap == logs.parse_clf_timestamp("01/Mar/2016:00:00:00 +0000") - 86400
+    assert logs.parse_clf_timestamp("30/Apr/2016:12:00:00 +0000") > leap
+
+
+def test_impossible_date_counts_as_malformed_in_ingest(tmp_path):
+    from trailmine.pipeline import ingest_paths
+
+    path = tmp_path / "dates.log"
+    path.write_text(EXAMPLE + "\n" + EXAMPLE.replace("14/Mar", "31/Feb") + "\n", encoding="utf-8")
+    _, stats = ingest_paths([path])
+    assert (stats.lines, stats.malformed, stats.events) == (2, 1, 1)
+
+
 def test_percent_decoding_applies_to_path_only():
     line = (
         '1.2.3.4 - - [14/Mar/2016:09:07:46 -0700] '

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from testutil import stationary_oracle
+from trailmine import markov
 from trailmine.markov import (
     LabelOutOfRange,
     NoConvergence,
+    TransitionModel,
     ZeroRowWithoutTeleport,
     build_feature_matrix,
     build_transition_model,
     count_transitions,
+    count_transitions_by_group,
     page_view_vector,
     stationary_distribution,
 )
@@ -175,3 +178,85 @@ def test_feature_matrix_shapes_and_simplex():
     assert pv.X[0].sum() == 5 and pv.X[1].sum() == 4
     with pytest.raises(ValueError):
         build_feature_matrix(traces, 4, feature_kind="nope")
+
+
+def _random_traces(rng, m, n):
+    """Traces of mixed shape: length 1, one repeated label, and random walks."""
+    traces = []
+    for i in range(m):
+        kind = i % 4
+        if kind == 0:
+            seq = [int(rng.integers(n))]
+        elif kind == 1:
+            seq = [int(rng.integers(n))] * int(rng.integers(2, 30))
+        else:
+            seq = rng.integers(0, n, size=int(rng.integers(2, 120))).tolist()
+        traces.append(_trace(f"u{i:03d}", seq))
+    return traces
+
+
+@pytest.mark.parametrize("m", [1, 2 * markov._BLOCK + 3, 3 * markov._BLOCK])
+def test_batched_features_match_per_user_solves(m):
+    rng = np.random.default_rng(m)
+    n = 9
+    traces = _random_traces(rng, m, n)
+    for alpha in (0.15, 1.0):
+        fm = build_feature_matrix(traces, n, alpha=alpha)
+        assert fm.X.shape == (m, n) and fm.user_ids == [t.user for t in traces]
+        assert fm.fallbacks == 0 and fm.max_residual <= 1e-10
+        for row, trace in zip(fm.X, traces):
+            counts = count_transitions(trace.sequence, n)
+            power = stationary_distribution(build_transition_model(counts, alpha), method="power").pi
+            oracle = stationary_oracle(counts.counts, alpha)
+            assert np.abs(row - power).max() <= 1e-8
+            assert np.abs(row - oracle).max() <= 1e-8
+    pv = build_feature_matrix(traces, n, feature_kind="pageviews")
+    for row, trace in zip(pv.X, traces):
+        assert row.tolist() == page_view_vector(trace.sequence, n).views.tolist()
+
+
+def test_feature_matrix_of_no_traces():
+    for kind in ("stationary", "pageviews"):
+        fm = build_feature_matrix([], 5, feature_kind=kind)
+        assert fm.X.shape == (0, 5) and fm.user_ids == []
+
+
+def test_feature_matrix_errors():
+    good = _trace("a", [0, 1, 0, 1])
+    with pytest.raises(LabelOutOfRange):
+        build_feature_matrix([good, _trace("b", [0, 2])], 2)
+    with pytest.raises(LabelOutOfRange):
+        build_feature_matrix([_trace("b", [-1])], 2, feature_kind="pageviews")
+    with pytest.raises(ValueError):
+        build_feature_matrix([good], 2, alpha=-0.1)
+    # state 1 of "b" is never left, so alpha = 0 cannot normalize its row
+    with pytest.raises(ZeroRowWithoutTeleport):
+        build_feature_matrix([good, _trace("b", [0, 0, 1])], 2, alpha=0.0)
+    fm = build_feature_matrix([good], 2, alpha=0.0)
+    assert np.allclose(fm.X, [[0.5, 0.5]])
+
+
+def test_singular_system_falls_back_to_lstsq():
+    # every state absorbing: pi (P - I) = 0 holds for any pi, the system is singular
+    uniform = stationary_distribution(TransitionModel(3, 0.0, np.eye(3)), method="direct")
+    assert np.allclose(uniform.pi, np.full(3, 1 / 3))
+    good = build_transition_model(count_transitions(ABCABC, 3), 0.15).P
+    pi, residual, fallbacks = markov._stationary_direct(np.stack([good, np.eye(3)]))
+    assert fallbacks == 2
+    assert np.abs(pi[0] - stationary_oracle(count_transitions(ABCABC, 3).counts, 0.15)).max() < 1e-12
+    assert residual.max() < 1e-12
+
+
+def test_grouped_counts_equal_sums_of_per_trace_counts():
+    rng = np.random.default_rng(11)
+    n, n_groups = 6, 4
+    sequences = [rng.integers(0, n, size=int(rng.integers(0, 40))).tolist() for _ in range(30)]
+    groups = rng.integers(0, n_groups, size=len(sequences))
+    counts, hist = count_transitions_by_group(sequences, groups, n_groups, n)
+    for g in range(n_groups):
+        own = [s for s, h in zip(sequences, groups) if h == g]
+        want = sum((count_transitions(s, n).counts for s in own), np.zeros((n, n), dtype=np.int64))
+        assert (counts[g] == want).all()
+        assert hist[g].tolist() == np.bincount(np.concatenate([[]] + own).astype(int), minlength=n).tolist()
+    with pytest.raises(ValueError):
+        count_transitions_by_group(sequences, groups, 2, n)

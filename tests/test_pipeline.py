@@ -88,6 +88,39 @@ def test_mixed_plain_and_gzip_inputs(tmp_path, corpus, ruleset):
     assert s_both.events == 2 * s_one.events
 
 
+def test_line_rule_is_the_same_on_every_route(tmp_path, ruleset):
+    """Separators other than LF, invalid UTF-8 and CRLF endings never split a line."""
+    import gzip
+
+    lines, truth = generate_synthetic_log(default_archetypes(), 3, seed=21, bot_fraction=0.2)
+    rng = __import__("numpy").random.default_rng(21)
+    odd = ["\x0c", "\x0b", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"]
+    odd = [c.encode("utf-8") for c in odd] + [b"\xe2\x82", b"\xff"]
+    chunks = []
+    for i, line in enumerate(lines):
+        raw = line.encode("utf-8")
+        if i % 2:  # the user agent is the last field: keep its closing quote last
+            raw = raw[:-1] + odd[int(rng.integers(len(odd)))] + b'"'
+        chunks.append(raw + (b"\r\n" if rng.random() < 0.3 else b"\n"))
+    data = b"".join(chunks)
+    plain, gz = tmp_path / "odd.log", tmp_path / "odd.log.gz"
+    plain.write_bytes(data)
+    with gzip.open(gz, "wb") as fh:
+        fh.write(data)
+    results = []
+    for path, jobs in ((plain, 1), (plain, 2), (gz, 1), (gz, 2)):
+        batch, stats = ingest_paths([path], ruleset=ruleset, jobs=jobs)
+        traces, _ = build_traces(batch, ruleset.vocabulary.break_id)
+        out = tmp_path / f"traces_{path.suffix}_{jobs}.jsonl"
+        write_traces_jsonl(traces, out)
+        results.append((stats, out.read_bytes()))
+    stats, traces_bytes = results[0]
+    assert (stats.lines, stats.malformed, stats.events) == (len(lines), 0, truth.human_lines)
+    for other_stats, other_bytes in results[1:]:
+        assert other_stats == stats
+        assert other_bytes == traces_bytes
+
+
 def test_user_key_hook(corpus):
     log, _ = corpus
     batch, stats = ingest_paths([log], user_key=lambda record: "everyone")
@@ -161,6 +194,9 @@ def test_manifest_counts(tmp_path, corpus):
     written = json.loads((out / "manifest.json").read_text())
     assert written["stages"]["ingest"]["lines"] == ing["lines"]
     assert (out / "traces.jsonl").exists() and (out / "features.csv").exists()
+    feats = written["stages"]["features"]
+    assert feats["lstsq_fallbacks"] == 0
+    assert 0.0 <= feats["max_residual"] <= 1e-10
 
 
 def test_config_ini_roundtrip(tmp_path):
@@ -186,6 +222,14 @@ def test_config_ini_roundtrip(tmp_path):
     assert cfg.feature_kind == "pageviews"
     assert cfg.k == 5 and cfg.k_range == (2, 12)
     assert cfg.seed == 3 and cfg.jobs == 2
+
+
+@pytest.mark.parametrize("key", ["tol", "max_iter", "alpah"])
+def test_config_ini_rejects_unknown_keys(tmp_path, key):
+    ini = tmp_path / "pipeline.ini"
+    ini.write_text(f"[pipeline]\nlogs = a.log\n{key} = 1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=key):
+        PipelineConfig.from_ini(ini)
 
 
 def test_event_batch_grouping_stable():
