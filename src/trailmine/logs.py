@@ -23,6 +23,7 @@ __all__ = [
     "RequestRecord",
     "FilterConfig",
     "CompiledFilter",
+    "line_pattern",
     "parse_log_line",
     "format_log_line",
     "filter_requests",
@@ -50,12 +51,14 @@ class InvalidTimestamp(MalformedLine):
 
 
 # host ident authuser [timestamp] "request" status bytes ["referer" "useragent"]
-_COMBINED_RE = re.compile(
-    r'^(\S+) (\S+) (\S+) \[([^\]]+)\] "([^"]*)" (\d{3}) (\S+) "([^"]*)" "([^"]*)"\s*$'
-)
-_COMMON_RE = re.compile(
-    r'^(\S+) (\S+) (\S+) \[([^\]]+)\] "([^"]*)" (\d{3}) (\S+)\s*$'
-)
+_LINE_PATTERNS = {
+    "combined": re.compile(
+        r'^(\S+) (\S+) (\S+) \[([^\]]+)\] "([^"]*)" (\d{3}) (\S+) "([^"]*)" "([^"]*)"\s*$'
+    ),
+    "common": re.compile(
+        r'^(\S+) (\S+) (\S+) \[([^\]]+)\] "([^"]*)" (\d{3}) (\S+)\s*$'
+    ),
+}
 
 _MONTHS = {
     "Jan": 1, "Feb": 2, "Mar": 3, "Apr": 4, "May": 5, "Jun": 6,
@@ -124,8 +127,20 @@ class RequestRecord:
         return int(self.timestamp.timestamp())
 
 
+def line_pattern(log_format: str) -> re.Pattern:
+    """The line grammar of ``log_format`` ("combined" or "common")."""
+    try:
+        return _LINE_PATTERNS[log_format]
+    except KeyError:
+        raise ValueError(f"unknown log format: {log_format!r}") from None
+
+
 def _split_request(request: str) -> tuple[str, str, str]:
-    """Split the quoted request field into (method, raw_path, query)."""
+    """Split the quoted request field into (method, raw_path, query).
+
+    The one request check of every ingest route: three space-separated
+    tokens, an upper-case ASCII method and a target that is a path.
+    """
     parts = request.split(" ")
     if len(parts) != 3:
         raise MalformedLine(f"bad request field: {request!r}")
@@ -145,12 +160,7 @@ def parse_log_line(line: str, log_format: str = "combined") -> RequestRecord:
     :class:`InvalidTimestamp`) on anything that does not match the
     grammar; callers doing bulk ingestion count and skip those.
     """
-    if log_format == "combined":
-        m = _COMBINED_RE.match(line)
-    elif log_format == "common":
-        m = _COMMON_RE.match(line)
-    else:
-        raise ValueError(f"unknown log format: {log_format!r}")
+    m = line_pattern(log_format).match(line)
     if m is None:
         raise MalformedLine(f"unparsable line: {line[:120]!r}")
     g = m.groups()

@@ -1,9 +1,16 @@
 """Pipeline orchestration: ingest, traces, features, clusters, comparison.
 
-Each stage consumes and produces documented file formats so long runs
-can be resumed per stage. Parsing and mapping are pure per line, so
-ingestion can fan out over worker processes; per-user ordering is
-restored afterwards by a stable (user, timestamp) sort.
+Each stage is one function (``stage_ingest`` ... ``stage_compare``) that
+takes a :class:`PipelineConfig` plus its inputs, writes its artifacts in
+the documented file formats and returns its manifest entry.
+:func:`run_pipeline` calls them in order, and each ``trailmine``
+subcommand calls the same functions on inputs read back from disk, so
+long runs can be resumed per stage.
+
+Ingest has one per-line loop, :func:`_ingest_lines`, for every route.
+Parsing and mapping are pure per line, so ingestion can fan out over
+worker processes; per-user ordering is restored afterwards by a stable
+(user, timestamp) sort.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .cluster import (
 )
 from .compare import (
     ATTRIBUTION_NOTE,
+    ResourceProfile,
     TooFewResources,
     aggregate_cluster_actions,
     extract_resource_traces,
@@ -40,17 +48,17 @@ from .compare import (
 from .logs import (
     CompiledFilter,
     FilterConfig,
+    MalformedLine,
+    _split_request,
     default_filter_config,
+    line_pattern,
     load_list_file,
     open_log,
     parse_clf_timestamp,
     parse_log_line,
-    MalformedLine,
-    _COMBINED_RE,
-    _COMMON_RE,
 )
 from .markov import FeatureMatrix, build_feature_matrix
-from .pca import loading_extremes, pca_fit, pca_project
+from .pca import PcaModel, loading_extremes, pca_fit, pca_project
 from .sessions import Event, Session, UserTrace, build_user_trace, compute_usage_stats, sessionize
 
 __all__ = [
@@ -65,6 +73,15 @@ __all__ = [
     "read_traces_jsonl",
     "write_feature_csv",
     "read_feature_csv",
+    "read_assignments_csv",
+    "parse_k_range",
+    "stage_ingest",
+    "stage_sessionize",
+    "stage_features",
+    "stage_elbow",
+    "stage_cluster",
+    "stage_pca",
+    "stage_compare",
 ]
 
 
@@ -96,14 +113,16 @@ class IngestStats:
         return self.parsed - self.dropped_useragent - self.dropped_ip - self.dropped_asset
 
     def merge(self, other: "IngestStats") -> None:
-        self.lines += other.lines
-        self.parsed += other.parsed
-        self.malformed += other.malformed
-        self.dropped_useragent += other.dropped_useragent
-        self.dropped_ip += other.dropped_ip
-        self.dropped_asset += other.dropped_asset
-        self.unmapped += other.unmapped
-        self.events += other.events
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
+    def funnel(self) -> dict[str, int]:
+        """The counters in funnel order, ``filtered`` after the drops."""
+        d = asdict(self)
+        d["filtered"] = self.filtered
+        for key in ("unmapped", "events"):
+            d[key] = d.pop(key)
+        return d
 
 
 @dataclass
@@ -195,8 +214,13 @@ def _ingest_lines(
     ruleset: RuleSet,
     filt: CompiledFilter,
     log_format: str,
+    user_key: Callable | None = None,
 ) -> tuple[EventBatch, IngestStats]:
-    """Fused parse + filter + map loop over raw lines (the hot path)."""
+    """Fused parse + filter + map loop over raw lines (the hot path).
+
+    The user is the IP field unless ``user_key`` is given; it is applied
+    to the parsed :class:`RequestRecord` of each mapped line.
+    """
     stats = IngestStats()
     user_pool: dict[str, int] = {}
     onto_pool: dict[str, int] = {}
@@ -204,7 +228,7 @@ def _ingest_lines(
     ts_list: list[int] = []
     label_list: list[int] = []
     ocodes: list[int] = []
-    line_re = _COMBINED_RE if log_format == "combined" else _COMMON_RE
+    line_re = line_pattern(log_format)
     combined = log_format == "combined"
     drop_reason = filt.drop_reason
     match_rule = ruleset.match
@@ -217,15 +241,11 @@ def _ingest_lines(
         g = m.groups()
         try:
             epoch = parse_clf_timestamp(g[3])
+            method, raw_path, _ = _split_request(g[4])
         except MalformedLine:
             stats.malformed += 1
             continue
-        req = g[4].split(" ")
-        if len(req) != 3 or not req[0] or not req[0].isupper() or not req[1].startswith("/"):
-            stats.malformed += 1
-            continue
         stats.parsed += 1
-        raw_path = req[1].partition("?")[0]
         path = unquote(raw_path) if "%" in raw_path else raw_path
         ua = g[8] if combined else ""
         reason = drop_reason(ua, g[0], path)
@@ -237,14 +257,14 @@ def _ingest_lines(
             else:
                 stats.dropped_asset += 1
             continue
-        hit = match_rule(req[0], path)
+        hit = match_rule(method, path)
         if hit is None:
             stats.unmapped += 1
             continue
-        ip = g[0]
-        code = user_pool.get(ip)
+        user = g[0] if user_key is None else user_key(parse_log_line(line, log_format))
+        code = user_pool.get(user)
         if code is None:
-            code = user_pool.setdefault(ip, len(user_pool))
+            code = user_pool.setdefault(user, len(user_pool))
         ucodes.append(code)
         ts_list.append(epoch)
         label_list.append(hit[0])
@@ -327,23 +347,23 @@ def ingest_paths(
     """Parse, filter and map log files into an event batch.
 
     ``jobs > 1`` fans plain-text files out over worker processes
-    (gzip files fall back to in-process parsing). ``user_key`` swaps the
-    user identity source (default: the IP field) and forces the slower
-    record-at-a-time path.
+    (gzip files fall back to in-process parsing). ``user_key`` maps the
+    :class:`RequestRecord` of each mapped line to its user (default: the
+    IP field). Every route runs the same loop, :func:`_ingest_lines`; a
+    ``user_key`` run parses in-process, since a lambda cannot be sent to
+    a worker. Raises ``ValueError`` for an unknown ``log_format``.
     """
+    line_pattern(log_format)  # reject an unknown format even when no line is read
     ruleset = ruleset or (compile_ruleset(rules_file) if rules_file else default_ruleset())
     cfg = filter_config or default_filter_config()
     filt = cfg.compile()
-
-    if user_key is not None:
-        return _ingest_records(paths, ruleset, filt, log_format, user_key)
 
     parts: list[EventBatch] = []
     stats = IngestStats()
     plain = [str(p) for p in paths if not str(p).endswith(".gz")]
     gz = [str(p) for p in paths if str(p).endswith(".gz")]
 
-    if jobs > 1 and plain:
+    if jobs > 1 and plain and user_key is None:
         tasks: list[tuple[str, int, int]] = []
         for p in plain:
             tasks.extend(_chunk_file(p, jobs * 4))  # fine chunks even out load
@@ -359,58 +379,10 @@ def ingest_paths(
 
     for p in plain + gz:
         with open_log(p) as fh:
-            part, part_stats = _ingest_lines(fh, ruleset, filt, log_format)
+            part, part_stats = _ingest_lines(fh, ruleset, filt, log_format, user_key)
         parts.append(part)
         stats.merge(part_stats)
     batch = EventBatch.merge(parts) if parts else _empty_batch()
-    return batch, stats
-
-
-def _ingest_records(paths, ruleset, filt, log_format, user_key):
-    """Record-at-a-time ingestion for custom user identity sources."""
-    stats = IngestStats()
-    user_pool: dict[str, int] = {}
-    onto_pool: dict[str, int] = {}
-    ucodes, ts_list, labels, ocodes = [], [], [], []
-    for p in paths:
-        with open_log(p) as fh:
-            for line in fh:
-                stats.lines += 1
-                try:
-                    record = parse_log_line(line, log_format)
-                except MalformedLine:
-                    stats.malformed += 1
-                    continue
-                stats.parsed += 1
-                reason = filt.drop_reason(record.useragent, record.ip, record.path)
-                if reason == "useragent":
-                    stats.dropped_useragent += 1
-                    continue
-                if reason == "ip":
-                    stats.dropped_ip += 1
-                    continue
-                if reason == "asset":
-                    stats.dropped_asset += 1
-                    continue
-                hit = ruleset.match(record.method, record.path)
-                if hit is None:
-                    stats.unmapped += 1
-                    continue
-                user = user_key(record)
-                ucodes.append(user_pool.setdefault(user, len(user_pool)))
-                ts_list.append(record.epoch)
-                labels.append(hit[0])
-                onto = hit[1]
-                ocodes.append(-1 if onto is None else onto_pool.setdefault(onto, len(onto_pool)))
-    stats.events = len(ucodes)
-    batch = EventBatch(
-        user_pool=list(user_pool),
-        user_codes=np.asarray(ucodes, dtype=np.int64),
-        timestamps=np.asarray(ts_list, dtype=np.int64),
-        labels=np.asarray(labels, dtype=np.int64),
-        onto_pool=list(onto_pool),
-        onto_codes=np.asarray(ocodes, dtype=np.int64),
-    )
     return batch, stats
 
 
@@ -491,6 +463,17 @@ def read_feature_csv(path: str | Path) -> FeatureMatrix:
             rows.append([float(v) for v in parts[1:]])
     X = np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, len(names)))
     return FeatureMatrix(user_ids, X, "unknown", names)
+
+
+def read_assignments_csv(path: str | Path) -> dict[str, int]:
+    """User to cluster, as ``write_cluster_outputs`` wrote ``assignments.csv``."""
+    out = {}
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        for line in fh:
+            user, cluster = line.rstrip("\n").rsplit(",", 1)
+            out[user] = int(cluster)
+    return out
 
 
 def _write_histogram_csv(hist: dict[int, int], path: Path, value_name: str) -> None:
@@ -725,8 +708,7 @@ class PipelineConfig:
             if key in section:
                 setattr(cfg, key, int(section[key]))
         if "k_range" in section:
-            lo, hi = section["k_range"].replace(":", " ").replace("..", " ").split()
-            cfg.k_range = (int(lo), int(hi))
+            cfg.k_range = parse_k_range(section["k_range"])
         return cfg
 
     def as_dict(self) -> dict:
@@ -748,6 +730,153 @@ class PipelineConfig:
         return compile_ruleset(self.rules) if self.rules else default_ruleset()
 
 
+def parse_k_range(text: str) -> tuple[int, int]:
+    """An elbow K range written ``LO:HI``, ``LO..HI`` or ``LO HI``."""
+    bounds = text.replace(":", " ").replace("..", " ").split()
+    if len(bounds) != 2:
+        raise ValueError(f"K range {text!r} is not LO:HI")
+    return int(bounds[0]), int(bounds[1])
+
+
+# ---------------------------------------------------------------------------
+# stages: each takes the config plus its inputs, writes its artifacts under
+# config.out_dir and returns (its result, its manifest entry, the files written)
+
+
+def _out_dir(config: PipelineConfig) -> Path:
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
+def stage_ingest(config: PipelineConfig) -> tuple[EventBatch, dict, list[str]]:
+    """Parse, filter and map ``config.logs``; the entry is the funnel."""
+    batch, stats = ingest_paths(
+        config.logs,
+        ruleset=config.ruleset(),
+        filter_config=config.filter_config(),
+        log_format=config.log_format,
+        jobs=config.jobs,
+    )
+    if stats.parsed == 0:
+        raise MalformedLine("no parseable lines in input")
+    return batch, stats.funnel(), []
+
+
+def stage_sessionize(
+    config: PipelineConfig, batch: EventBatch,
+) -> tuple[list[UserTrace], dict, list[str]]:
+    """Traces (``traces.jsonl``) and usage statistics of an event batch."""
+    out_dir = _out_dir(config)
+    traces, sessions_by_user = build_traces(
+        batch, config.ruleset().vocabulary.break_id, config.gap_minutes,
+    )
+    usage = compute_usage_stats(sessions_by_user)
+    write_traces_jsonl(traces, out_dir / "traces.jsonl")
+    files = ["traces.jsonl"] + write_usage_stats(usage, out_dir)
+    return traces, {"users": len(traces), "sessions": usage.session_count}, files
+
+
+def stage_features(
+    config: PipelineConfig, traces: list[UserTrace], path: Path | None = None,
+) -> tuple[FeatureMatrix, dict, list[str]]:
+    """The feature matrix, written to ``path`` (default: ``features.csv``)."""
+    vocab = config.ruleset().vocabulary
+    features = build_feature_matrix(
+        traces, vocab.n,
+        feature_kind=config.feature_kind, alpha=config.alpha, label_names=vocab.names(),
+    )
+    path = _out_dir(config) / "features.csv" if path is None else Path(path)
+    write_feature_csv(features, path)
+    entry = {
+        "users": features.m, "kind": config.feature_kind,
+        "max_residual": features.max_residual, "lstsq_fallbacks": features.fallbacks,
+    }
+    return features, entry, [path.name]
+
+
+def stage_elbow(
+    config: PipelineConfig, features: FeatureMatrix,
+) -> tuple[int | None, dict, list[str]]:
+    """The explained-variance curve over ``config.k_range``, cut at the user count."""
+    lo, hi = config.k_range
+    curve = explained_variance_curve(
+        features, range(lo, min(hi, features.m) + 1),
+        seed=config.seed, restarts=config.restarts,
+    )
+    write_elbow_csv(curve, _out_dir(config) / "elbow.csv")
+    return curve.knee, {"knee": curve.knee}, ["elbow.csv"]
+
+
+def stage_cluster(
+    config: PipelineConfig,
+    features: FeatureMatrix,
+    traces: list[UserTrace] | None,
+    knee: int | None,
+) -> tuple[ClusterModel, dict, list[str]]:
+    """K-means at ``config.k`` (default: the knee); profiles need ``traces``."""
+    K = config.k if config.k is not None else (knee or 1)
+    model = kmeans_fit(features, K, seed=config.seed, restarts=config.restarts)
+    profiles = []
+    if traces is not None:
+        profiles = profile_clusters(features, model, traces, config.ruleset().vocabulary.break_id)
+    files = write_cluster_outputs(features, model, profiles, _out_dir(config))
+    return model, {"K": K, "inertia": model.inertia}, files
+
+
+def stage_pca(
+    config: PipelineConfig, features: FeatureMatrix, assignments: dict[str, int] | None,
+) -> tuple[PcaModel, dict, list[str]]:
+    """Principal components of the features; ``assignments`` color the coordinates."""
+    pca_model = pca_fit(features.X, min(config.pca_components, features.m, features.n))
+    coords = pca_project(pca_model, features.X)
+    clusters = None
+    if assignments is not None:
+        clusters = np.array([assignments.get(u, -1) for u in features.user_ids])
+    files = write_pca_outputs(features, pca_model, coords, clusters, _out_dir(config))
+    return pca_model, {"components": pca_model.r}, files
+
+
+def stage_compare(
+    config: PipelineConfig,
+    traces: list[UserTrace],
+    assignments: dict[str, int],
+    K: int,
+    pair: Sequence[str] | None = None,
+) -> tuple[list[ResourceProfile], dict, list[str]]:
+    """Resource profiles, the transition diff of ``pair`` and the resource map.
+
+    ``pair`` defaults to the two most visited resources; naming a
+    resource without attributed users raises :class:`TooFewResources`.
+    The map is skipped when the top ``config.top_resources`` cut leaves
+    fewer than two resources.
+    """
+    vocab = config.ruleset().vocabulary
+    resource_traces = extract_resource_traces(
+        traces, threshold_pct=config.threshold_pct, break_label=vocab.break_id,
+    )
+    profiles = aggregate_cluster_actions(resource_traces, assignments, K, vocab.n, vocab.break_id)
+    by_name = {p.resource: p for p in profiles}
+    if pair is None:
+        pair = [p.resource for p in profiles[:2]]
+    missing = [name for name in pair if name not in by_name]
+    if missing:
+        raise TooFewResources(f"no attributed users for resource(s): {', '.join(missing)}")
+    diff = None
+    if len(pair) == 2:
+        diff = transition_diff(
+            by_name[pair[0]], by_name[pair[1]], alpha=config.alpha, top_t=config.top_actions,
+        )
+    try:
+        projection = project_resources(
+            profiles, top_m=config.top_resources, r=config.pca_components,
+        )
+    except TooFewResources:
+        projection = None
+    files = write_compare_outputs(profiles, diff, projection, vocab.names(), _out_dir(config))
+    return profiles, {"resources": len(profiles)}, files
+
+
 def run_pipeline(config: PipelineConfig) -> dict:
     """Run every stage and write all artifacts plus a run manifest.
 
@@ -756,8 +885,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     disk, and the manifest written so far is preserved as
     ``manifest.partial.json``.
     """
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(config)
     manifest: dict = {
         "config": config.as_dict(),
         "versions": {
@@ -768,138 +896,26 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "outputs": [],
     }
 
-    def fail(stage: str, exc: BaseException):
-        with open(out_dir / "manifest.partial.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=1)
-        raise PipelineStageError(stage, exc) from exc
+    def run(stage: str, fn: Callable, *inputs):
+        t0 = time.perf_counter()
+        try:
+            result, entry, files = fn(config, *inputs)
+        except Exception as exc:
+            with open(out_dir / "manifest.partial.json", "w", encoding="utf-8") as fh:
+                json.dump(manifest, fh, indent=1)
+            raise PipelineStageError(stage, exc) from exc
+        manifest["stages"][stage] = {"seconds": round(time.perf_counter() - t0, 3), **entry}
+        manifest["outputs"] += files
+        return result
 
-    def record(stage: str, t0: float, **counts):
-        entry = {"seconds": round(time.perf_counter() - t0, 3)}
-        entry.update(counts)
-        manifest["stages"][stage] = entry
-
-    # ingest
-    t0 = time.perf_counter()
-    try:
-        ruleset = config.ruleset()
-        vocab = ruleset.vocabulary
-        batch, stats = ingest_paths(
-            config.logs,
-            ruleset=ruleset,
-            filter_config=config.filter_config(),
-            log_format=config.log_format,
-            jobs=config.jobs,
-            rules_file=config.rules,
-        )
-        if stats.parsed == 0:
-            raise MalformedLine("no parseable lines in input")
-    except Exception as exc:
-        fail("ingest", exc)
-    record(
-        "ingest", t0,
-        lines=stats.lines, parsed=stats.parsed, malformed=stats.malformed,
-        dropped_useragent=stats.dropped_useragent, dropped_ip=stats.dropped_ip,
-        dropped_asset=stats.dropped_asset, filtered=stats.filtered,
-        unmapped=stats.unmapped, events=stats.events,
-    )
-
-    # sessionize
-    t0 = time.perf_counter()
-    try:
-        traces, sessions_by_user = build_traces(batch, vocab.break_id, config.gap_minutes)
-        usage = compute_usage_stats(sessions_by_user)
-        write_traces_jsonl(traces, out_dir / "traces.jsonl")
-        manifest["outputs"].append("traces.jsonl")
-        manifest["outputs"] += write_usage_stats(usage, out_dir)
-    except Exception as exc:
-        fail("sessionize", exc)
-    record("sessionize", t0, users=len(traces), sessions=usage.session_count)
-
-    # features
-    t0 = time.perf_counter()
-    try:
-        features = build_feature_matrix(
-            traces, vocab.n,
-            feature_kind=config.feature_kind, alpha=config.alpha,
-            label_names=vocab.names(),
-        )
-        write_feature_csv(features, out_dir / "features.csv")
-        manifest["outputs"].append("features.csv")
-    except Exception as exc:
-        fail("features", exc)
-    record(
-        "features", t0, users=features.m, kind=config.feature_kind,
-        max_residual=features.max_residual, lstsq_fallbacks=features.fallbacks,
-    )
-
-    # elbow
-    t0 = time.perf_counter()
-    knee = None
-    try:
-        lo, hi = config.k_range
-        hi = min(hi, features.m)
-        curve = explained_variance_curve(
-            features, range(lo, hi + 1), seed=config.seed, restarts=config.restarts,
-        )
-        knee = curve.knee
-        write_elbow_csv(curve, out_dir / "elbow.csv")
-        manifest["outputs"].append("elbow.csv")
-    except Exception as exc:
-        fail("elbow", exc)
-    record("elbow", t0, knee=knee)
-
-    # cluster
-    t0 = time.perf_counter()
-    try:
-        K = config.k if config.k is not None else (knee or 1)
-        model = kmeans_fit(features, K, seed=config.seed, restarts=config.restarts)
-        profiles = profile_clusters(features, model, traces, vocab.break_id)
-        manifest["outputs"] += write_cluster_outputs(features, model, profiles, out_dir)
-    except Exception as exc:
-        fail("cluster", exc)
-    record("cluster", t0, K=K, inertia=model.inertia)
-
-    # pca
-    t0 = time.perf_counter()
-    try:
-        r = min(config.pca_components, features.m, features.n)
-        pca_model = pca_fit(features.X, r)
-        coords = pca_project(pca_model, features.X)
-        manifest["outputs"] += write_pca_outputs(
-            features, pca_model, coords, model.assignments, out_dir
-        )
-    except Exception as exc:
-        fail("pca", exc)
-    record("pca", t0, components=pca_model.r)
-
-    # compare
-    t0 = time.perf_counter()
-    try:
-        assignments = dict(zip(features.user_ids, (int(c) for c in model.assignments)))
-        resource_traces = extract_resource_traces(
-            traces, threshold_pct=config.threshold_pct, break_label=vocab.break_id,
-        )
-        rprofiles = aggregate_cluster_actions(
-            resource_traces, assignments, model.K, vocab.n, vocab.break_id,
-        )
-        diff = None
-        projection = None
-        if len(rprofiles) >= 2:
-            diff = transition_diff(
-                rprofiles[0], rprofiles[1], alpha=config.alpha, top_t=config.top_actions,
-            )
-            try:
-                projection = project_resources(
-                    rprofiles, top_m=config.top_resources, r=config.pca_components,
-                )
-            except TooFewResources:
-                projection = None
-        manifest["outputs"] += write_compare_outputs(
-            rprofiles, diff, projection, vocab.names(), out_dir
-        )
-    except Exception as exc:
-        fail("compare", exc)
-    record("compare", t0, resources=len(rprofiles))
+    batch = run("ingest", stage_ingest)
+    traces = run("sessionize", stage_sessionize, batch)
+    features = run("features", stage_features, traces)
+    knee = run("elbow", stage_elbow, features)
+    model = run("cluster", stage_cluster, features, traces, knee)
+    assignments = dict(zip(features.user_ids, (int(c) for c in model.assignments)))
+    run("pca", stage_pca, features, assignments)
+    run("compare", stage_compare, traces, assignments, model.K)
 
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1)

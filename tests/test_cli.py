@@ -52,6 +52,22 @@ def test_stagewise_chain(tmp_path, synth_log):
     ]) == 0
     assert (compare_dir / "resource_profiles.csv").exists()
 
+    # `run` calls the same stage code: every artifact both routes write is identical
+    run_dir = tmp_path / "run"
+    assert main([
+        "run", "--logs", str(synth_log), "--out-dir", str(run_dir), "--k", "7", "--k-range", "1:8",
+    ]) == 0
+    chain = {p.name: p for d in (ingest_dir, cluster_dir, pca_dir, compare_dir) for p in d.iterdir()}
+    chain["features.csv"] = features
+    shared = sorted(set(chain) & {p.name for p in run_dir.iterdir()})
+    assert len(shared) == 25
+    for name in shared:
+        assert chain[name].read_bytes() == (run_dir / name).read_bytes(), name
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    funnel = {k: v for k, v in manifest["stages"]["ingest"].items() if k != "seconds"}
+    funnel["users"] = manifest["stages"]["sessionize"]["users"]
+    assert list(stats.items()) == list(funnel.items())
+
 
 def test_run_subcommand_with_config(tmp_path, synth_log):
     out = tmp_path / "artifacts"
@@ -104,3 +120,36 @@ def test_compare_pair_missing_resource(tmp_path, synth_log):
         "--out-dir", str(tmp_path / "cmp"), "--pair", "NOPE1", "NOPE2",
     ])
     assert rc == 2
+
+
+def test_ingest_without_parseable_lines_is_a_data_error(tmp_path):
+    log = tmp_path / "garbage.log"
+    log.write_text("not a log line\n<<< more garbage >>>\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["ingest", "--logs", str(log), "--out-dir", str(out)]) == 2
+    assert not (out / "traces.jsonl").exists()
+
+
+def test_unknown_log_format_in_config(tmp_path, synth_log, capsys):
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(
+        f"[pipeline]\nlogs = {synth_log}\nout_dir = {tmp_path / 'o'}\n"
+        "log_format = combind\njobs = 2\n",
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(ini)]) == 2
+    assert "unknown log format: 'combind'" in capsys.readouterr().err
+
+
+def test_compare_skips_projection_of_one_resource(tmp_path, synth_log):
+    out = tmp_path / "out"
+    traces, assignments = out / "traces.jsonl", out / "assignments.csv"
+    assert main(["ingest", "--logs", str(synth_log), "--out-dir", str(out)]) == 0
+    assert main(["features", "--traces", str(traces), "--out", str(out / "features.csv")]) == 0
+    assert main(["cluster", "--features", str(out / "features.csv"), "--out-dir", str(out),
+                 "--k", "3", "--k-range", "3:3"]) == 0
+    cmp_dir = tmp_path / "cmp"
+    assert main(["compare", "--traces", str(traces), "--assignments", str(assignments),
+                 "--out-dir", str(cmp_dir), "--top-resources", "1"]) == 0
+    assert (cmp_dir / "resource_profiles.csv").exists()
+    assert not (cmp_dir / "resource_coordinates.csv").exists()

@@ -89,7 +89,8 @@ def test_mixed_plain_and_gzip_inputs(tmp_path, corpus, ruleset):
 
 
 def test_line_rule_is_the_same_on_every_route(tmp_path, ruleset):
-    """Separators other than LF, invalid UTF-8 and CRLF endings never split a line."""
+    """Separators other than LF, invalid UTF-8, CRLF endings and a non-ASCII
+    method give one funnel and one set of traces on every ingest route."""
     import gzip
 
     lines, truth = generate_synthetic_log(default_archetypes(), 3, seed=21, bot_fraction=0.2)
@@ -102,20 +103,25 @@ def test_line_rule_is_the_same_on_every_route(tmp_path, ruleset):
         if i % 2:  # the user agent is the last field: keep its closing quote last
             raw = raw[:-1] + odd[int(rng.integers(len(odd)))] + b'"'
         chunks.append(raw + (b"\r\n" if rng.random() < 0.3 else b"\n"))
+        if i == len(lines) // 2:  # a mappable request but for its method: malformed
+            chunks.append('9.9.9.9 - - [14/Mar/2016:09:07:32 -0700] '
+                          '"G\u00c9T /ontologies/MCCV HTTP/1.1" 200 1 "-" "ua"\n'.encode("utf-8"))
     data = b"".join(chunks)
     plain, gz = tmp_path / "odd.log", tmp_path / "odd.log.gz"
     plain.write_bytes(data)
     with gzip.open(gz, "wb") as fh:
         fh.write(data)
     results = []
-    for path, jobs in ((plain, 1), (plain, 2), (gz, 1), (gz, 2)):
-        batch, stats = ingest_paths([path], ruleset=ruleset, jobs=jobs)
+    routes = ((plain, 1, None), (plain, 2, None), (gz, 1, None), (gz, 2, None),
+              (plain, 2, lambda record: record.ip))
+    for n, (path, jobs, user_key) in enumerate(routes):
+        batch, stats = ingest_paths([path], ruleset=ruleset, jobs=jobs, user_key=user_key)
         traces, _ = build_traces(batch, ruleset.vocabulary.break_id)
-        out = tmp_path / f"traces_{path.suffix}_{jobs}.jsonl"
+        out = tmp_path / f"traces_{n}.jsonl"
         write_traces_jsonl(traces, out)
         results.append((stats, out.read_bytes()))
     stats, traces_bytes = results[0]
-    assert (stats.lines, stats.malformed, stats.events) == (len(lines), 0, truth.human_lines)
+    assert (stats.lines, stats.malformed, stats.events) == (len(lines) + 1, 1, truth.human_lines)
     for other_stats, other_bytes in results[1:]:
         assert other_stats == stats
         assert other_bytes == traces_bytes
