@@ -4,9 +4,11 @@
 # pause starts a new session, and sessions are joined with a BREAK
 # token so the chain can see where browsing stopped and resumed.
 
-from trailmine import build_user_trace, compute_usage_stats, sessionize
+import numpy as np
+
+from trailmine import build_traces
 from trailmine.actions import default_ruleset
-from trailmine.sessions import Event
+from trailmine.pipeline import EventBatch
 
 ruleset = default_ruleset()
 vocab = ruleset.vocabulary
@@ -20,22 +22,27 @@ requests = [
     (45 * 60 + 150, "GET", "/ontologies/CPT"),          # new session
     (45 * 60 + 170, "GET", "/ontologies/CPT/tree"),
 ]
-events = []
-for ts, method, path in requests:
-    label, onto = ruleset.match(method, path)
-    events.append(Event("203.0.113.9", ts, label, onto))
+hits = [ruleset.match(method, path) for _, method, path in requests]
+ontologies = sorted({onto for _, onto in hits if onto is not None})
 
-sessions = sessionize(events, gap_minutes=30)
-print(f"{len(events)} requests -> {len(sessions)} sessions "
-      f"(lengths {[len(s) for s in sessions]})")
-for i, s in enumerate(sessions):
-    print(f"  session {i}: {len(s)} events, duration {s.duration}s")
+# the columnar batch that ingest produces: one user, codes into string pools
+batch = EventBatch(
+    user_pool=["203.0.113.9"],
+    user_codes=np.zeros(len(requests), dtype=np.int64),
+    timestamps=np.array([ts for ts, _, _ in requests], dtype=np.int64),
+    labels=np.array([label for label, _ in hits], dtype=np.int64),
+    onto_pool=ontologies,
+    onto_codes=np.array([-1 if o is None else ontologies.index(o) for _, o in hits], dtype=np.int64),
+)
 
-trace = build_user_trace(sessions, vocab.break_id)
+(trace,), stats = build_traces(batch, vocab.break_id, gap_minutes=30)
+print(f"{len(batch)} requests -> {trace.session_count} sessions "
+      f"(lengths {trace.session_lengths})")
+
 print("\ntrace:", " -> ".join(vocab[i].name for i in trace.sequence))
 print("ontology attribution:", trace.ontologies)
 
-stats = compute_usage_stats({"203.0.113.9": sessions})
 print(f"\nusage: {stats.session_count} sessions, "
       f"mean duration {stats.mean_session_duration:.0f}s, "
-      f"requests per session {stats.requests_per_session}")
+      f"requests per session {stats.requests_per_session}, "
+      f"inter-request gaps {stats.inter_request_seconds}")

@@ -29,15 +29,7 @@ from .actions import (
     default_ruleset,
     map_request,
 )
-from .sessions import (
-    Event,
-    Session,
-    UsageStats,
-    UserTrace,
-    build_user_trace,
-    compute_usage_stats,
-    sessionize,
-)
+from .sessions import UsageStats, UserTrace, build_traces
 from .markov import (
     FeatureMatrix,
     PageViewVector,

@@ -27,6 +27,13 @@ __all__ = [
     "profile_clusters",
 ]
 
+# Lloyd's algorithm stops when no centroid moves by LLOYD_TOL or more, or
+# after LLOYD_MAX_ITER iterations. The elbow's knee is the largest K whose
+# marginal EV gain exceeds KNEE_FRACTION of the K=1 to K=2 gain.
+LLOYD_TOL = 1e-6
+LLOYD_MAX_ITER = 300
+KNEE_FRACTION = 0.1
+
 
 class KTooLarge(ValueError):
     """K exceeds the number of points (or is < 1)."""
@@ -84,8 +91,6 @@ def _lloyd(
     X: np.ndarray,
     K: int,
     rng: np.random.Generator,
-    tol: float,
-    max_iter: int,
     init: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float, int, list[float]]:
     m, n = X.shape
@@ -93,7 +98,7 @@ def _lloyd(
     history: list[float] = []
     assign = np.zeros(m, dtype=np.int64)
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, LLOYD_MAX_ITER + 1):
         D = _sqdist(X, C)
         assign = D.argmin(axis=1)          # argmin takes the lowest index on ties
         history.append(float(D[np.arange(m), assign].sum()))
@@ -112,7 +117,7 @@ def _lloyd(
         newC = sums / counts[:, None]
         shift = float(np.sqrt(((newC - C) ** 2).sum(axis=1)).max())
         C = newC
-        if shift < tol:
+        if shift < LLOYD_TOL:
             break
     D = _sqdist(X, C)
     assign = D.argmin(axis=1)
@@ -126,8 +131,6 @@ def kmeans_fit(
     K: int,
     seed: int = 0,
     restarts: int = 10,
-    tol: float = 1e-6,
-    max_iter: int = 300,
 ) -> ClusterModel:
     """Best-of-restarts Lloyd's K-means.
 
@@ -144,7 +147,7 @@ def kmeans_fit(
     best = None
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        C, assign, inertia, iters, history = _lloyd(X, K, rng, tol, max_iter)
+        C, assign, inertia, iters, history = _lloyd(X, K, rng)
         if best is None or inertia < best[2]:
             best = (C, assign, inertia, iters, history)
     C, assign, inertia, iters, history = best
@@ -169,16 +172,13 @@ def explained_variance_curve(
     k_range: Iterable[int] = range(1, 26),
     seed: int = 0,
     restarts: int = 10,
-    tol: float = 1e-6,
-    max_iter: int = 300,
-    knee_fraction: float = 0.1,
     nested: bool = False,
 ) -> ElbowCurve:
     """Explained variance for each K in ``k_range``.
 
     All points identical (zero total sum of squares) defines EV = 1 for
     every K. The knee suggestion is the largest K whose marginal EV gain
-    still exceeds ``knee_fraction`` of the K=1 to K=2 gain.
+    still exceeds :data:`KNEE_FRACTION` of the K=1 to K=2 gain.
 
     With ``nested=True`` each K additionally tries an initialization made
     of the previous best centroids plus the point farthest from its
@@ -198,13 +198,13 @@ def explained_variance_curve(
         if total_ss == 0.0:
             points.append((K, 1.0))
             continue
-        model = kmeans_fit(X, K, seed=seed, restarts=restarts, tol=tol, max_iter=max_iter)
+        model = kmeans_fit(X, K, seed=seed, restarts=restarts)
         if nested and prev is not None and K == prev.K + 1:
             d_own = _sqdist(X, prev.centroids)[np.arange(X.shape[0]), prev.assignments]
             extra = X[int(d_own.argmax())]
             init = np.vstack([prev.centroids, extra[None, :]])
             rng = np.random.default_rng([seed, restarts])
-            C, assign, inertia, iters, history = _lloyd(X, K, rng, tol, max_iter, init=init)
+            C, assign, inertia, iters, history = _lloyd(X, K, rng, init=init)
             if inertia < model.inertia:
                 model = ClusterModel(
                     K=K, centroids=C, assignments=assign, inertia=inertia,
@@ -220,7 +220,7 @@ def explained_variance_curve(
         if k1 == k0 + 1
     }
     if 2 in gains and gains[2] > 0:
-        threshold = knee_fraction * gains[2]
+        threshold = KNEE_FRACTION * gains[2]
         passing = [k for k, g in gains.items() if g > threshold]
         knee = max(passing) if passing else ks[0]
     return ElbowCurve(points=points, knee=knee)

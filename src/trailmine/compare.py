@@ -55,7 +55,8 @@ class TooFewResources(ValueError):
 def extract_resource_traces(
     traces: Iterable[UserTrace],
     threshold_pct: float = DEFAULT_THRESHOLD_PCT,
-    break_label: int | None = None,
+    *,
+    break_label: int,
 ) -> dict[str, list[UserTrace]]:
     """Attribute whole user traces to resources via the threshold rule.
 
@@ -66,10 +67,7 @@ def extract_resource_traces(
     """
     out: dict[str, list[UserTrace]] = {}
     for trace in traces:
-        if break_label is not None:
-            denom = trace.action_count(break_label)
-        else:
-            denom = len(trace.sequence)
+        denom = trace.action_count(break_label)
         if denom == 0:
             continue
         per_resource: dict[str, int] = {}

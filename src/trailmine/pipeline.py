@@ -9,8 +9,8 @@ long runs can be resumed per stage.
 
 Ingest has one per-line loop, :func:`_ingest_lines`, for every route.
 Parsing and mapping are pure per line, so ingestion can fan out over
-worker processes; per-user ordering is restored afterwards by a stable
-(user, timestamp) sort.
+worker processes; per-user ordering is restored afterwards by the stable
+(user, timestamp) sort of :func:`~trailmine.sessions.build_traces`.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .logs import (
 )
 from .markov import FeatureMatrix, build_feature_matrix
 from .pca import PcaModel, loading_extremes, pca_fit, pca_project
-from .sessions import Event, Session, UserTrace, build_user_trace, compute_usage_stats, sessionize
+from .sessions import DEFAULT_GAP_MINUTES, UserTrace, build_traces
 
 __all__ = [
     "PipelineConfig",
@@ -186,22 +186,6 @@ class EventBatch:
             onto_pool=list(onto_pool),
             onto_codes=np.concatenate(ocodes) if ocodes else np.empty(0, dtype=np.int64),
         )
-
-    def group_by_user(self) -> dict[str, list[Event]]:
-        """Per-user event lists, stably sorted by (user, timestamp)."""
-        order = np.lexsort((self.timestamps, self.user_codes))  # ties keep input order
-        grouped: dict[str, list[Event]] = {}
-        upool, opool = self.user_pool, self.onto_pool
-        ts, labels, ocodes = self.timestamps, self.labels, self.onto_codes
-        ucodes = self.user_codes
-        for i in order:
-            oc = ocodes[i]
-            ev = Event(
-                upool[ucodes[i]], int(ts[i]), int(labels[i]),
-                None if oc < 0 else opool[oc],
-            )
-            grouped.setdefault(ev.user, []).append(ev)
-        return grouped
 
 
 def _empty_batch() -> EventBatch:
@@ -341,7 +325,6 @@ def ingest_paths(
     filter_config: FilterConfig | None = None,
     log_format: str = "combined",
     jobs: int = 1,
-    rules_file: str | Path | None = None,
     user_key: Callable | None = None,
 ) -> tuple[EventBatch, IngestStats]:
     """Parse, filter and map log files into an event batch.
@@ -354,7 +337,7 @@ def ingest_paths(
     a worker. Raises ``ValueError`` for an unknown ``log_format``.
     """
     line_pattern(log_format)  # reject an unknown format even when no line is read
-    ruleset = ruleset or (compile_ruleset(rules_file) if rules_file else default_ruleset())
+    ruleset = ruleset or default_ruleset()
     cfg = filter_config or default_filter_config()
     filt = cfg.compile()
 
@@ -384,26 +367,6 @@ def ingest_paths(
         stats.merge(part_stats)
     batch = EventBatch.merge(parts) if parts else _empty_batch()
     return batch, stats
-
-
-def build_traces(
-    batch: EventBatch,
-    break_label: int,
-    gap_minutes: float = 30.0,
-) -> tuple[list[UserTrace], dict[str, list[Session]]]:
-    """Sessionize per user and build BREAK-joined traces.
-
-    Returns traces sorted by user id plus the per-user session lists
-    (the input to usage statistics).
-    """
-    grouped = batch.group_by_user()
-    traces: list[UserTrace] = []
-    sessions_by_user: dict[str, list[Session]] = {}
-    for user in sorted(grouped):
-        sessions = sessionize(grouped[user], gap_minutes=gap_minutes)
-        sessions_by_user[user] = sessions
-        traces.append(build_user_trace(sessions, break_label))
-    return traces, sessions_by_user
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +634,7 @@ class PipelineConfig:
     ua_blacklist: str | None = None
     ip_blacklist: str | None = None
     asset_patterns: str | None = None
-    gap_minutes: float = 30.0
+    gap_minutes: float = DEFAULT_GAP_MINUTES
     alpha: float = 0.15
     feature_kind: str = "stationary"
     k: int | None = None          # None: use the elbow knee
@@ -768,10 +731,7 @@ def stage_sessionize(
 ) -> tuple[list[UserTrace], dict, list[str]]:
     """Traces (``traces.jsonl``) and usage statistics of an event batch."""
     out_dir = _out_dir(config)
-    traces, sessions_by_user = build_traces(
-        batch, config.ruleset().vocabulary.break_id, config.gap_minutes,
-    )
-    usage = compute_usage_stats(sessions_by_user)
+    traces, usage = build_traces(batch, config.ruleset().vocabulary.break_id, config.gap_minutes)
     write_traces_jsonl(traces, out_dir / "traces.jsonl")
     files = ["traces.jsonl"] + write_usage_stats(usage, out_dir)
     return traces, {"users": len(traces), "sessions": usage.session_count}, files

@@ -23,8 +23,9 @@ from trailmine.markov import (
     stationary_distribution,
 )
 from trailmine.pca import pca_fit, pca_project, pca_reconstruct
-from trailmine.pipeline import PipelineConfig, build_traces, ingest_paths, read_traces_jsonl, run_pipeline
-from trailmine.sessions import Event, build_user_trace, sessionize
+from trailmine.pipeline import (
+    EventBatch, PipelineConfig, build_traces, ingest_paths, read_traces_jsonl, run_pipeline,
+)
 from trailmine.synth import ArchetypeSpec, default_archetypes, generate_synthetic_log
 
 ABCABC = [0, 1, 2, 0, 1, 2]
@@ -173,15 +174,20 @@ def test_criterion_6_worked_session_example(ruleset):
         '1.2.3.4 - - [14/Mar/2016:09:09:59 -0700] "GET /ontologies/success/MCCV HTTP/1.1" 200 1 "-" "ua"',
         '1.2.3.4 - - [14/Mar/2016:09:10:14 -0700] "GET /ontologies/MCCV HTTP/1.1" 200 1 "-" "ua"',
     ]
-    events = []
-    for line in lines:
-        r = parse_log_line(line)
-        label, onto = ruleset.match(r.method, r.path)
-        events.append(Event(r.ip, r.epoch, label, onto))
-    sessions = sessionize(events, gap_minutes=30)
-    assert len(sessions) == 1
-    assert sessions[0].duration == 162
-    trace = build_user_trace(sessions, ruleset.vocabulary.break_id)
+    records = [parse_log_line(line) for line in lines]
+    hits = [ruleset.match(r.method, r.path) for r in records]
+    ontologies = sorted({onto for _, onto in hits if onto is not None})
+    batch = EventBatch(
+        user_pool=["1.2.3.4"],
+        user_codes=np.zeros(len(records), dtype=np.int64),
+        timestamps=np.array([r.epoch for r in records], dtype=np.int64),
+        labels=np.array([label for label, _ in hits], dtype=np.int64),
+        onto_pool=ontologies,
+        onto_codes=np.array([-1 if o is None else ontologies.index(o) for _, o in hits], dtype=np.int64),
+    )
+    (trace,), usage = build_traces(batch, ruleset.vocabulary.break_id, gap_minutes=30)
+    assert trace.session_count == usage.session_count == 1
+    assert usage.mean_session_duration == 162
     names = [ruleset.vocabulary[i].name for i in trace.sequence]
     assert names == [
         "Browse Main Page", "Login", "Login", "Browse Main Page", "Ontology Summary",

@@ -47,9 +47,8 @@ def test_parallel_ingest_matches_serial(corpus, ruleset):
     b1, s1 = ingest_paths([log], ruleset=ruleset, jobs=1)
     b2, s2 = ingest_paths([log], ruleset=ruleset, jobs=2)
     assert s1 == s2
-    g1 = b1.group_by_user()
-    g2 = b2.group_by_user()
-    assert g1 == g2
+    break_id = ruleset.vocabulary.break_id
+    assert build_traces(b1, break_id) == build_traces(b2, break_id)
 
 
 def test_traces_recover_ground_truth(corpus, ruleset):
@@ -248,10 +247,9 @@ def test_event_batch_grouping_stable():
         onto_pool=["Z"],
         onto_codes=np.array([0, -1, -1, 0]),
     )
-    grouped = batch.group_by_user()
-    assert [e.label for e in grouped["b"]] == [0, 2]  # ties keep input order
-    assert [e.label for e in grouped["a"]] == [1, 3]
-    assert grouped["b"][0].ontology == "Z" and grouped["b"][1].ontology is None
+    a, b = build_traces(batch, break_label=9)[0]  # sorted by user
+    assert (a.user, a.sequence) == ("a", [1, 3])  # ties keep input order
+    assert (b.user, b.sequence, b.ontologies) == ("b", [0, 2], ["Z", None])
     assert batch.users == ["b", "a", "b", "a"]
 
 

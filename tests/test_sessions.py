@@ -1,16 +1,11 @@
-import numpy as np
-import pytest
+from dataclasses import asdict
 
-from testutil import naive_sessionize
+import numpy as np
+
+from testutil import naive_sessionize, naive_traces
 from trailmine.logs import parse_log_line
-from trailmine.sessions import (
-    EmptyInput,
-    Event,
-    NonMonotonicInput,
-    build_user_trace,
-    compute_usage_stats,
-    sessionize,
-)
+from trailmine.pipeline import EventBatch
+from trailmine.sessions import build_traces
 
 BREAK = 33
 
@@ -34,37 +29,69 @@ EXAMPLE_SEQUENCE = [
 ]
 
 
-def example_events(ruleset):
-    events = []
-    for line in EXAMPLE_LINES:
-        r = parse_log_line(line)
-        label, onto = ruleset.match(r.method, r.path)
-        events.append(Event(r.ip, r.epoch, label, onto))
-    return events
+def make_batch(timestamps, labels=None, users=None, ontologies=None, user_pool=None):
+    """An event batch from parallel per-event lists, in input order.
+
+    ``users`` defaults to one user "u", ``labels`` to 0 and ``ontologies``
+    (acronyms or None) to None. ``user_pool`` fixes the pool order; it may
+    hold users without events.
+    """
+    n = len(timestamps)
+    labels = [0] * n if labels is None else labels
+    users = ["u"] * n if users is None else users
+    ontologies = [None] * n if ontologies is None else ontologies
+    user_pool = list(dict.fromkeys(users)) if user_pool is None else user_pool
+    onto_pool = list(dict.fromkeys(o for o in ontologies if o is not None))
+    return EventBatch(
+        user_pool=user_pool,
+        user_codes=np.array([user_pool.index(u) for u in users], dtype=np.int64),
+        timestamps=np.array(timestamps, dtype=np.int64),
+        labels=np.array(labels, dtype=np.int64),
+        onto_pool=onto_pool,
+        onto_codes=np.array([-1 if o is None else onto_pool.index(o) for o in ontologies],
+                            dtype=np.int64),
+    )
 
 
-def _ev(ts, label=0, user="u"):
-    return Event(user, ts, label)
+def example_batch(ruleset):
+    records = [parse_log_line(line) for line in EXAMPLE_LINES]
+    hits = [ruleset.match(r.method, r.path) for r in records]
+    return make_batch([r.epoch for r in records], [label for label, _ in hits],
+                      [r.ip for r in records], [onto for _, onto in hits])
+
+
+def one_trace(timestamps, labels=None):
+    (trace,), _ = build_traces(make_batch(timestamps, labels), BREAK)
+    return trace
+
+
+def split_sessions(sequence):
+    """The label runs between BREAK tokens."""
+    sessions, current = [], []
+    for label in sequence:
+        if label == BREAK:
+            sessions.append(current)
+            current = []
+        else:
+            current.append(label)
+    return sessions + [current]
 
 
 def test_worked_example_is_one_session(ruleset):
-    events = example_events(ruleset)
-    sessions = sessionize(events)
-    assert len(sessions) == 1
-    assert len(sessions[0]) == 9
-    assert sessions[0].duration == 162
-    trace = build_user_trace(sessions, ruleset.vocabulary.break_id)
-    names = [ruleset.vocabulary[i].name for i in trace.sequence]
+    traces, usage = build_traces(example_batch(ruleset), ruleset.vocabulary.break_id)
+    assert len(traces) == 1
+    assert traces[0].session_count == 1 and traces[0].session_lengths == [9]
+    assert usage.mean_session_duration == 162
+    names = [ruleset.vocabulary[i].name for i in traces[0].sequence]
     assert names == EXAMPLE_SEQUENCE
 
 
 def test_gap_threshold_boundary():
     # 31 minutes apart: two singleton sessions
-    two = sessionize([_ev(0), _ev(31 * 60)])
-    assert [len(s) for s in two] == [1, 1]
+    assert one_trace([0, 31 * 60]).session_lengths == [1, 1]
     # exactly the threshold splits, one second less does not
-    assert len(sessionize([_ev(0), _ev(1800)])) == 2
-    assert len(sessionize([_ev(0), _ev(1799)])) == 1
+    assert one_trace([0, 1800]).session_count == 2
+    assert one_trace([0, 1799]).session_count == 1
 
 
 def test_sessionize_matches_naive_splitter():
@@ -73,11 +100,8 @@ def test_sessionize_matches_naive_splitter():
         n = int(rng.integers(1, 25))
         gaps = rng.choice([0, 1, 5, 600, 1799, 1800, 1801, 4000], size=n - 1) if n > 1 else []
         ts = np.concatenate([[0], np.cumsum(gaps)]).astype(int) if n > 1 else np.array([0])
-        events = [_ev(int(t)) for t in ts]
-        got = [[events.index(e) for e in s.events] for s in sessionize(events)]
-        want = naive_sessionize(list(ts), 1800)
-        lengths_got = [len(s) for s in got]
-        lengths_want = [len(s) for s in want]
+        lengths_got = one_trace(ts.tolist()).session_lengths
+        lengths_want = [len(s) for s in naive_sessionize(list(ts), 1800)]
         assert lengths_got == lengths_want
 
 
@@ -86,36 +110,30 @@ def test_sessionize_partition_and_gap_invariants():
     for _ in range(200):
         n = int(rng.integers(1, 40))
         ts = np.cumsum(rng.integers(0, 2600, size=n)).astype(int)
-        events = [_ev(int(t)) for t in ts]
-        sessions = sessionize(events)
-        flat = [e for s in sessions for e in s.events]
-        assert flat == events  # partition, order preserved
+        trace = one_trace(ts.tolist(), labels=[BREAK + 1 + i for i in range(n)])
+        sessions = [[label - BREAK - 1 for label in s] for s in split_sessions(trace.sequence)]
+        assert [i for s in sessions for i in s] == list(range(n))  # partition, order preserved
+        assert [len(s) for s in sessions] == trace.session_lengths
         for s in sessions:
-            for a, b in zip(s.events, s.events[1:]):
-                assert b.timestamp - a.timestamp < 1800
+            for a, b in zip(s, s[1:]):
+                assert ts[b] - ts[a] < 1800
         for s1, s2 in zip(sessions, sessions[1:]):
-            assert s2.events[0].timestamp - s1.events[-1].timestamp >= 1800
-
-
-def test_non_monotonic_raises():
-    with pytest.raises(NonMonotonicInput):
-        sessionize([_ev(100), _ev(50)])
+            assert ts[s2[0]] - ts[s1[-1]] >= 1800
 
 
 def test_ties_keep_order():
-    events = [_ev(10, label=1), _ev(10, label=2), _ev(10, label=3)]
-    sessions = sessionize(events)
-    assert [e.label for e in sessions[0].events] == [1, 2, 3]
+    assert one_trace([10, 10, 10], labels=[1, 2, 3]).sequence == [1, 2, 3]
+    # out-of-order input: ties still keep input order after the sort
+    assert one_trace([20, 10, 10, 20], labels=[1, 2, 3, 4]).sequence == [2, 3, 1, 4]
 
 
 def test_trace_break_counting():
     # one session: no BREAK
-    t = build_user_trace(sessionize([_ev(0), _ev(1)]), BREAK)
+    t = one_trace([0, 1])
     assert t.session_count == 1 and BREAK not in t.sequence
     # k singleton sessions: length 2k-1 with k-1 BREAKs
     k = 6
-    events = [_ev(i * 4000) for i in range(k)]
-    t = build_user_trace(sessionize(events), BREAK)
+    t = one_trace([i * 4000 for i in range(k)])
     assert len(t.sequence) == 2 * k - 1
     assert t.sequence.count(BREAK) == k - 1 == t.session_count - 1
 
@@ -125,23 +143,36 @@ def test_trace_break_placement_property():
     for _ in range(200):
         n = int(rng.integers(1, 30))
         ts = np.cumsum(rng.integers(0, 3000, size=n)).astype(int)
-        events = [_ev(int(t), label=int(rng.integers(0, 5))) for t in ts]
-        sessions = sessionize(events)
-        t = build_user_trace(sessions, BREAK)
-        assert len(t.sequence) == sum(len(s) for s in sessions) + t.session_count - 1
+        labels = rng.integers(0, 5, size=n).tolist()
+        t = one_trace(ts.tolist(), labels)
+        assert len(t.sequence) == sum(t.session_lengths) + t.session_count - 1
         assert t.sequence[0] != BREAK and t.sequence[-1] != BREAK
         for a, b in zip(t.sequence, t.sequence[1:]):
             assert not (a == BREAK and b == BREAK)
         assert len(t.ontologies) == len(t.sequence)
 
 
-def test_empty_input():
-    with pytest.raises(EmptyInput):
-        build_user_trace([], BREAK)
+def test_gap_between_users_is_no_session_split_nor_gap():
+    # b's request falls inside a's session; a's two requests are 200 s apart
+    traces, usage = build_traces(make_batch([0, 100, 200], users=["a", "b", "a"]), BREAK)
+    assert [(t.user, t.session_lengths) for t in traces] == [("a", [2]), ("b", [1])]
+    assert usage.inter_request_seconds == {200: 1}
+    # users far apart in time: one session each and no inter-request gap at all
+    traces, usage = build_traces(make_batch([0, 10_000], users=["a", "b"]), BREAK)
+    assert [t.session_count for t in traces] == [1, 1] and BREAK not in traces[0].sequence
+    assert usage.inter_request_seconds == {} and usage.session_count == 2
+
+
+def test_pool_entries_with_one_name_are_one_user():
+    batch = EventBatch(["a", "b", "a"], np.array([2, 1, 0, 2]), np.array([30, 0, 10, 20]),
+                       np.array([3, 1, 0, 2]), [], np.full(4, -1))
+    traces, usage = build_traces(batch, BREAK)
+    assert [(t.user, t.sequence) for t in traces] == [("a", [0, 2, 3]), ("b", [1])]
+    assert usage.users == 2 and usage.inter_request_seconds == {10: 2}
 
 
 def test_stats_single_event_corpus():
-    stats = compute_usage_stats({"u": sessionize([_ev(5)])})
+    _, stats = build_traces(make_batch([5]), BREAK)
     assert stats.session_count == 1
     assert stats.single_request_sessions == 1
     assert stats.median_session_duration == 0.0
@@ -150,8 +181,7 @@ def test_stats_single_event_corpus():
 
 
 def test_stats_worked_example(ruleset):
-    sessions = sessionize(example_events(ruleset))
-    stats = compute_usage_stats({"1.2.3.4": sessions})
+    _, stats = build_traces(example_batch(ruleset), ruleset.vocabulary.break_id)
     assert stats.requests_per_session == {9: 1}
     assert stats.mean_session_duration == 162.0
     assert stats.ontologies_per_user == {1: 1}  # only MCCV
@@ -159,13 +189,48 @@ def test_stats_worked_example(ruleset):
 
 def test_stats_consistency_invariant():
     rng = np.random.default_rng(11)
-    corpus = {}
+    users, ts = [], []
     for u in range(40):
         n = int(rng.integers(1, 30))
-        ts = np.cumsum(rng.integers(0, 2600, size=n)).astype(int)
-        corpus[f"u{u}"] = sessionize([_ev(int(t), user=f"u{u}") for t in ts])
-    stats = compute_usage_stats(corpus)
+        users += [f"u{u}"] * n
+        ts += np.cumsum(rng.integers(0, 2600, size=n)).tolist()
+    _, stats = build_traces(make_batch(ts, users=users), BREAK)
     mass = sum(k * c for k, c in stats.requests_per_session.items())
     assert mass == stats.total_events
     assert sum(stats.requests_per_user.values()) == stats.users == 40
     assert sum(stats.requests_per_session.values()) == stats.session_count
+
+
+def random_corpus(rng):
+    """Users interleaved and shuffled, shared timestamps, boundary gaps, mixed attribution."""
+    n_users = int(rng.integers(1, 12))
+    names = [f"{rng.choice(list('zyxab'))}{i}" for i in rng.permutation(n_users)]
+    events = []
+    for name in names:
+        n = 1 if rng.random() < 0.25 else int(rng.integers(1, 20))  # many single-event users
+        gaps = rng.choice([0, 1, 5, 600, 1799, 1800, 1801, 4000], size=n - 1)
+        start = int(rng.choice([0, 100, 1800]))  # users share timestamps
+        for t in np.concatenate([[start], start + np.cumsum(gaps)]).tolist():
+            onto = rng.choice(["MCCV", "CPT", "GO", None])
+            events.append((name, t, int(rng.integers(0, 6)), onto))
+    events = [events[i] for i in rng.permutation(len(events))]
+    pool = names + ["idle"]  # a pool entry without events gets no trace
+    pool = [pool[i] for i in rng.permutation(len(pool))]
+    return [list(column) for column in zip(*events)], pool
+
+
+def test_build_traces_matches_naive_reference():
+    rng = np.random.default_rng(2024)
+    for _ in range(500):
+        (users, ts, labels, ontologies), pool = random_corpus(rng)
+        batch = make_batch(ts, labels, users, ontologies, user_pool=pool)
+        traces, usage = build_traces(batch, BREAK, gap_minutes=30.0)
+        want_traces, want_usage = naive_traces(users, ts, labels, ontologies, BREAK, 1800)
+        assert [asdict(t) for t in traces] == want_traces
+        assert asdict(usage) == want_usage
+
+
+def test_empty_batch_has_no_traces():
+    traces, usage = build_traces(make_batch([]), BREAK)
+    assert traces == [] and usage.users == usage.session_count == 0
+    assert usage.inter_request_seconds == {}

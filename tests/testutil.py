@@ -45,6 +45,65 @@ def naive_sessionize(timestamps, gap_seconds):
     return sessions
 
 
+def naive_traces(users, timestamps, labels, ontologies, break_label, gap_seconds):
+    """Per-user loop reference for ``build_traces``: (traces, usage) as plain dicts.
+
+    Events arrive as parallel lists in input order. Each user's events are
+    stably sorted by timestamp, split with :func:`naive_sessionize` and
+    joined with one BREAK between sessions; the usage statistics walk the
+    same per-user sessions, so no gap between two users is ever seen.
+    """
+    by_user = {}
+    for event in zip(users, timestamps, labels, ontologies):
+        by_user.setdefault(event[0], []).append(event)
+
+    def bump(hist, value):
+        hist[value] = hist.get(value, 0) + 1
+
+    traces = []
+    usage = {
+        "users": 0, "total_events": 0, "session_count": 0, "single_request_sessions": 0,
+        "inter_request_seconds": {}, "requests_per_user": {}, "ontologies_per_user": {},
+        "requests_per_session": {},
+    }
+    durations = []
+    for user in sorted(by_user):
+        events = sorted(by_user[user], key=lambda e: e[1])  # stable: ties keep input order
+        ts = [e[1] for e in events]
+        sessions = [[events[i] for i in s] for s in naive_sessionize(ts, gap_seconds)]
+        sequence, attributed = [], []
+        for k, session in enumerate(sessions):
+            if k:
+                sequence.append(break_label)
+                attributed.append(None)
+            sequence += [e[2] for e in session]
+            attributed += [e[3] for e in session]
+            bump(usage["requests_per_session"], len(session))
+            durations.append(session[-1][1] - session[0][1])
+        traces.append({
+            "user": user, "sequence": sequence, "ontologies": attributed,
+            "session_count": len(sessions), "session_lengths": [len(s) for s in sessions],
+        })
+        for a, b in zip(ts, ts[1:]):
+            bump(usage["inter_request_seconds"], b - a)
+        usage["users"] += 1
+        usage["total_events"] += len(events)
+        usage["session_count"] += len(sessions)
+        usage["single_request_sessions"] += sum(len(s) == 1 for s in sessions)
+        bump(usage["requests_per_user"], len(events))
+        bump(usage["ontologies_per_user"], len({e[3] for e in events if e[3] is not None}))
+    usage["mean_session_duration"] = sum(durations) / len(durations) if durations else 0.0
+    durations.sort()
+    mid = len(durations) // 2
+    if not durations:
+        usage["median_session_duration"] = 0.0
+    elif len(durations) % 2:
+        usage["median_session_duration"] = float(durations[mid])
+    else:
+        usage["median_session_duration"] = (durations[mid - 1] + durations[mid]) / 2
+    return traces, usage
+
+
 def brute_force_two_partition_inertia(X: np.ndarray) -> float:
     """Exhaustive optimum over all 2-partitions (both sides non-empty)."""
     m = X.shape[0]
