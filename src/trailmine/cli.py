@@ -127,6 +127,7 @@ def _config(args) -> PipelineConfig:
         value = getattr(args, f.name, None)
         if value is not None:
             setattr(cfg, f.name, parse_k_range(value) if f.name == "k_range" else value)
+    cfg.validate()
     return cfg
 
 

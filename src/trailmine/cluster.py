@@ -4,6 +4,24 @@ Lloyd's algorithm with k-means++ seeding and best-of-restarts selection.
 Everything is deterministic for a fixed (seed, restarts, data order):
 ties break to the lowest index, and an emptied cluster is re-seeded at
 the point farthest from its assigned centroid.
+
+The loop is shaped for many small fits (the elbow runs 25 values of K
+times 10 restarts), where per-call overhead costs more than arithmetic.
+Each step below gives the same floating-point results as the plain
+formulation it replaces, so every iterate is bit for bit the same:
+
+- centroid sums are one ``np.bincount`` over the flat cell index
+  ``assign * n + column`` weighted by ``X.ravel()``. It adds the rows of
+  each cell in row order starting from 0.0, as ``np.add.at(sums, assign,
+  X)`` does;
+- the squared row norms ``(X * X).sum(1)`` are computed once per fit and
+  passed to every distance computation;
+- a k-means++ draw searches the normalized cumulative sum of the
+  distances with one ``rng.random()``. That is how
+  ``Generator.choice(m, p=...)`` draws, so it takes the same index from
+  the same random stream, without ``choice``'s per-call checks of ``p``.
+  Those checks used to be the only guard against a NaN in the features,
+  so the fits now reject non-finite input on entry.
 """
 
 from __future__ import annotations
@@ -54,6 +72,15 @@ class ClusterModel:
     n_iter: int = 0
     # within-run inertia after each assignment step, for the best restart
     inertia_history: list[float] = field(default_factory=list)
+    # empty clusters re-seeded during the best restart
+    reseeded: int = 0
+    # final inertia of each restart, in restart order
+    restart_inertias: list[float] = field(default_factory=list)
+
+    def diagnostics(self) -> dict:
+        """The best restart's iterations and re-seeds, and the inertia spread."""
+        spread = max(self.restart_inertias) - min(self.restart_inertias) if self.restart_inertias else 0.0
+        return {"n_iter": self.n_iter, "reseeded": self.reseeded, "inertia_spread": spread}
 
 
 @dataclass(slots=True)
@@ -62,54 +89,81 @@ class ElbowCurve:
 
     points: list[tuple[int, float]]
     knee: int | None = None
+    # ClusterModel.diagnostics() plus "K", for each K that needed a fit
+    fits: list[dict] = field(default_factory=list)
 
 
-def _sqdist(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, m x K."""
+def _feature_rows(features: FeatureMatrix | np.ndarray, restarts: int) -> np.ndarray:
+    """The matrix to cluster; rejects ``restarts < 1`` and non-finite values."""
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    X = features.X if isinstance(features, FeatureMatrix) else np.asarray(features, dtype=np.float64)
+    if not np.isfinite(X).all():
+        raise ValueError("feature matrix has non-finite values (NaN or inf)")
+    return X
+
+
+def _sqdist(X: np.ndarray, C: np.ndarray, xx: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances, m x K; ``xx`` is ``(X * X).sum(1)``."""
     # (x - c)^2 expanded; clip tiny negatives from cancellation
-    d = (X * X).sum(1)[:, None] + (C * C).sum(1)[None, :] - 2.0 * (X @ C.T)
+    d = xx[:, None] + (C * C).sum(1)[None, :] - 2.0 * (X @ C.T)
     return np.maximum(d, 0.0)
 
 
-def _kmeanspp_init(X: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
+def _weighted_draw(w: np.ndarray, total: float, rng: np.random.Generator) -> int:
+    """``rng.choice(len(w), p=w / total)``, drawn the way ``choice`` draws it."""
+    cdf = (w / total).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _kmeanspp_init(
+    X: np.ndarray, xx: np.ndarray, K: int, rng: np.random.Generator,
+) -> np.ndarray:
     m = X.shape[0]
     centroids = np.empty((K, X.shape[1]))
     centroids[0] = X[rng.integers(m)]
-    d2 = _sqdist(X, centroids[:1]).ravel()
+    d2 = _sqdist(X, centroids[:1], xx).ravel()
     for k in range(1, K):
         total = d2.sum()
         if total <= 0.0:
             idx = int(rng.integers(m))
         else:
-            idx = int(rng.choice(m, p=d2 / total))
+            idx = _weighted_draw(d2, total, rng)
         centroids[k] = X[idx]
-        d2 = np.minimum(d2, _sqdist(X, centroids[k : k + 1]).ravel())
+        d2 = np.minimum(d2, _sqdist(X, centroids[k : k + 1], xx).ravel())
     return centroids
 
 
 def _lloyd(
     X: np.ndarray,
+    xx: np.ndarray,
     K: int,
     rng: np.random.Generator,
     init: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, float, int, list[float]]:
+) -> tuple[np.ndarray, np.ndarray, float, int, list[float], int]:
+    """One run: (centroids, assignments, inertia, iterations, history, re-seeds)."""
     m, n = X.shape
-    C = _kmeanspp_init(X, K, rng) if init is None else init.copy()
+    C = _kmeanspp_init(X, xx, K, rng) if init is None else init.copy()
     history: list[float] = []
-    assign = np.zeros(m, dtype=np.int64)
+    rows = np.arange(m)
+    cols = np.arange(n)
+    weights = X.ravel()
+    reseeded = 0
     it = 0
     for it in range(1, LLOYD_MAX_ITER + 1):
-        D = _sqdist(X, C)
+        D = _sqdist(X, C, xx)
         assign = D.argmin(axis=1)          # argmin takes the lowest index on ties
-        history.append(float(D[np.arange(m), assign].sum()))
-        sums = np.zeros((K, n))
-        np.add.at(sums, assign, X)
+        dist_own = D[rows, assign]
+        history.append(float(dist_own.sum()))
+        cells = (assign[:, None] * n + cols).ravel()
+        sums = np.bincount(cells, weights=weights, minlength=K * n).reshape(K, n)
         counts = np.bincount(assign, minlength=K)
         empty = np.flatnonzero(counts == 0)
         if empty.size:
             # re-seed each empty cluster at the point currently farthest
             # from its centroid, farthest first
-            dist_own = D[np.arange(m), assign]
+            reseeded += empty.size
             order = np.argsort(-dist_own, kind="stable")
             for k, idx in zip(empty, order[: empty.size]):
                 sums[k] = X[idx]
@@ -119,11 +173,11 @@ def _lloyd(
         C = newC
         if shift < LLOYD_TOL:
             break
-    D = _sqdist(X, C)
+    D = _sqdist(X, C, xx)
     assign = D.argmin(axis=1)
-    inertia = float(D[np.arange(m), assign].sum())
+    inertia = float(D[rows, assign].sum())
     history.append(inertia)
-    return C, assign, inertia, it, history
+    return C, assign, inertia, it, history, reseeded
 
 
 def kmeans_fit(
@@ -137,20 +191,23 @@ def kmeans_fit(
     Each restart draws its own k-means++ initialization from a child
     generator of ``seed``; the restart with the lowest inertia wins
     (first one on exact ties). Raises :class:`EmptyMatrix` and
-    :class:`KTooLarge` on degenerate inputs.
+    :class:`KTooLarge` on degenerate inputs, and ``ValueError`` for
+    ``restarts < 1`` or a NaN or infinite feature.
     """
-    X = features.X if isinstance(features, FeatureMatrix) else np.asarray(features, dtype=np.float64)
+    X = _feature_rows(features, restarts)
     if X.ndim != 2 or X.shape[0] == 0:
         raise EmptyMatrix("feature matrix has no rows")
     if not 1 <= K <= X.shape[0]:
         raise KTooLarge(f"K={K} not in [1, {X.shape[0]}]")
+    xx = (X * X).sum(1)
     best = None
+    inertias = []
     for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        C, assign, inertia, iters, history = _lloyd(X, K, rng)
-        if best is None or inertia < best[2]:
-            best = (C, assign, inertia, iters, history)
-    C, assign, inertia, iters, history = best
+        run = _lloyd(X, xx, K, np.random.default_rng([seed, r]))
+        inertias.append(run[2])
+        if best is None or run[2] < best[2]:
+            best = run
+    C, assign, inertia, iters, history, reseeded = best
     return ClusterModel(
         K=K,
         centroids=C,
@@ -160,6 +217,8 @@ def kmeans_fit(
         restarts=restarts,
         n_iter=iters,
         inertia_history=history,
+        reseeded=reseeded,
+        restart_inertias=inertias,
     )
 
 
@@ -185,14 +244,16 @@ def explained_variance_curve(
     centroid, which makes the curve non-decreasing in K; the default
     independent-restart mode only guarantees EV(K) >= EV(1) = 0.
     """
-    X = features.X if isinstance(features, FeatureMatrix) else np.asarray(features, dtype=np.float64)
+    X = _feature_rows(features, restarts)
     ks = sorted(set(int(k) for k in k_range))
     if not ks:
         raise ValueError("empty K range")
     if ks[0] < 1 or ks[-1] > X.shape[0]:
         raise KTooLarge(f"K range must lie within [1, {X.shape[0]}]")
     total_ss = total_sum_of_squares(X)
+    xx = (X * X).sum(1)
     points: list[tuple[int, float]] = []
+    fits: list[dict] = []
     prev: ClusterModel | None = None
     for K in ks:
         if total_ss == 0.0:
@@ -200,19 +261,21 @@ def explained_variance_curve(
             continue
         model = kmeans_fit(X, K, seed=seed, restarts=restarts)
         if nested and prev is not None and K == prev.K + 1:
-            d_own = _sqdist(X, prev.centroids)[np.arange(X.shape[0]), prev.assignments]
+            d_own = _sqdist(X, prev.centroids, xx)[np.arange(X.shape[0]), prev.assignments]
             extra = X[int(d_own.argmax())]
             init = np.vstack([prev.centroids, extra[None, :]])
             rng = np.random.default_rng([seed, restarts])
-            C, assign, inertia, iters, history = _lloyd(X, K, rng, init=init)
+            C, assign, inertia, iters, history, reseeded = _lloyd(X, xx, K, rng, init=init)
             if inertia < model.inertia:
                 model = ClusterModel(
                     K=K, centroids=C, assignments=assign, inertia=inertia,
                     seed=seed, restarts=restarts, n_iter=iters, inertia_history=history,
+                    reseeded=reseeded, restart_inertias=model.restart_inertias,
                 )
         prev = model
         ev = min(1.0, max(0.0, 1.0 - model.inertia / total_ss))
         points.append((K, ev))
+        fits.append({"K": K, **model.diagnostics()})
     knee = None
     gains = {
         k1: ev1 - ev0
@@ -223,7 +286,7 @@ def explained_variance_curve(
         threshold = KNEE_FRACTION * gains[2]
         passing = [k for k, g in gains.items() if g > threshold]
         knee = max(passing) if passing else ks[0]
-    return ElbowCurve(points=points, knee=knee)
+    return ElbowCurve(points=points, knee=knee, fits=fits)
 
 
 @dataclass(slots=True)

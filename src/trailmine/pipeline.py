@@ -674,6 +674,11 @@ class PipelineConfig:
             cfg.k_range = parse_k_range(section["k_range"])
         return cfg
 
+    def validate(self) -> None:
+        """Reject, by name, a setting that would fail a stage partway through a run."""
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+
     def as_dict(self) -> dict:
         d = asdict(self)
         d["k_range"] = list(self.k_range)
@@ -765,7 +770,7 @@ def stage_elbow(
         seed=config.seed, restarts=config.restarts,
     )
     write_elbow_csv(curve, _out_dir(config) / "elbow.csv")
-    return curve.knee, {"knee": curve.knee}, ["elbow.csv"]
+    return curve.knee, {"knee": curve.knee, "fits": curve.fits}, ["elbow.csv"]
 
 
 def stage_cluster(
@@ -781,7 +786,7 @@ def stage_cluster(
     if traces is not None:
         profiles = profile_clusters(features, model, traces, config.ruleset().vocabulary.break_id)
     files = write_cluster_outputs(features, model, profiles, _out_dir(config))
-    return model, {"K": K, "inertia": model.inertia}, files
+    return model, {"K": K, "inertia": model.inertia, **model.diagnostics()}, files
 
 
 def stage_pca(
@@ -843,8 +848,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
     Returns the manifest dict. Stage failures raise
     :class:`PipelineStageError`; outputs of completed stages stay on
     disk, and the manifest written so far is preserved as
-    ``manifest.partial.json``.
+    ``manifest.partial.json``. An invalid config raises ``ValueError``
+    before any stage runs or any file is written.
     """
+    config.validate()
     out_dir = _out_dir(config)
     manifest: dict = {
         "config": config.as_dict(),

@@ -141,6 +141,25 @@ def test_unknown_log_format_in_config(tmp_path, synth_log, capsys):
     assert "unknown log format: 'combind'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("route", ["flag", "ini", "cluster"])
+def test_restarts_below_one_is_a_data_error_before_any_stage(tmp_path, synth_log, capsys, route):
+    out = tmp_path / "o"
+    if route == "flag":
+        argv = ["run", "--logs", str(synth_log), "--out-dir", str(out), "--restarts", "0"]
+    elif route == "ini":
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(f"[pipeline]\nlogs = {synth_log}\nout_dir = {out}\nrestarts = 0\n",
+                       encoding="utf-8")
+        argv = ["run", "--config", str(ini)]
+    else:
+        argv = ["cluster", "--features", str(tmp_path / "features.csv"), "--out-dir", str(out),
+                "--restarts", "-2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "restarts must be >= 1" in err and "stage" not in err
+    assert not out.exists()  # nothing ran, nothing was written
+
+
 def test_compare_skips_projection_of_one_resource(tmp_path, synth_log):
     out = tmp_path / "out"
     traces, assignments = out / "traces.jsonl", out / "assignments.csv"

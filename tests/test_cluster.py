@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
-from testutil import brute_force_two_partition_inertia, purity
+from testutil import (
+    brute_force_two_partition_inertia,
+    purity,
+    reference_ev_curve,
+    reference_kmeans_fit,
+    reference_lloyd,
+)
 from trailmine.cluster import (
+    LLOYD_MAX_ITER,
     EmptyMatrix,
     KTooLarge,
+    _weighted_draw,
     explained_variance_curve,
     kmeans_fit,
     profile_clusters,
@@ -120,6 +128,125 @@ def test_knee_on_seven_blobs():
     gains = {k: evs[k] - evs[k - 1] for k in range(2, 11)}
     assert gains[7] > gains[8]
     assert curve.knee == 7
+
+
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_restarts_below_one_rejected(restarts):
+    X = np.random.default_rng(0).normal(size=(10, 2))
+    with pytest.raises(ValueError, match="restarts"):
+        kmeans_fit(X, 2, restarts=restarts)
+    with pytest.raises(ValueError, match="restarts"):
+        explained_variance_curve(X, k_range=range(1, 4), restarts=restarts)
+    with pytest.raises(ValueError, match="restarts"):  # even where no K needs a fit
+        explained_variance_curve(np.ones((5, 2)), k_range=range(1, 4), restarts=restarts)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_rejected(bad):
+    X = np.random.default_rng(1).normal(size=(12, 3))
+    X[4, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        kmeans_fit(X, 3)
+    with pytest.raises(ValueError, match="non-finite"):
+        explained_variance_curve(X, k_range=range(1, 4))
+    fm = FeatureMatrix([f"u{i}" for i in range(12)], X, "stationary")
+    with pytest.raises(ValueError, match="non-finite"):
+        kmeans_fit(fm, 2)
+
+
+def _assert_same_fit(X, K, seed, restarts):
+    """kmeans_fit reproduces the reference loop bit for bit, restart by restart."""
+    model = kmeans_fit(X, K, seed=seed, restarts=restarts)
+    C, assign, inertia, n_iter, history = reference_kmeans_fit(X, K, seed, restarts)
+    assert np.array_equal(model.centroids, C)
+    assert np.array_equal(model.assignments, assign)
+    assert model.inertia == inertia
+    assert model.n_iter == n_iter
+    assert model.inertia_history == history
+    assert model.restart_inertias == [
+        reference_lloyd(X, K, np.random.default_rng([seed, r]))[2] for r in range(restarts)
+    ]
+    return model
+
+
+def test_lloyd_matches_reference_on_random_matrices():
+    for seed in range(6):
+        rng = np.random.default_rng(100 + seed)
+        m, n = int(rng.integers(20, 90)), int(rng.integers(2, 12))
+        X = rng.random((m, n)) * rng.choice([1e-3, 1.0, 50.0])
+        for K in (2, 5, 9):
+            _assert_same_fit(X, K, seed, restarts=3)
+
+
+def test_lloyd_matches_reference_on_duplicate_rows():
+    # few distinct rows: many points sit at equal distance from two centroids
+    rng = np.random.default_rng(7)
+    X = rng.integers(0, 3, size=(60, 3)).astype(np.float64)
+    for K in (2, 4, 8):
+        _assert_same_fit(X, K, seed=K, restarts=4)
+
+
+def test_lloyd_matches_reference_through_empty_cluster_reseeding():
+    # K close to m over four distinct points: clusters empty out and are re-seeded
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=(4, 2))
+    X = base[rng.integers(0, 4, size=14)]
+    reseeded = 0
+    for K in (8, 11, 13):
+        for seed in range(4):
+            reseeded += _assert_same_fit(X, K, seed, restarts=2).reseeded
+    assert reseeded > 0
+
+
+def test_lloyd_matches_reference_at_k_one_and_k_m():
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(17, 4))
+    _assert_same_fit(X, 1, seed=0, restarts=3)
+    model = _assert_same_fit(X, 17, seed=2, restarts=3)
+    assert model.inertia < 1e-12  # one point per cluster, up to the rounding of the expanded distance
+
+
+@pytest.mark.parametrize("nested", [False, True])
+def test_ev_curve_matches_reference(nested):
+    rng = np.random.default_rng(44)
+    centers = rng.normal(scale=4.0, size=(5, 3))
+    X = np.vstack([c + rng.normal(scale=0.3, size=(8, 3)) for c in centers])
+    X = np.vstack([X, X[:6]])  # duplicate rows too
+    ks = list(range(1, 13))
+    curve = explained_variance_curve(X, k_range=ks, seed=5, restarts=3, nested=nested)
+    points, knee = reference_ev_curve(X, ks, seed=5, restarts=3, nested=nested)
+    assert curve.points == points
+    assert curve.knee == knee
+
+
+def test_weighted_draw_equals_generator_choice():
+    # NumPy's own choice(p=...) must stay the normalized-CDF search the k-means++ draw copies
+    seeds = np.random.default_rng(2024)
+    for trial in range(3000):
+        m = int(seeds.integers(1, 40))
+        w = seeds.random(m) * seeds.integers(0, 2, size=m)  # about half the weights are 0
+        w[seeds.integers(m)] += 1e-3                          # at least one is not
+        w *= 10.0 ** seeds.integers(-8, 8)
+        total = w.sum()
+        a, b = np.random.default_rng([trial, 1]), np.random.default_rng([trial, 1])
+        assert _weighted_draw(w, total, a) == b.choice(m, p=w / total)
+        assert a.random() == b.random()  # both consumed the same stream
+
+
+def test_fit_diagnostics():
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(50, 3))
+    model = kmeans_fit(X, 4, seed=1, restarts=6)
+    assert len(model.restart_inertias) == 6
+    assert model.inertia == min(model.restart_inertias)
+    diag = model.diagnostics()
+    assert diag["inertia_spread"] == max(model.restart_inertias) - min(model.restart_inertias)
+    assert 1 <= diag["n_iter"] <= LLOYD_MAX_ITER and diag["reseeded"] >= 0
+    assert kmeans_fit(X, 4, seed=1, restarts=1).diagnostics()["inertia_spread"] == 0.0
+    curve = explained_variance_curve(X, k_range=range(2, 6), seed=1, restarts=3)
+    assert [fit["K"] for fit in curve.fits] == [2, 3, 4, 5]
+    assert curve.fits[2] == {"K": 4, **kmeans_fit(X, 4, seed=1, restarts=3).diagnostics()}
+    assert explained_variance_curve(np.ones((6, 2)), k_range=range(1, 4)).fits == []
 
 
 def _trace(user, seq, break_label=3):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from trailmine.cluster import LLOYD_MAX_ITER
 from trailmine.markov import build_feature_matrix
 from trailmine.pipeline import (
     EventBatch,
@@ -202,6 +203,25 @@ def test_manifest_counts(tmp_path, corpus):
     feats = written["stages"]["features"]
     assert feats["lstsq_fallbacks"] == 0
     assert 0.0 <= feats["max_residual"] <= 1e-10
+    elbow, cluster = written["stages"]["elbow"], written["stages"]["cluster"]
+    assert [fit["K"] for fit in elbow["fits"]] == list(range(1, 9))
+    for diag in elbow["fits"] + [cluster]:
+        assert 1 <= diag["n_iter"] <= LLOYD_MAX_ITER
+        assert diag["reseeded"] >= 0
+        assert diag["inertia_spread"] >= 0.0
+    assert elbow["fits"][0]["inertia_spread"] == 0.0 < elbow["fits"][6]["inertia_spread"]
+    # the cluster stage refits K=7 with the same seed and restarts as the elbow
+    assert {**elbow["fits"][6], "K": 7} == {key: cluster[key] for key in elbow["fits"][6]}
+
+
+def test_run_pipeline_rejects_restarts_before_any_stage(tmp_path, corpus):
+    log, _ = corpus
+    ini = tmp_path / "pipeline.ini"
+    out = tmp_path / "out"
+    ini.write_text(f"[pipeline]\nlogs = {log}\nout_dir = {out}\nrestarts = 0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="restarts"):
+        run_pipeline(PipelineConfig.from_ini(ini))
+    assert not out.exists()
 
 
 def test_config_ini_roundtrip(tmp_path):

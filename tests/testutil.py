@@ -114,3 +114,96 @@ def brute_force_two_partition_inertia(X: np.ndarray) -> float:
         inertia = ((a - a.mean(0)) ** 2).sum() + ((b - b.mean(0)) ** 2).sum()
         best = min(best, inertia)
     return float(best)
+
+
+# Reference K-means: the Lloyd loop as first written, with np.add.at centroid
+# sums, squared norms recomputed in every distance call and rng.choice for the
+# k-means++ draws. The library's loop must reproduce it bit for bit.
+
+def _ref_sqdist(X, C):
+    d = (X * X).sum(1)[:, None] + (C * C).sum(1)[None, :] - 2.0 * (X @ C.T)
+    return np.maximum(d, 0.0)
+
+
+def _ref_kmeanspp_init(X, K, rng):
+    m = X.shape[0]
+    centroids = np.empty((K, X.shape[1]))
+    centroids[0] = X[rng.integers(m)]
+    d2 = _ref_sqdist(X, centroids[:1]).ravel()
+    for k in range(1, K):
+        total = d2.sum()
+        if total <= 0.0:
+            idx = int(rng.integers(m))
+        else:
+            idx = int(rng.choice(m, p=d2 / total))
+        centroids[k] = X[idx]
+        d2 = np.minimum(d2, _ref_sqdist(X, centroids[k : k + 1]).ravel())
+    return centroids
+
+
+def reference_lloyd(X, K, rng, init=None, tol=1e-6, max_iter=300):
+    """(centroids, assignments, inertia, n_iter, inertia history) of one run."""
+    m, n = X.shape
+    C = _ref_kmeanspp_init(X, K, rng) if init is None else init.copy()
+    history = []
+    it = 0
+    for it in range(1, max_iter + 1):
+        D = _ref_sqdist(X, C)
+        assign = D.argmin(axis=1)
+        history.append(float(D[np.arange(m), assign].sum()))
+        sums = np.zeros((K, n))
+        np.add.at(sums, assign, X)
+        counts = np.bincount(assign, minlength=K)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            dist_own = D[np.arange(m), assign]
+            order = np.argsort(-dist_own, kind="stable")
+            for k, idx in zip(empty, order[: empty.size]):
+                sums[k] = X[idx]
+                counts[k] = 1
+        newC = sums / counts[:, None]
+        shift = float(np.sqrt(((newC - C) ** 2).sum(axis=1)).max())
+        C = newC
+        if shift < tol:
+            break
+    D = _ref_sqdist(X, C)
+    assign = D.argmin(axis=1)
+    inertia = float(D[np.arange(m), assign].sum())
+    history.append(inertia)
+    return C, assign, inertia, it, history
+
+
+def reference_kmeans_fit(X, K, seed=0, restarts=10):
+    """Best of ``restarts`` reference runs, each on ``default_rng([seed, r])``."""
+    best = None
+    for r in range(restarts):
+        run = reference_lloyd(X, K, np.random.default_rng([seed, r]))
+        if best is None or run[2] < best[2]:
+            best = run
+    return best
+
+
+def reference_ev_curve(X, ks, seed=0, restarts=10, nested=False, knee_fraction=0.1):
+    """(points, knee) of the elbow over ``ks``, built on the reference fits."""
+    total_ss = float(((X - X.mean(axis=0)) ** 2).sum())
+    points, prev = [], None
+    for K in ks:
+        if total_ss == 0.0:
+            points.append((K, 1.0))
+            continue
+        model = reference_kmeans_fit(X, K, seed, restarts)
+        if nested and prev is not None and K == prev[0] + 1:
+            C_prev, assign_prev = prev[1][0], prev[1][1]
+            d_own = _ref_sqdist(X, C_prev)[np.arange(X.shape[0]), assign_prev]
+            init = np.vstack([C_prev, X[int(d_own.argmax())][None, :]])
+            run = reference_lloyd(X, K, np.random.default_rng([seed, restarts]), init=init)
+            if run[2] < model[2]:
+                model = run
+        prev = (K, model)
+        points.append((K, min(1.0, max(0.0, 1.0 - model[2] / total_ss))))
+    gains = {k1: ev1 - ev0 for (k0, ev0), (k1, ev1) in zip(points, points[1:]) if k1 == k0 + 1}
+    knee = None
+    if 2 in gains and gains[2] > 0:
+        passing = [k for k, g in gains.items() if g > knee_fraction * gains[2]]
+        knee = max(passing) if passing else ks[0]
+    return points, knee
