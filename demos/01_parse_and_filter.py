@@ -1,34 +1,39 @@
 # Parse an access log and separate human interactions from noise.
 #
 # Generates a small synthetic corpus (so the demo is self-contained),
-# parses the combined-format lines into records, and applies the
-# shipped user-agent / IP / asset-pattern filters.
+# parses one combined-format line into a record, then ingests the whole
+# file with the shipped user-agent / IP / asset-pattern filters and reads
+# the reduction funnel.
 
-from trailmine import default_filter_config, filter_requests, parse_log_line
-from trailmine.logs import iter_log_records
+import tempfile
+from pathlib import Path
+
+from trailmine import parse_log_line
+from trailmine.pipeline import ingest_paths
 from trailmine.synth import default_archetypes, generate_synthetic_log
 
-lines, truth = generate_synthetic_log(
-    default_archetypes(), users_per_archetype=20, seed=7, bot_fraction=0.25
-)
-print(f"corpus: {len(lines)} lines ({truth.human_lines} human, {truth.bot_lines} bot)")
+with tempfile.TemporaryDirectory() as workdir:
+    log = Path(workdir) / "corpus.log"
+    lines, truth = generate_synthetic_log(
+        default_archetypes(), users_per_archetype=20, seed=7, bot_fraction=0.25, path=log
+    )
+    print(f"corpus: {len(lines)} lines ({truth.human_lines} human, {truth.bot_lines} bot)")
 
-# one line, fully parsed
-record = parse_log_line(lines[0])
-print("\nfirst record:")
-print("  ip        =", record.ip)
-print("  time      =", record.timestamp.isoformat())
-print("  method    =", record.method)
-print("  path      =", record.path)
-print("  useragent =", record.useragent[:60])
+    # one line, fully parsed
+    record = parse_log_line(lines[0])
+    print("\nfirst record:")
+    print("  ip        =", record.ip)
+    print("  time      =", record.timestamp.isoformat())
+    print("  method    =", record.method)
+    print("  path      =", record.path)
+    print("  useragent =", record.useragent[:60])
 
-# stream parse + filter; malformed lines would be counted, not fatal
-skipped = [0]
-records = iter_log_records(iter(lines), malformed=skipped)
-survivors = list(filter_requests(records, default_filter_config()))
-print(f"\nafter filtering: {len(survivors)} records "
-      f"(dropped {len(lines) - len(survivors)}, malformed {skipped[0]})")
-assert len(survivors) == truth.human_lines, "filters must remove exactly the bot lines"
+    # the whole file: malformed lines would be counted, not fatal
+    batch, stats = ingest_paths([log])
 
-agents = {r.useragent.split(" ")[0] for r in survivors}
-print("surviving user agents:", ", ".join(sorted(agents)[:4]), "...")
+print("\nfunnel:")
+for step, count in stats.funnel().items():
+    print(f"  {step:<18} {count}")
+assert stats.filtered == truth.human_lines, "filters must remove exactly the bot lines"
+print(f"\nfilters kept {stats.filtered} of {stats.parsed} requests; "
+      f"{stats.events} mapped events from {len(batch.user_pool)} users")

@@ -26,7 +26,7 @@ _, truth = generate_synthetic_log(archetypes, users_per_archetype=120, seed=42,
 ruleset = default_ruleset()
 vocab = ruleset.vocabulary
 batch, stats = ingest_paths([log], ruleset=ruleset)
-print(f"{stats.lines} lines -> {stats.events} events from {len(set(batch.users))} users")
+print(f"{stats.lines} lines -> {stats.events} events from {len(batch.user_pool)} users")
 
 traces, _ = build_traces(batch, vocab.break_id)
 features = build_feature_matrix(traces, vocab.n, feature_kind="stationary",

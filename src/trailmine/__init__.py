@@ -16,7 +16,6 @@ from .logs import (
     MalformedLine,
     RequestRecord,
     default_filter_config,
-    filter_requests,
     format_log_line,
     parse_log_line,
 )
@@ -27,7 +26,6 @@ from .actions import (
     RuleSet,
     compile_ruleset,
     default_ruleset,
-    map_request,
 )
 from .sessions import UsageStats, UserTrace, build_traces
 from .markov import (

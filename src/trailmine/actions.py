@@ -24,7 +24,6 @@ __all__ = [
     "compile_ruleset",
     "compile_rules",
     "default_ruleset",
-    "map_request",
     "LABEL_CATALOG",
     "BREAK_NAME",
     "DEFAULT_RULES_FILE",
@@ -277,14 +276,3 @@ def default_ruleset() -> RuleSet:
     """The shipped BioPortal-style ruleset; induces the full 34-label vocabulary."""
     return compile_ruleset(DEFAULT_RULES_FILE)
 
-
-def map_request(record, ruleset: RuleSet) -> ActionLabel | None:
-    """Map a request record to its action label, or None when unmapped.
-
-    Unmapped requests are excluded from traces; pipelines count them in
-    a diagnostics report.
-    """
-    hit = ruleset.match(record.method, record.path)
-    if hit is None:
-        return None
-    return ruleset.vocabulary[hit[0]]

@@ -165,10 +165,11 @@ def _cmd_features(args) -> int:
 def _cmd_cluster(args) -> int:
     cfg = _config(args)
     features = read_feature_csv(args.features)
-    knee, _, _ = stage_elbow(cfg, features)
+    curve, _, _ = stage_elbow(cfg, features)
     traces = read_traces_jsonl(args.traces) if args.traces else None
-    model, _, _ = stage_cluster(cfg, features, traces, knee)
-    print(f"K={model.K} (knee suggestion {knee}), inertia {model.inertia:.6g}; wrote {cfg.out_dir}")
+    model, _, _ = stage_cluster(cfg, features, traces, curve)
+    print(f"K={model.K} (knee suggestion {curve.knee}), inertia {model.inertia:.6g}; "
+          f"wrote {cfg.out_dir}")
     return 0
 
 

@@ -3,7 +3,9 @@
 Lloyd's algorithm with k-means++ seeding and best-of-restarts selection.
 Everything is deterministic for a fixed (seed, restarts, data order):
 ties break to the lowest index, and an emptied cluster is re-seeded at
-the point farthest from its assigned centroid.
+the point farthest from its assigned centroid. The elbow fits each K
+independently and keeps every fit, so the K finally chosen from the
+curve needs no second fit.
 
 The loop is shaped for many small fits (the elbow runs 25 values of K
 times 10 restarts), where per-call overhead costs more than arithmetic.
@@ -89,8 +91,8 @@ class ElbowCurve:
 
     points: list[tuple[int, float]]
     knee: int | None = None
-    # ClusterModel.diagnostics() plus "K", for each K that needed a fit
-    fits: list[dict] = field(default_factory=list)
+    # the best-of-restarts fit of each K that needed one, by K
+    models: dict[int, ClusterModel] = field(default_factory=dict)
 
 
 def _feature_rows(features: FeatureMatrix | np.ndarray, restarts: int) -> np.ndarray:
@@ -140,11 +142,10 @@ def _lloyd(
     xx: np.ndarray,
     K: int,
     rng: np.random.Generator,
-    init: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float, int, list[float], int]:
     """One run: (centroids, assignments, inertia, iterations, history, re-seeds)."""
     m, n = X.shape
-    C = _kmeanspp_init(X, xx, K, rng) if init is None else init.copy()
+    C = _kmeanspp_init(X, xx, K, rng)
     history: list[float] = []
     rows = np.arange(m)
     cols = np.arange(n)
@@ -231,18 +232,15 @@ def explained_variance_curve(
     k_range: Iterable[int] = range(1, 26),
     seed: int = 0,
     restarts: int = 10,
-    nested: bool = False,
 ) -> ElbowCurve:
-    """Explained variance for each K in ``k_range``.
+    """Explained variance for each K in ``k_range``, from independent fits.
 
-    All points identical (zero total sum of squares) defines EV = 1 for
-    every K. The knee suggestion is the largest K whose marginal EV gain
-    still exceeds :data:`KNEE_FRACTION` of the K=1 to K=2 gain.
-
-    With ``nested=True`` each K additionally tries an initialization made
-    of the previous best centroids plus the point farthest from its
-    centroid, which makes the curve non-decreasing in K; the default
-    independent-restart mode only guarantees EV(K) >= EV(1) = 0.
+    Each K gets its own :func:`kmeans_fit`, kept in ``models``, so the
+    curve only guarantees EV(K) >= EV(1) = 0, not monotonicity. All
+    points identical (zero total sum of squares) defines EV = 1 for
+    every K, with no fit. The knee suggestion is the largest K whose
+    marginal EV gain still exceeds :data:`KNEE_FRACTION` of the K=1 to
+    K=2 gain.
     """
     X = _feature_rows(features, restarts)
     ks = sorted(set(int(k) for k in k_range))
@@ -251,31 +249,15 @@ def explained_variance_curve(
     if ks[0] < 1 or ks[-1] > X.shape[0]:
         raise KTooLarge(f"K range must lie within [1, {X.shape[0]}]")
     total_ss = total_sum_of_squares(X)
-    xx = (X * X).sum(1)
     points: list[tuple[int, float]] = []
-    fits: list[dict] = []
-    prev: ClusterModel | None = None
+    models: dict[int, ClusterModel] = {}
     for K in ks:
         if total_ss == 0.0:
             points.append((K, 1.0))
             continue
-        model = kmeans_fit(X, K, seed=seed, restarts=restarts)
-        if nested and prev is not None and K == prev.K + 1:
-            d_own = _sqdist(X, prev.centroids, xx)[np.arange(X.shape[0]), prev.assignments]
-            extra = X[int(d_own.argmax())]
-            init = np.vstack([prev.centroids, extra[None, :]])
-            rng = np.random.default_rng([seed, restarts])
-            C, assign, inertia, iters, history, reseeded = _lloyd(X, xx, K, rng, init=init)
-            if inertia < model.inertia:
-                model = ClusterModel(
-                    K=K, centroids=C, assignments=assign, inertia=inertia,
-                    seed=seed, restarts=restarts, n_iter=iters, inertia_history=history,
-                    reseeded=reseeded, restart_inertias=model.restart_inertias,
-                )
-        prev = model
+        model = models[K] = kmeans_fit(X, K, seed=seed, restarts=restarts)
         ev = min(1.0, max(0.0, 1.0 - model.inertia / total_ss))
         points.append((K, ev))
-        fits.append({"K": K, **model.diagnostics()})
     knee = None
     gains = {
         k1: ev1 - ev0
@@ -286,7 +268,7 @@ def explained_variance_curve(
         threshold = KNEE_FRACTION * gains[2]
         passing = [k for k, g in gains.items() if g > threshold]
         knee = max(passing) if passing else ks[0]
-    return ElbowCurve(points=points, knee=knee, fits=fits)
+    return ElbowCurve(points=points, knee=knee, models=models)
 
 
 @dataclass(slots=True)

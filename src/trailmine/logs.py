@@ -1,8 +1,11 @@
-"""Access-log parsing and traffic filtering.
+"""Access-log grammar and traffic filters.
 
-Parses Apache "combined" (default) or "common" format lines into
-:class:`RequestRecord` values, and drops non-human traffic with
-user-agent / IP blacklists plus static-asset path patterns.
+Defines the Apache "combined" (default) and "common" line grammars, the
+timestamp and request-field checks, and :class:`CompiledFilter`, whose
+``drop_reason`` names the user-agent / IP blacklist or static-asset
+pattern that marks a request as non-human traffic. Bulk ingestion of
+files goes through :func:`trailmine.pipeline.ingest_paths`;
+:func:`parse_log_line` turns a single line into a :class:`RequestRecord`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from calendar import monthrange, timegm
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator
 from urllib.parse import quote, unquote
 
 __all__ = [
@@ -26,8 +28,6 @@ __all__ = [
     "line_pattern",
     "parse_log_line",
     "format_log_line",
-    "filter_requests",
-    "iter_log_records",
     "open_log",
     "load_list_file",
     "default_filter_config",
@@ -290,20 +290,6 @@ class CompiledFilter:
             return "asset"
         return None
 
-    def keep(self, record: RequestRecord) -> bool:
-        return self.drop_reason(record.useragent, record.ip, record.path) is None
-
-
-def filter_requests(
-    records: Iterable[RequestRecord],
-    cfg: FilterConfig | CompiledFilter,
-) -> Iterator[RequestRecord]:
-    """Yield the records that survive the blacklists, preserving order."""
-    filt = cfg if isinstance(cfg, CompiledFilter) else cfg.compile()
-    for record in records:
-        if filt.keep(record):
-            yield record
-
 
 def load_list_file(path: str | Path) -> list[str]:
     """Read one entry per line; blank lines and ``#`` comments are skipped."""
@@ -338,20 +324,3 @@ def open_log(path: str | Path):
         return gzip.open(path, "rt", encoding="utf-8", errors="replace", newline="\n")
     return open(path, encoding="utf-8", errors="replace", newline="\n")
 
-
-def iter_log_records(
-    lines: Iterable[str],
-    log_format: str = "combined",
-    malformed: list[int] | None = None,
-) -> Iterator[RequestRecord]:
-    """Parse a line stream, skipping malformed lines.
-
-    When ``malformed`` is given, its single element is incremented per
-    skipped line, so callers can report the count.
-    """
-    for line in lines:
-        try:
-            yield parse_log_line(line, log_format)
-        except MalformedLine:
-            if malformed is not None:
-                malformed[0] += 1

@@ -16,10 +16,10 @@ range-checked there, once), each user's transition counts come from one
 vectors come from one stacked linear solve of ``pi (P - I) = 0`` with
 its last equation replaced by ``sum(pi) = 1``. For these small dense
 chains a direct solve is exact to rounding and far cheaper than power
-iteration, which stays available through :func:`stationary_distribution`
-as the independent cross-check. Cluster profiles and resource
-comparison share the same count pass through
-:func:`count_transitions_by_group`.
+iteration, which the test suite keeps as the independent reference.
+:func:`stationary_distribution` runs the same solve on one chain.
+Cluster profiles and resource comparison share the same count pass
+through :func:`count_transitions_by_group`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import numpy as np
 __all__ = [
     "LabelOutOfRange",
     "ZeroRowWithoutTeleport",
-    "NoConvergence",
     "TransitionCounts",
     "TransitionModel",
     "StationaryDistribution",
@@ -49,8 +48,6 @@ __all__ = [
 ]
 
 DEFAULT_ALPHA = 0.15
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 100_000
 
 # A block holds at most _BLOCK sequences (the users of one stacked solve)
 # and, unless one sequence alone is longer, at most _BLOCK_LABELS labels.
@@ -66,18 +63,6 @@ class LabelOutOfRange(ValueError):
 
 class ZeroRowWithoutTeleport(ValueError):
     """alpha = 0 cannot normalize a row with no observed transitions."""
-
-
-class NoConvergence(RuntimeError):
-    """Power iteration did not reach the tolerance within the budget."""
-
-    def __init__(self, max_iter: int, residual: float):
-        super().__init__(
-            f"no convergence after {max_iter} iterations (residual {residual:.3e}); "
-            "the chain is (near-)periodic for this alpha/tol budget"
-        )
-        self.max_iter = max_iter
-        self.residual = residual
 
 
 @dataclass(slots=True)
@@ -111,12 +96,10 @@ class TransitionModel:
 
 @dataclass(slots=True)
 class StationaryDistribution:
-    """Probability vector pi with pi^T = pi^T P (within solver tolerance)."""
+    """Probability vector pi with pi^T = pi^T P, and its l1 residual ||pi P - pi||_1."""
 
     pi: np.ndarray
-    method: str = "power"
-    iterations: int = 0
-    residual: float = 0.0
+    residual: float
 
 
 @dataclass(slots=True)
@@ -257,19 +240,6 @@ def build_transition_model(
     return TransitionModel(n=A.shape[0], alpha=float(alpha), P=_smooth(A, alpha))
 
 
-def _stationary_power(P: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, int, float]:
-    n = P.shape[0]
-    pi = np.full(n, 1.0 / n)
-    residual = np.inf
-    for it in range(1, max_iter + 1):
-        nxt = pi @ P
-        residual = float(np.abs(nxt - pi).sum())
-        pi = nxt
-        if residual <= tol:
-            return pi / pi.sum(), it, residual
-    raise NoConvergence(max_iter, residual)
-
-
 def _stationary_direct(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Stationary vectors of a (B, n, n) stack of row-stochastic matrices.
 
@@ -300,26 +270,14 @@ def _stationary_direct(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return pi, np.abs(r).sum(axis=1), fallbacks
 
 
-def stationary_distribution(
-    model: TransitionModel,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    method: str = "power",
-) -> StationaryDistribution:
+def stationary_distribution(model: TransitionModel) -> StationaryDistribution:
     """Left principal eigenvector of P for its eigenvalue 1.
 
-    ``method="power"`` iterates pi <- pi P from the uniform start until
-    the l1 residual ||pi P - pi||_1 drops to ``tol`` and raises
-    :class:`NoConvergence` when the budget runs out; ``method="direct"``
-    solves the linear system, as :func:`build_feature_matrix` does.
+    Solves the linear system of one chain, as :func:`build_feature_matrix`
+    does for each block of users.
     """
-    if method == "power":
-        pi, iterations, residual = _stationary_power(model.P, tol, max_iter)
-        return StationaryDistribution(pi, "power", iterations, residual)
-    if method == "direct":
-        pi, residual, _ = _stationary_direct(model.P[None].copy())
-        return StationaryDistribution(pi[0], "direct", 0, float(residual[0]))
-    raise ValueError(f"unknown method {method!r}")
+    pi, residual, _ = _stationary_direct(model.P[None].copy())
+    return StationaryDistribution(pi[0], float(residual[0]))
 
 
 def page_view_vector(trace: Sequence[int] | np.ndarray, n: int) -> PageViewVector:

@@ -32,6 +32,7 @@ from .actions import RuleSet, compile_ruleset, default_ruleset
 from .cluster import (
     ClusterModel,
     ClusterProfile,
+    ElbowCurve,
     explained_variance_curve,
     kmeans_fit,
     profile_clusters,
@@ -143,14 +144,6 @@ class EventBatch:
 
     def __len__(self) -> int:
         return len(self.user_codes)
-
-    @property
-    def users(self) -> list[str]:
-        return [self.user_pool[c] for c in self.user_codes]
-
-    @property
-    def ontologies(self) -> list[str | None]:
-        return [None if c < 0 else self.onto_pool[c] for c in self.onto_codes]
 
     @classmethod
     def merge(cls, parts: Sequence["EventBatch"]) -> "EventBatch":
@@ -762,7 +755,7 @@ def stage_features(
 
 def stage_elbow(
     config: PipelineConfig, features: FeatureMatrix,
-) -> tuple[int | None, dict, list[str]]:
+) -> tuple[ElbowCurve, dict, list[str]]:
     """The explained-variance curve over ``config.k_range``, cut at the user count."""
     lo, hi = config.k_range
     curve = explained_variance_curve(
@@ -770,18 +763,25 @@ def stage_elbow(
         seed=config.seed, restarts=config.restarts,
     )
     write_elbow_csv(curve, _out_dir(config) / "elbow.csv")
-    return curve.knee, {"knee": curve.knee, "fits": curve.fits}, ["elbow.csv"]
+    fits = [{"K": K, **model.diagnostics()} for K, model in curve.models.items()]
+    return curve, {"knee": curve.knee, "fits": fits}, ["elbow.csv"]
 
 
 def stage_cluster(
     config: PipelineConfig,
     features: FeatureMatrix,
     traces: list[UserTrace] | None,
-    knee: int | None,
+    curve: ElbowCurve,
 ) -> tuple[ClusterModel, dict, list[str]]:
-    """K-means at ``config.k`` (default: the knee); profiles need ``traces``."""
-    K = config.k if config.k is not None else (knee or 1)
-    model = kmeans_fit(features, K, seed=config.seed, restarts=config.restarts)
+    """K-means at ``config.k`` (default: the knee); profiles need ``traces``.
+
+    The elbow's fit of K is reused; it has the same features, seed and
+    restarts. K is fitted here only when the curve holds no fit of it.
+    """
+    K = config.k if config.k is not None else (curve.knee or 1)
+    model = curve.models.get(K)
+    if model is None:
+        model = kmeans_fit(features, K, seed=config.seed, restarts=config.restarts)
     profiles = []
     if traces is not None:
         profiles = profile_clusters(features, model, traces, config.ruleset().vocabulary.break_id)
@@ -878,8 +878,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
     batch = run("ingest", stage_ingest)
     traces = run("sessionize", stage_sessionize, batch)
     features = run("features", stage_features, traces)
-    knee = run("elbow", stage_elbow, features)
-    model = run("cluster", stage_cluster, features, traces, knee)
+    curve = run("elbow", stage_elbow, features)
+    model = run("cluster", stage_cluster, features, traces, curve)
     assignments = dict(zip(features.user_ids, (int(c) for c in model.assignments)))
     run("pca", stage_pca, features, assignments)
     run("compare", stage_compare, traces, assignments, model.K)

@@ -9,7 +9,6 @@ from trailmine.actions import (
     UnknownLabel,
     compile_rules,
     compile_ruleset,
-    map_request,
 )
 from trailmine.logs import parse_log_line
 
@@ -169,9 +168,9 @@ def test_map_request_api(ruleset):
     record = parse_log_line(
         '1.2.3.4 - - [14/Mar/2016:09:08:04 -0700] "GET /ontologies/MCCV HTTP/1.1" 200 1 "-" "ua"'
     )
-    label = map_request(record, ruleset)
-    assert label is not None and label.name == "Ontology Summary"
+    label, onto = ruleset.match(record.method, record.path)
+    assert (ruleset.vocabulary[label].name, onto) == ("Ontology Summary", "MCCV")
     unmapped = parse_log_line(
         '1.2.3.4 - - [14/Mar/2016:09:08:04 -0700] "GET /no/rule/for/this HTTP/1.1" 200 1 "-" "ua"'
     )
-    assert map_request(unmapped, ruleset) is None
+    assert ruleset.match(unmapped.method, unmapped.path) is None

@@ -104,15 +104,6 @@ def test_ev_curve_properties():
     assert all(0.0 <= ev <= 1.0 + 1e-12 for ev in evs.values())
 
 
-def test_ev_nested_mode_is_non_decreasing():
-    rng = np.random.default_rng(33)
-    X = rng.normal(size=(40, 4))
-    curve = explained_variance_curve(X, k_range=range(1, 11), seed=1, restarts=2, nested=True)
-    evs = [ev for _, ev in curve.points]
-    for a, b in zip(evs, evs[1:]):
-        assert b >= a - 1e-12
-
-
 def test_ev_all_identical_points():
     X = np.ones((10, 4))
     curve = explained_variance_curve(X, k_range=range(1, 6), seed=0)
@@ -206,15 +197,14 @@ def test_lloyd_matches_reference_at_k_one_and_k_m():
     assert model.inertia < 1e-12  # one point per cluster, up to the rounding of the expanded distance
 
 
-@pytest.mark.parametrize("nested", [False, True])
-def test_ev_curve_matches_reference(nested):
+def test_ev_curve_matches_reference():
     rng = np.random.default_rng(44)
     centers = rng.normal(scale=4.0, size=(5, 3))
     X = np.vstack([c + rng.normal(scale=0.3, size=(8, 3)) for c in centers])
     X = np.vstack([X, X[:6]])  # duplicate rows too
     ks = list(range(1, 13))
-    curve = explained_variance_curve(X, k_range=ks, seed=5, restarts=3, nested=nested)
-    points, knee = reference_ev_curve(X, ks, seed=5, restarts=3, nested=nested)
+    curve = explained_variance_curve(X, k_range=ks, seed=5, restarts=3)
+    points, knee = reference_ev_curve(X, ks, seed=5, restarts=3)
     assert curve.points == points
     assert curve.knee == knee
 
@@ -244,9 +234,13 @@ def test_fit_diagnostics():
     assert 1 <= diag["n_iter"] <= LLOYD_MAX_ITER and diag["reseeded"] >= 0
     assert kmeans_fit(X, 4, seed=1, restarts=1).diagnostics()["inertia_spread"] == 0.0
     curve = explained_variance_curve(X, k_range=range(2, 6), seed=1, restarts=3)
-    assert [fit["K"] for fit in curve.fits] == [2, 3, 4, 5]
-    assert curve.fits[2] == {"K": 4, **kmeans_fit(X, 4, seed=1, restarts=3).diagnostics()}
-    assert explained_variance_curve(np.ones((6, 2)), k_range=range(1, 4)).fits == []
+    assert list(curve.models) == [2, 3, 4, 5]
+    refit = kmeans_fit(X, 4, seed=1, restarts=3)
+    kept = curve.models[4]
+    assert kept.diagnostics() == refit.diagnostics()
+    assert (kept.inertia, kept.restart_inertias) == (refit.inertia, refit.restart_inertias)
+    assert (kept.assignments == refit.assignments).all() and (kept.centroids == refit.centroids).all()
+    assert explained_variance_curve(np.ones((6, 2)), k_range=range(1, 4)).models == {}
 
 
 def _trace(user, seq, break_label=3):

@@ -8,11 +8,10 @@ from trailmine.logs import (
     FilterConfig,
     InvalidTimestamp,
     MalformedLine,
-    filter_requests,
     format_log_line,
-    iter_log_records,
     parse_log_line,
 )
+from trailmine.pipeline import ingest_paths
 from trailmine.synth import default_archetypes, generate_synthetic_log
 
 EXAMPLE = '1.2.3.4 - - [14/Mar/2016:09:07:32 -0700] "GET /ontologies/MCCV HTTP/1.1" 200 512 "-" "Mozilla/5.0"'
@@ -78,8 +77,6 @@ def test_leap_day_is_valid():
 
 
 def test_impossible_date_counts_as_malformed_in_ingest(tmp_path):
-    from trailmine.pipeline import ingest_paths
-
     path = tmp_path / "dates.log"
     path.write_text(EXAMPLE + "\n" + EXAMPLE.replace("14/Mar", "31/Feb") + "\n", encoding="utf-8")
     _, stats = ingest_paths([path])
@@ -110,78 +107,50 @@ def test_round_trip_on_generated_records():
         assert again == first
 
 
-def test_iter_records_skips_and_counts_malformed(tmp_path):
+def test_ingest_skips_and_counts_malformed(tmp_path):
     good = EXAMPLE
     path = tmp_path / "mixed.log"
     path.write_text(good + "\nnot a log line\n" + good + "\n", encoding="utf-8")
-    skipped = [0]
-    with logs.open_log(path) as fh:
-        records = list(iter_log_records(fh, malformed=skipped))
-    assert len(records) == 2
-    assert skipped[0] == 1
+    _, stats = ingest_paths([path])
+    assert (stats.lines, stats.malformed, stats.parsed, stats.events) == (3, 1, 2, 2)
 
 
 def test_gzip_input(tmp_path):
     path = tmp_path / "log.gz"
     with gzip.open(path, "wt", encoding="utf-8") as fh:
         fh.write(EXAMPLE + "\n")
-    with logs.open_log(path) as fh:
-        records = list(iter_log_records(fh))
-    assert len(records) == 1 and records[0].ip == "1.2.3.4"
-
-
-def _record(ua="Mozilla/5.0", ip="1.2.3.4", path="/x"):
-    return parse_log_line(
-        f'{ip} - - [14/Mar/2016:09:07:32 -0700] "GET {path} HTTP/1.1" 200 1 "-" "{ua}"'
-    )
+    batch, stats = ingest_paths([path])
+    assert (stats.lines, stats.parsed, stats.events) == (1, 1, 1)
+    assert batch.user_pool == ["1.2.3.4"]
 
 
 def test_useragent_blacklist_matches_substring_case_insensitive():
-    cfg = FilterConfig(useragent_blacklist=["googlebot"])
-    bot = _record(ua="Googlebot/2.1 (+http://www.google.com/bot.html)")
-    human = _record(ua="Mozilla/5.0 (X11; Linux)")
-    assert list(filter_requests([bot, human], cfg)) == [human]
+    filt = FilterConfig(useragent_blacklist=["googlebot"]).compile()
+    assert filt.drop_reason("Googlebot/2.1 (+http://www.google.com/bot.html)", "1.2.3.4", "/x") == "useragent"
+    assert filt.drop_reason("Mozilla/5.0 (X11; Linux)", "1.2.3.4", "/x") is None
 
 
 def test_empty_config_is_identity():
-    records = [_record(path=f"/p{i}") for i in range(5)]
-    assert list(filter_requests(records, FilterConfig())) == records
+    filt = FilterConfig().compile()
+    for ua, ip, path in [("Googlebot/2.1", "10.0.0.1", "/site.css"), ("Mozilla/5.0", "1.2.3.4", "/")]:
+        assert filt.drop_reason(ua, ip, path) is None
 
 
 def test_ip_blacklist_exact_and_cidr():
-    cfg = FilterConfig(ip_blacklist=["10.0.0.1", "192.168.0.0/24"])
-    kept = list(
-        filter_requests(
-            [_record(ip="10.0.0.1"), _record(ip="192.168.0.77"), _record(ip="8.8.8.8")],
-            cfg,
-        )
-    )
-    assert [r.ip for r in kept] == ["8.8.8.8"]
+    filt = FilterConfig(ip_blacklist=["10.0.0.1", "192.168.0.0/24"]).compile()
+    reasons = [filt.drop_reason("Mozilla/5.0", ip, "/x") for ip in ("10.0.0.1", "192.168.0.77", "8.8.8.8")]
+    assert reasons == ["ip", "ip", None]
 
 
 def test_asset_patterns_drop_paths():
-    cfg = FilterConfig(drop_asset_patterns=[r"\.css$", r"^/ajax/"])
-    kept = list(
-        filter_requests(
-            [_record(path="/site.css"), _record(path="/ajax/ping"), _record(path="/search")],
-            cfg,
-        )
-    )
-    assert [r.path for r in kept] == ["/search"]
+    filt = FilterConfig(drop_asset_patterns=[r"\.css$", r"^/ajax/"]).compile()
+    reasons = [filt.drop_reason("Mozilla/5.0", "1.2.3.4", p) for p in ("/site.css", "/ajax/ping", "/search")]
+    assert reasons == ["asset", "asset", None]
 
 
 def test_bad_asset_pattern_reports_entry():
     with pytest.raises(ValueError, match="does not compile"):
         CompiledFilter(FilterConfig(drop_asset_patterns=["(["]))
-
-
-def test_filtering_is_idempotent_and_order_preserving():
-    cfg = FilterConfig(useragent_blacklist=["bot"]).compile()
-    records = [_record(ua="robot/1.0"), _record(path="/a"), _record(path="/b")]
-    once = list(filter_requests(records, cfg))
-    twice = list(filter_requests(once, cfg))
-    assert once == twice
-    assert [r.path for r in once] == ["/a", "/b"]
 
 
 def test_default_filter_config_loads():

@@ -130,7 +130,7 @@ def test_line_rule_is_the_same_on_every_route(tmp_path, ruleset):
 def test_user_key_hook(corpus):
     log, _ = corpus
     batch, stats = ingest_paths([log], user_key=lambda record: "everyone")
-    assert set(batch.users) == {"everyone"}
+    assert batch.user_pool == ["everyone"] and (batch.user_codes == 0).all()
     assert stats.events == len(batch)
 
 
@@ -210,7 +210,7 @@ def test_manifest_counts(tmp_path, corpus):
         assert diag["reseeded"] >= 0
         assert diag["inertia_spread"] >= 0.0
     assert elbow["fits"][0]["inertia_spread"] == 0.0 < elbow["fits"][6]["inertia_spread"]
-    # the cluster stage refits K=7 with the same seed and restarts as the elbow
+    # the cluster stage takes the elbow's K=7 fit, diagnostics and all
     assert {**elbow["fits"][6], "K": 7} == {key: cluster[key] for key in elbow["fits"][6]}
 
 
@@ -270,7 +270,6 @@ def test_event_batch_grouping_stable():
     a, b = build_traces(batch, break_label=9)[0]  # sorted by user
     assert (a.user, a.sequence) == ("a", [1, 3])  # ties keep input order
     assert (b.user, b.sequence, b.ontologies) == ("b", [0, 2], ["Z", None])
-    assert batch.users == ["b", "a", "b", "a"]
 
 
 def test_event_batch_merge_remaps_pools():
@@ -279,6 +278,6 @@ def test_event_batch_merge_remaps_pools():
     p2 = EventBatch(["y", "x"], np.array([0, 1]), np.array([2, 3]), np.array([4, 5]),
                     ["B", "A"], np.array([0, 1]))
     merged = EventBatch.merge([p1, p2])
-    assert merged.users == ["x", "y", "x"]
-    assert merged.ontologies == ["A", "B", "A"]
+    assert [merged.user_pool[c] for c in merged.user_codes] == ["x", "y", "x"]
+    assert [merged.onto_pool[c] for c in merged.onto_codes] == ["A", "B", "A"]
     assert merged.timestamps.tolist() == [1, 2, 3]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from trailmine.actions import default_ruleset
-from trailmine.logs import default_filter_config, filter_requests, iter_log_records
+from trailmine.logs import parse_log_line
+from trailmine.pipeline import ingest_paths
 from trailmine.synth import (
     ArchetypeSpec,
     GroundTruth,
@@ -23,18 +24,18 @@ def test_same_seed_is_byte_identical():
 
 def test_timestamps_sorted_and_parseable(vocab):
     lines, truth = generate_synthetic_log(default_archetypes(), 8, seed=2, bot_fraction=0.15)
-    records = list(iter_log_records(iter(lines)))
-    assert len(records) == len(lines)  # every line parses
+    records = [parse_log_line(line) for line in lines]  # every line parses
     ts = [r.epoch for r in records]
     assert ts == sorted(ts)
 
 
-def test_bot_fraction_and_filter_ground_truth():
-    lines, truth = generate_synthetic_log(default_archetypes(), 12, seed=9, bot_fraction=0.3)
+def test_bot_fraction_and_filter_ground_truth(tmp_path):
+    log = tmp_path / "synth.log"
+    lines, truth = generate_synthetic_log(default_archetypes(), 12, seed=9, bot_fraction=0.3, path=log)
     assert truth.bot_lines == round(truth.human_lines * 0.3 / 0.7)
-    records = iter_log_records(iter(lines))
-    survivors = list(filter_requests(records, default_filter_config()))
-    assert len(survivors) == truth.human_lines
+    _, stats = ingest_paths([log])
+    assert (stats.lines, stats.malformed) == (len(lines), 0)
+    assert stats.filtered == truth.human_lines
 
 
 def test_session_gap_contract():

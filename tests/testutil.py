@@ -30,6 +30,23 @@ def stationary_oracle(counts: np.ndarray, alpha: float) -> np.ndarray:
     return np.linalg.solve(M, b)
 
 
+def power_iteration(P: np.ndarray, tol: float = 1e-10, max_iter: int = 100_000) -> np.ndarray:
+    """Reference stationary vector: pi <- pi P from the uniform start.
+
+    Stops once the l1 residual ||pi P - pi||_1 drops to ``tol``; raises
+    ``RuntimeError`` when ``max_iter`` steps do not get there.
+    """
+    n = P.shape[0]
+    pi = np.full(n, 1.0 / n)
+    for _ in range(max_iter):
+        nxt = pi @ P
+        residual = float(np.abs(nxt - pi).sum())
+        pi = nxt
+        if residual <= tol:
+            return pi / pi.sum()
+    raise RuntimeError(f"power iteration: no convergence after {max_iter} steps")
+
+
 def naive_sessionize(timestamps, gap_seconds):
     """Quadratic reference splitter: index partition by the gap rule."""
     sessions = []
@@ -141,10 +158,10 @@ def _ref_kmeanspp_init(X, K, rng):
     return centroids
 
 
-def reference_lloyd(X, K, rng, init=None, tol=1e-6, max_iter=300):
+def reference_lloyd(X, K, rng, tol=1e-6, max_iter=300):
     """(centroids, assignments, inertia, n_iter, inertia history) of one run."""
     m, n = X.shape
-    C = _ref_kmeanspp_init(X, K, rng) if init is None else init.copy()
+    C = _ref_kmeanspp_init(X, K, rng)
     history = []
     it = 0
     for it in range(1, max_iter + 1):
@@ -183,23 +200,15 @@ def reference_kmeans_fit(X, K, seed=0, restarts=10):
     return best
 
 
-def reference_ev_curve(X, ks, seed=0, restarts=10, nested=False, knee_fraction=0.1):
+def reference_ev_curve(X, ks, seed=0, restarts=10, knee_fraction=0.1):
     """(points, knee) of the elbow over ``ks``, built on the reference fits."""
     total_ss = float(((X - X.mean(axis=0)) ** 2).sum())
-    points, prev = [], None
+    points = []
     for K in ks:
         if total_ss == 0.0:
             points.append((K, 1.0))
             continue
         model = reference_kmeans_fit(X, K, seed, restarts)
-        if nested and prev is not None and K == prev[0] + 1:
-            C_prev, assign_prev = prev[1][0], prev[1][1]
-            d_own = _ref_sqdist(X, C_prev)[np.arange(X.shape[0]), assign_prev]
-            init = np.vstack([C_prev, X[int(d_own.argmax())][None, :]])
-            run = reference_lloyd(X, K, np.random.default_rng([seed, restarts]), init=init)
-            if run[2] < model[2]:
-                model = run
-        prev = (K, model)
         points.append((K, min(1.0, max(0.0, 1.0 - model[2] / total_ss))))
     gains = {k1: ev1 - ev0 for (k0, ev0), (k1, ev1) in zip(points, points[1:]) if k1 == k0 + 1}
     knee = None
