@@ -17,15 +17,14 @@ from trailmine.pca import loading_extremes
 from trailmine.pipeline import build_traces, ingest_paths
 from trailmine.synth import default_archetypes, generate_synthetic_log
 
-workdir = Path(tempfile.mkdtemp())
-log = workdir / "corpus.log"
 archetypes = default_archetypes()
-_, truth = generate_synthetic_log(archetypes, users_per_archetype=120, seed=42,
-                                  bot_fraction=0.1, path=log)
-
 ruleset = default_ruleset()
 vocab = ruleset.vocabulary
-batch, stats = ingest_paths([log], ruleset=ruleset)
+with tempfile.TemporaryDirectory() as workdir:
+    log = Path(workdir) / "corpus.log"
+    _, truth = generate_synthetic_log(archetypes, users_per_archetype=120, seed=42,
+                                      bot_fraction=0.1, path=log)
+    batch, stats = ingest_paths([log], ruleset=ruleset)
 print(f"{stats.lines} lines -> {stats.events} events from {len(batch.user_pool)} users")
 
 traces, _ = build_traces(batch, vocab.break_id)

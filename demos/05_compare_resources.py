@@ -24,14 +24,12 @@ from trailmine.actions import default_ruleset
 from trailmine.pipeline import build_traces, ingest_paths
 from trailmine.synth import default_archetypes, generate_synthetic_log
 
-workdir = Path(tempfile.mkdtemp())
-log = workdir / "corpus.log"
-_, truth = generate_synthetic_log(default_archetypes(), users_per_archetype=150,
-                                  seed=5, path=log)
-
 ruleset = default_ruleset()
 vocab = ruleset.vocabulary
-batch, _ = ingest_paths([log], ruleset=ruleset)
+with tempfile.TemporaryDirectory() as workdir:
+    log = Path(workdir) / "corpus.log"
+    generate_synthetic_log(default_archetypes(), users_per_archetype=150, seed=5, path=log)
+    batch, _ = ingest_paths([log], ruleset=ruleset)
 traces, _ = build_traces(batch, vocab.break_id)
 
 features = build_feature_matrix(traces, vocab.n, label_names=vocab.names())

@@ -270,6 +270,7 @@ def test_event_batch_grouping_stable():
     a, b = build_traces(batch, break_label=9)[0]  # sorted by user
     assert (a.user, a.sequence) == ("a", [1, 3])  # ties keep input order
     assert (b.user, b.sequence, b.ontologies) == ("b", [0, 2], ["Z", None])
+    assert [batch.user_pool[c] for c in batch.user_codes] == ["b", "a", "b", "a"]  # not sorted in place
 
 
 def test_event_batch_merge_remaps_pools():
