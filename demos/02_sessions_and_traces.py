@@ -35,12 +35,16 @@ batch = EventBatch(
     onto_codes=np.array([-1 if o is None else ontologies.index(o) for _, o in hits], dtype=np.int64),
 )
 
-(trace,), stats = build_traces(batch, vocab.break_id, gap_minutes=30)
-print(f"{len(batch)} requests -> {trace.session_count} sessions "
-      f"(lengths {trace.session_lengths})")
+# build_traces returns every user's trace as rows of flat arrays; rows()
+# gives each one as its traces.jsonl record
+traces, stats = build_traces(batch, vocab.break_id, gap_minutes=30)
+(row,) = traces.rows()
+print(f"{len(batch)} requests -> {len(row['session_lengths'])} sessions "
+      f"(lengths {row['session_lengths']})")
 
-print("\ntrace:", " -> ".join(vocab[i].name for i in trace.sequence))
-print("ontology attribution:", trace.ontologies)
+print("\ntrace:", " -> ".join(vocab[i].name for i in row["sequence"]))
+print("ontology attribution:", row["ontologies"])
+print("traces.jsonl row:", row)
 
 print(f"\nusage: {stats.session_count} sessions, "
       f"mean duration {stats.mean_session_duration:.0f}s, "

@@ -27,6 +27,7 @@ with tempfile.TemporaryDirectory() as workdir:
     batch, stats = ingest_paths([log], ruleset=ruleset)
 print(f"{stats.lines} lines -> {stats.events} events from {len(batch.user_pool)} users")
 
+# one TraceSet: every user's BREAK-joined trace as a row of flat arrays
 traces, _ = build_traces(batch, vocab.break_id)
 features = build_feature_matrix(traces, vocab.n, feature_kind="stationary",
                                 label_names=vocab.names())

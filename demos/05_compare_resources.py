@@ -36,12 +36,13 @@ features = build_feature_matrix(traces, vocab.n, label_names=vocab.names())
 model = kmeans_fit(features, 7, seed=0)
 assignments = dict(zip(features.user_ids, (int(c) for c in model.assignments)))
 
+# the attributed trace rows of each resource; a user can count under several
 by_resource = extract_resource_traces(traces, threshold_pct=20, break_label=vocab.break_id)
 print("attributed users per resource:")
 for res in sorted(by_resource, key=lambda r: -len(by_resource[r])):
     print(f"  {res:10s} {len(by_resource[res]):4d} users")
 
-profiles = aggregate_cluster_actions(by_resource, assignments, model.K, vocab.n, vocab.break_id)
+profiles = aggregate_cluster_actions(traces, by_resource, assignments, model.K, vocab.n, vocab.break_id)
 print("\nresource profiles (visits = actions of attributed users):")
 for p in profiles[:5]:
     ranks = p.cluster_ranks()

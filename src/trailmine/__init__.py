@@ -27,7 +27,7 @@ from .actions import (
     compile_ruleset,
     default_ruleset,
 )
-from .sessions import UsageStats, UserTrace, build_traces
+from .sessions import TraceSet, UsageStats, build_traces
 from .markov import (
     FeatureMatrix,
     PageViewVector,

@@ -5,7 +5,8 @@ Everything is deterministic for a fixed (seed, restarts, data order):
 ties break to the lowest index, and an emptied cluster is re-seeded at
 the point farthest from its assigned centroid. The elbow fits each K
 independently and keeps every fit, so the K finally chosen from the
-curve needs no second fit.
+curve needs no second fit. Cluster profiles read the flat arrays of a
+:class:`~trailmine.sessions.TraceSet` in one grouped count pass.
 
 The loop is shaped for many small fits (the elbow runs 25 values of K
 times 10 restarts), where per-call overhead costs more than arithmetic.
@@ -29,12 +30,12 @@ formulation it replaces, so every iterate is bit for bit the same:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .markov import FeatureMatrix, count_transitions_by_group
-from .sessions import UserTrace
+from .sessions import TraceSet
 
 __all__ = [
     "KTooLarge",
@@ -286,7 +287,7 @@ class ClusterProfile:
 def profile_clusters(
     features: FeatureMatrix,
     model: ClusterModel,
-    traces: Mapping[str, UserTrace] | Sequence[UserTrace],
+    traces: TraceSet,
     break_label: int,
     top_transitions: int = 10,
 ) -> list[ClusterProfile]:
@@ -294,16 +295,15 @@ def profile_clusters(
 
     Actions per user count non-BREAK tokens; the aggregate histogram and
     the summed transition counts cover the full vocabulary, BREAK
-    included. ``traces`` must cover every user in ``features``.
+    included. Every user in ``features`` needs a trace (else ``KeyError``).
     """
-    if not isinstance(traces, Mapping):
-        traces = {t.user: t for t in traces}
     n = features.n
-    members = [traces[user] for user in features.user_ids]
+    row_of = {user: r for r, user in enumerate(traces.users)}
+    rows = np.array([row_of[user] for user in features.user_ids], dtype=np.int64)
     counts, hists = count_transitions_by_group(
-        [t.sequence for t in members], model.assignments, model.K, n,
+        traces.labels, traces.offsets, rows, model.assignments, model.K, n,
     )
-    actions = np.array([t.action_count(break_label) for t in members], dtype=np.int64)
+    actions = traces.action_counts(break_label)[rows]
     profiles = []
     for k in range(model.K):
         own = actions[model.assignments == k]

@@ -2,10 +2,12 @@
 
 Users are attributed to a resource (ontology acronym) when at least a
 threshold share of their actions target it; attribution is not
-exclusive, so one user can count under several resources. Per resource
-the module aggregates actions by behavior cluster, fits a chain on the
-whole traces of the attributed users, and diffs transition matrices
-between two resources over their most frequent labels.
+exclusive, so one user can count under several resources. Attribution
+reads the flat ontology codes of a :class:`~trailmine.sessions.TraceSet`
+and names the attributed rows of each resource. Per resource the module
+aggregates actions by behavior cluster, fits a chain on the whole
+traces of the attributed users, and diffs transition matrices between
+two resources over their most frequent labels.
 
 The attribution ratio uses non-BREAK tokens in both numerator and
 denominator (BREAK is an analysis artifact, not a user action); reports
@@ -15,13 +17,13 @@ state this convention in their headers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .markov import TransitionCounts, build_transition_model, count_transitions_by_group
 from .pca import PcaModel, pca_fit, pca_project
-from .sessions import UserTrace
+from .sessions import TraceSet
 
 __all__ = [
     "UnassignedUser",
@@ -53,31 +55,27 @@ class TooFewResources(ValueError):
 
 
 def extract_resource_traces(
-    traces: Iterable[UserTrace],
+    traces: TraceSet,
     threshold_pct: float = DEFAULT_THRESHOLD_PCT,
     *,
     break_label: int,
-) -> dict[str, list[UserTrace]]:
+) -> dict[str, np.ndarray]:
     """Attribute whole user traces to resources via the threshold rule.
 
     A user belongs to every resource holding at least ``threshold_pct``
-    percent of the user's non-BREAK actions, so the returned lists are
-    not mutually exclusive. Per-event attribution comes from the
-    ``ontologies`` sequence of each trace.
+    percent of the user's non-BREAK actions, so the returned row sets
+    are not mutually exclusive. Returns the ascending trace rows of each
+    resource that has any.
     """
-    out: dict[str, list[UserTrace]] = {}
-    for trace in traces:
-        denom = trace.action_count(break_label)
-        if denom == 0:
-            continue
-        per_resource: dict[str, int] = {}
-        for onto in trace.ontologies:
-            if onto is not None:
-                per_resource[onto] = per_resource.get(onto, 0) + 1
-        for resource, cnt in per_resource.items():
-            if cnt * 100.0 >= threshold_pct * denom:
-                out.setdefault(resource, []).append(trace)
-    return out
+    attributed = traces.onto_codes >= 0
+    stride = max(len(traces.onto_pool), 1)
+    rows = np.repeat(np.arange(len(traces)), np.diff(traces.offsets))[attributed]
+    keys, hits = np.unique(rows * stride + traces.onto_codes[attributed], return_counts=True)
+    rows, codes = keys // stride, keys % stride
+    denom = traces.action_counts(break_label)[rows]
+    keep = (denom > 0) & (hits * 100.0 >= threshold_pct * denom)
+    rows, codes = rows[keep], codes[keep]
+    return {traces.onto_pool[code]: rows[codes == code] for code in np.unique(codes).tolist()}
 
 
 @dataclass(slots=True)
@@ -100,7 +98,8 @@ class ResourceProfile:
 
 
 def aggregate_cluster_actions(
-    resource_traces: Mapping[str, Sequence[UserTrace]],
+    traces: TraceSet,
+    resource_rows: Mapping[str, np.ndarray],
     assignments: Mapping[str, int],
     K: int,
     n: int,
@@ -108,31 +107,34 @@ def aggregate_cluster_actions(
 ) -> list[ResourceProfile]:
     """Build one :class:`ResourceProfile` per resource.
 
+    ``resource_rows`` holds the trace rows of :func:`extract_resource_traces`.
     ``cluster_action_counts[k]`` sums the total (non-BREAK) actions of
     the attributed users assigned to cluster k; an action is counted
     once per resource its user is attributed under. Raises
     :class:`UnassignedUser` when a user has no assignment.
     """
-    resources = sorted(resource_traces)
+    resources = sorted(resource_rows)
+    parts = [np.asarray(resource_rows[resource], dtype=np.int64) for resource in resources]
+    rows = np.concatenate(parts + [np.empty(0, dtype=np.int64)])
+    groups = np.repeat(np.arange(len(resources)), [len(part) for part in parts])
+    users = [traces.users[row] for row in rows.tolist()]
+    clusters = np.array([assignments.get(user, -1) for user in users], dtype=np.int64)
+    bad = np.flatnonzero((clusters < 0) | (clusters >= K))
+    if bad.size:
+        user = users[bad[0]]
+        if user not in assignments:
+            raise UnassignedUser(user)
+        raise UnassignedUser(f"{user}: cluster {assignments[user]} out of range")
     cluster_counts = np.zeros((len(resources), K), dtype=np.int64)
-    sequences, groups = [], []
-    for r, resource in enumerate(resources):
-        for trace in resource_traces[resource]:
-            try:
-                cluster = assignments[trace.user]
-            except KeyError:
-                raise UnassignedUser(trace.user) from None
-            if not 0 <= cluster < K:
-                raise UnassignedUser(f"{trace.user}: cluster {cluster} out of range")
-            cluster_counts[r, cluster] += trace.action_count(break_label)
-            sequences.append(trace.sequence)
-            groups.append(r)
-    counts, label_counts = count_transitions_by_group(sequences, groups, len(resources), n)
+    np.add.at(cluster_counts, (groups, clusters), traces.action_counts(break_label)[rows])
+    counts, label_counts = count_transitions_by_group(
+        traces.labels, traces.offsets, rows, groups, len(resources), n,
+    )
     profiles = [
         ResourceProfile(
             resource=resource,
             visits=int(cluster_counts[r].sum()),
-            user_count=len(resource_traces[resource]),
+            user_count=len(parts[r]),
             cluster_action_counts=cluster_counts[r],
             counts=TransitionCounts(n, counts[r]),
             label_counts=label_counts[r],

@@ -9,26 +9,28 @@ vector, not the order-blind page-view vector, is the per-user behavior
 feature: two traces with identical page views but different ordering get
 different stationary vectors.
 
-Features are built in one columnar pass over blocks of at most 16
-users: a block's traces are flattened into one label array (labels are
-range-checked there, once), each user's transition counts come from one
-``bincount`` over ``user*n*n + from*n + to``, and the block's stationary
-vectors come from one stacked linear solve of ``pi (P - I) = 0`` with
-its last equation replaced by ``sum(pi) = 1``. For these small dense
-chains a direct solve is exact to rounding and far cheaper than power
+Features are built in one columnar pass over the flat labels of a
+``TraceSet`` (range-checked once) in blocks of at most 16 users: a block
+is a view of consecutive rows, each user's transition counts come from
+one ``bincount`` over ``user*n*n + from*n + to``, and the block's
+stationary vectors come from one stacked linear solve of ``pi (P - I) =
+0`` with its last equation replaced by ``sum(pi) = 1``. For these small
+dense chains a direct solve is exact to rounding and far cheaper than power
 iteration, which the test suite keeps as the independent reference.
 :func:`stationary_distribution` runs the same solve on one chain.
-Cluster profiles and resource comparison share the same count pass
-through :func:`count_transitions_by_group`.
+Cluster profiles and resource comparison share the same count pass over
+chosen rows of the same flat arrays, :func:`count_transitions_by_group`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .sessions import TraceSet
 
 __all__ = [
     "LabelOutOfRange",
@@ -52,7 +54,7 @@ DEFAULT_ALPHA = 0.15
 # A block holds at most _BLOCK sequences (the users of one stacked solve)
 # and, unless one sequence alone is longer, at most _BLOCK_LABELS labels.
 # This bounds the working set: the feature pass never holds an (m, n, n)
-# tensor, and no pass holds the flattened labels of the whole corpus.
+# tensor, and no pass holds step keys for more than one block.
 _BLOCK = 16
 _BLOCK_LABELS = 1 << 13
 
@@ -78,11 +80,6 @@ class TransitionCounts:
             raise ValueError(f"counts must be {self.n}x{self.n}")
         if (self.counts < 0).any():
             raise ValueError("counts must be non-negative")
-
-    def __add__(self, other: "TransitionCounts") -> "TransitionCounts":
-        if other.n != self.n:
-            raise ValueError("cannot add counts over different state spaces")
-        return TransitionCounts(self.n, self.counts + other.counts)
 
 
 @dataclass(slots=True)
@@ -122,29 +119,16 @@ def _as_label_array(trace: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
     return _check_labels(arr, n)
 
 
-def _flatten(sequences: Sequence[Sequence[int]], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All sequences as one label array plus offsets (length m + 1), labels checked once."""
-    offsets = np.zeros(len(sequences) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences)),
-              out=offsets[1:])
-    labels = np.fromiter(chain.from_iterable(sequences), dtype=np.int64, count=int(offsets[-1]))
-    return _check_labels(labels, n), offsets
-
-
-def _blocks(sequences: Sequence[Sequence[int]], n: int):
-    """Consecutive blocks of sequences, flattened, within the block bounds.
-
-    Yields ``(lo, hi, labels, seq)`` for ``sequences[lo:hi]``, where
-    ``seq[i]`` is the block-local index of the sequence holding label i.
-    """
-    lo, m = 0, len(sequences)
+def _blocks(lengths: np.ndarray):
+    """``(lo, hi)`` of consecutive blocks of sequences with these lengths, within the block bounds."""
+    sizes = lengths.tolist()
+    lo, m = 0, len(sizes)
     while lo < m:
-        hi, size = lo + 1, len(sequences[lo])
-        while hi < min(lo + _BLOCK, m) and size + len(sequences[hi]) <= _BLOCK_LABELS:
-            size += len(sequences[hi])
+        hi, size = lo + 1, sizes[lo]
+        while hi < min(lo + _BLOCK, m) and size + sizes[hi] <= _BLOCK_LABELS:
+            size += sizes[hi]
             hi += 1
-        labels, offsets = _flatten(sequences[lo:hi], n)
-        yield lo, hi, labels, np.repeat(np.arange(hi - lo), np.diff(offsets))
+        yield lo, hi
         lo = hi
 
 
@@ -175,39 +159,51 @@ def _add_counts(flat: np.ndarray, keys: np.ndarray) -> None:
 
 
 def count_transitions_by_group(
-    sequences: Sequence[Sequence[int]],
+    labels: np.ndarray,
+    offsets: np.ndarray,
+    rows: Sequence[int] | np.ndarray,
     groups: Sequence[int] | np.ndarray,
     n_groups: int,
     n: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sum transition and label counts of sequences over groups in one pass.
+    """Sum transition and label counts of chosen rows over groups in one pass.
 
-    ``groups[s]`` in [0, n_groups) names the group of ``sequences[s]``; a
-    sequence may appear several times under different groups. Returns
-    ``(counts, label_counts)`` of shapes (n_groups, n, n) and
-    (n_groups, n), where ``counts[g, i, j]`` sums the i -> j steps of the
-    group's sequences.
+    Row r is the sequence ``labels[offsets[r]:offsets[r + 1]]``. Each
+    ``(rows[s], groups[s])`` pair counts row ``rows[s]`` under group
+    ``groups[s]`` in [0, n_groups); a row may appear several times under
+    different groups. Returns ``(counts, label_counts)`` of shapes
+    (n_groups, n, n) and (n_groups, n), where ``counts[g, i, j]`` sums
+    the i -> j steps of the group's rows.
     """
+    labels = _check_labels(labels, n)
+    rows = np.asarray(rows, dtype=np.int64)
     groups = np.asarray(groups, dtype=np.int64)
-    if groups.shape != (len(sequences),):
-        raise ValueError("groups must name one group per sequence")
+    if groups.shape != rows.shape or rows.ndim != 1:
+        raise ValueError("groups must name one group per counted row")
     if groups.size and (groups.min() < 0 or groups.max() >= n_groups):
         raise ValueError(f"groups must lie in [0, {n_groups})")
     counts = np.zeros(n_groups * n * n, dtype=np.int64)
     label_counts = np.zeros(n_groups * n, dtype=np.int64)
-    for lo, hi, labels, seq in _blocks(sequences, n):
+    starts = offsets[rows]
+    lengths = offsets[rows + 1] - starts
+    for lo, hi in _blocks(lengths):
+        seq = np.repeat(np.arange(hi - lo), lengths[lo:hi])
+        # slot i of the block is label (row start - block-local start) + i
+        shift = starts[lo:hi] - (np.cumsum(lengths[lo:hi]) - lengths[lo:hi])
+        block = labels[np.arange(len(seq)) + shift[seq]]
         own = groups[lo:hi]
-        _add_counts(counts, _step_keys(labels, seq, own, n))
+        _add_counts(counts, _step_keys(block, seq, own, n))
         keys = own[seq]
         keys *= n
-        keys += labels
+        keys += block
         _add_counts(label_counts, keys)
     return counts.reshape(n_groups, n, n), label_counts.reshape(n_groups, n)
 
 
 def count_transitions(trace: Sequence[int] | np.ndarray, n: int) -> TransitionCounts:
     """Count adjacent label pairs of a trace into an n x n matrix."""
-    counts, _ = count_transitions_by_group([_as_label_array(trace, n)], [0], 1, n)
+    arr = _as_label_array(trace, n)
+    counts, _ = count_transitions_by_group(arr, np.array([0, len(arr)]), [0], [0], 1, n)
     return TransitionCounts(n, counts[0])
 
 
@@ -312,13 +308,13 @@ class FeatureMatrix:
 
 
 def build_feature_matrix(
-    traces,
+    traces: TraceSet,
     n: int,
     feature_kind: str = "stationary",
     alpha: float = DEFAULT_ALPHA,
     label_names: list[str] | None = None,
 ) -> FeatureMatrix:
-    """Stack per-user features into an m x n matrix.
+    """Stack per-user features into an m x n matrix, one row per trace row.
 
     Chains are built over the full vocabulary dimension (BREAK included)
     so all users share one coordinate system. Stationary vectors are
@@ -326,12 +322,14 @@ def build_feature_matrix(
     """
     if feature_kind not in ("stationary", "pageviews"):
         raise ValueError(f"unknown feature kind {feature_kind!r}")
-    traces = list(traces)
-    user_ids = [t.user for t in traces]
+    _check_labels(traces.labels, n)
+    lengths = np.diff(traces.offsets)
     X = np.zeros((len(traces), n))
     max_residual, fallbacks = 0.0, 0
-    for lo, hi, labels, seq in _blocks([t.sequence for t in traces], n):
+    for lo, hi in _blocks(lengths):
         size = hi - lo
+        labels = traces.labels[traces.offsets[lo]:traces.offsets[hi]]
+        seq = np.repeat(np.arange(size), lengths[lo:hi])
         if feature_kind == "pageviews":
             X[lo:hi] = np.bincount(seq * n + labels, minlength=size * n).reshape(size, n)
             continue
@@ -340,4 +338,4 @@ def build_feature_matrix(
         X[lo:hi], residual, lstsq_solves = _stationary_direct(_smooth(counts, alpha))
         max_residual = max(max_residual, float(residual.max()))
         fallbacks += lstsq_solves
-    return FeatureMatrix(user_ids, X, feature_kind, list(label_names or []), max_residual, fallbacks)
+    return FeatureMatrix(list(traces.users), X, feature_kind, list(label_names or []), max_residual, fallbacks)

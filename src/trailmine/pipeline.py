@@ -60,7 +60,7 @@ from .logs import (
 )
 from .markov import FeatureMatrix, build_feature_matrix
 from .pca import PcaModel, loading_extremes, pca_fit, pca_project
-from .sessions import DEFAULT_GAP_MINUTES, UserTrace, build_traces
+from .sessions import DEFAULT_GAP_MINUTES, TraceSet, build_traces
 
 __all__ = [
     "PipelineConfig",
@@ -152,7 +152,7 @@ class EventBatch:
             return parts[0]
         user_pool: dict[str, int] = {}
         onto_pool: dict[str, int] = {}
-        ucodes, ocodes, ts, labels = [], [], [], []
+        ucodes, ocodes = [], []
         for part in parts:
             umap = np.array(
                 [user_pool.setdefault(u, len(user_pool)) for u in part.user_pool],
@@ -162,28 +162,14 @@ class EventBatch:
                 [onto_pool.setdefault(o, len(onto_pool)) for o in part.onto_pool],
                 dtype=np.int64,
             )
-            ucodes.append(umap[part.user_codes] if len(part) else part.user_codes)
-            if len(part):
-                oc = part.onto_codes
-                remapped = np.where(oc >= 0, omap[np.maximum(oc, 0)] if len(omap) else oc, -1)
-                ocodes.append(remapped)
-            else:
-                ocodes.append(part.onto_codes)
-            ts.append(part.timestamps)
-            labels.append(part.labels)
-        return cls(
-            user_pool=list(user_pool),
-            user_codes=np.concatenate(ucodes) if ucodes else np.empty(0, dtype=np.int64),
-            timestamps=np.concatenate(ts) if ts else np.empty(0, dtype=np.int64),
-            labels=np.concatenate(labels) if labels else np.empty(0, dtype=np.int64),
-            onto_pool=list(onto_pool),
-            onto_codes=np.concatenate(ocodes) if ocodes else np.empty(0, dtype=np.int64),
+            ucodes.append(umap[part.user_codes])
+            ocodes.append(np.append(omap, -1)[part.onto_codes])  # code -1 stays -1
+        columns = (ucodes, [p.timestamps for p in parts], [p.labels for p in parts], ocodes)
+        # the trailing empty array makes merge([]) an empty batch
+        user_codes, timestamps, labels, onto_codes = (
+            np.concatenate(column + [np.empty(0, dtype=np.int64)]) for column in columns
         )
-
-
-def _empty_batch() -> EventBatch:
-    empty = np.empty(0, dtype=np.int64)
-    return EventBatch([], empty.copy(), empty.copy(), empty.copy(), [], empty.copy())
+        return cls(list(user_pool), user_codes, timestamps, labels, list(onto_pool), onto_codes)
 
 
 def _ingest_lines(
@@ -358,7 +344,7 @@ def ingest_paths(
             part, part_stats = _ingest_lines(fh, ruleset, filt, log_format, user_key)
         parts.append(part)
         stats.merge(part_stats)
-    batch = EventBatch.merge(parts) if parts else _empty_batch()
+    batch = EventBatch.merge(parts)
     return batch, stats
 
 
@@ -366,38 +352,16 @@ def ingest_paths(
 # file formats
 
 
-def write_traces_jsonl(traces: Iterable[UserTrace], path: str | Path) -> None:
+def write_traces_jsonl(traces: TraceSet, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for t in traces:
-            fh.write(
-                json.dumps(
-                    {
-                        "user": t.user,
-                        "sequence": t.sequence,
-                        "ontologies": t.ontologies,
-                        "session_lengths": t.session_lengths,
-                    },
-                    separators=(",", ":"),
-                )
-            )
+        for row in traces.rows():
+            fh.write(json.dumps(row, separators=(",", ":")))
             fh.write("\n")
 
 
-def read_traces_jsonl(path: str | Path) -> list[UserTrace]:
-    traces = []
+def read_traces_jsonl(path: str | Path) -> TraceSet:
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            d = json.loads(line)
-            traces.append(
-                UserTrace(
-                    user=d["user"],
-                    sequence=d["sequence"],
-                    ontologies=d["ontologies"],
-                    session_count=len(d["session_lengths"]),
-                    session_lengths=d["session_lengths"],
-                )
-            )
-    return traces
+        return TraceSet.from_rows(json.loads(line) for line in fh)
 
 
 def write_feature_csv(features: FeatureMatrix, path: str | Path) -> None:
@@ -405,7 +369,7 @@ def write_feature_csv(features: FeatureMatrix, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("user," + ",".join(names) + "\n")
         for uid, row in zip(features.user_ids, features.X):
-            fh.write(uid + "," + ",".join(repr(float(v)) for v in row) + "\n")
+            fh.write(uid + "," + ",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_feature_csv(path: str | Path) -> FeatureMatrix:
@@ -483,7 +447,7 @@ def write_cluster_outputs(
     with open(p, "w", encoding="utf-8") as fh:
         fh.write("cluster," + ",".join(names) + "\n")
         for k, row in enumerate(model.centroids):
-            fh.write(f"{k}," + ",".join(repr(float(v)) for v in row) + "\n")
+            fh.write(f"{k}," + ",".join(map(repr, row.tolist())) + "\n")
     files.append(p.name)
     p = out_dir / "cluster_profiles.txt"
     with open(p, "w", encoding="utf-8") as fh:
@@ -529,7 +493,7 @@ def write_pca_outputs(features: FeatureMatrix, model, coords, assignments, out_d
     with open(p, "w", encoding="utf-8") as fh:
         fh.write("label," + ",".join(f"PC{i + 1}" for i in range(model.r)) + "\n")
         for j, name in enumerate(names):
-            fh.write(name + "," + ",".join(repr(float(model.components[i, j])) for i in range(model.r)) + "\n")
+            fh.write(name + "," + ",".join(map(repr, model.components[:, j].tolist())) + "\n")
     files.append(p.name)
     p = out_dir / "pca_coordinates.csv"
     with open(p, "w", encoding="utf-8") as fh:
@@ -538,7 +502,7 @@ def write_pca_outputs(features: FeatureMatrix, model, coords, assignments, out_d
             header += ",cluster"
         fh.write(header + "\n")
         for i, uid in enumerate(features.user_ids):
-            row = uid + "," + ",".join(repr(float(v)) for v in coords[i])
+            row = uid + "," + ",".join(map(repr, coords[i].tolist()))
             if assignments is not None:
                 row += f",{int(assignments[i])}"
             fh.write(row + "\n")
@@ -592,7 +556,7 @@ def write_compare_outputs(profiles, diff, projection, names, out_dir: Path) -> l
         with open(p, "w", encoding="utf-8") as fh:
             fh.write("resource," + ",".join(f"PC{i + 1}" for i in range(projection.model.r)) + "\n")
             for rname, row in zip(projection.resources, projection.coordinates):
-                fh.write(rname + "," + ",".join(repr(float(v)) for v in row) + "\n")
+                fh.write(rname + "," + ",".join(map(repr, row.tolist())) + "\n")
         files.append(p.name)
         p = out_dir / "resource_pca_report.txt"
         cluster_names = [f"cluster_{k}" for k in range(projection.model.n)]
@@ -726,7 +690,7 @@ def stage_ingest(config: PipelineConfig) -> tuple[EventBatch, dict, list[str]]:
 
 def stage_sessionize(
     config: PipelineConfig, batch: EventBatch,
-) -> tuple[list[UserTrace], dict, list[str]]:
+) -> tuple[TraceSet, dict, list[str]]:
     """Traces (``traces.jsonl``) and usage statistics of an event batch."""
     out_dir = _out_dir(config)
     traces, usage = build_traces(batch, config.ruleset().vocabulary.break_id, config.gap_minutes)
@@ -736,7 +700,7 @@ def stage_sessionize(
 
 
 def stage_features(
-    config: PipelineConfig, traces: list[UserTrace], path: Path | None = None,
+    config: PipelineConfig, traces: TraceSet, path: Path | None = None,
 ) -> tuple[FeatureMatrix, dict, list[str]]:
     """The feature matrix, written to ``path`` (default: ``features.csv``)."""
     vocab = config.ruleset().vocabulary
@@ -770,7 +734,7 @@ def stage_elbow(
 def stage_cluster(
     config: PipelineConfig,
     features: FeatureMatrix,
-    traces: list[UserTrace] | None,
+    traces: TraceSet | None,
     curve: ElbowCurve,
 ) -> tuple[ClusterModel, dict, list[str]]:
     """K-means at ``config.k`` (default: the knee); profiles need ``traces``.
@@ -804,7 +768,7 @@ def stage_pca(
 
 def stage_compare(
     config: PipelineConfig,
-    traces: list[UserTrace],
+    traces: TraceSet,
     assignments: dict[str, int],
     K: int,
     pair: Sequence[str] | None = None,
@@ -817,10 +781,10 @@ def stage_compare(
     fewer than two resources.
     """
     vocab = config.ruleset().vocabulary
-    resource_traces = extract_resource_traces(
+    resource_rows = extract_resource_traces(
         traces, threshold_pct=config.threshold_pct, break_label=vocab.break_id,
     )
-    profiles = aggregate_cluster_actions(resource_traces, assignments, K, vocab.n, vocab.break_id)
+    profiles = aggregate_cluster_actions(traces, resource_rows, assignments, K, vocab.n, vocab.break_id)
     by_name = {p.resource: p for p in profiles}
     if pair is None:
         pair = [p.resource for p in profiles[:2]]

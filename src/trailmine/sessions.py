@@ -8,16 +8,18 @@ token between consecutive sessions.
 :func:`build_traces` is the one place this rule lives. It works on the
 columnar event batch in one array pass: a stable sort by (user,
 timestamp), session starts from the user changes and the timestamp
-gaps, BREAK slots by index arithmetic, and each user's trace as a slice
-of the resulting flat label and ontology arrays. The usage statistics
-come from the same arrays; gaps between two different users' events
-count neither as session splits nor as inter-request gaps.
+gaps, and BREAK slots by index arithmetic. It returns one
+:class:`TraceSet`, the flat arrays that features, cluster profiles and
+resource comparison all read, and usage statistics from the same
+arrays: gaps between two different users' events count neither as
+session splits nor as inter-request gaps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -25,7 +27,7 @@ if TYPE_CHECKING:
     from .pipeline import EventBatch
 
 __all__ = [
-    "UserTrace",
+    "TraceSet",
     "UsageStats",
     "build_traces",
 ]
@@ -33,26 +35,69 @@ __all__ = [
 DEFAULT_GAP_MINUTES = 30.0
 
 
-@dataclass(slots=True)
-class UserTrace:
-    """A user's full chronological action sequence, sessions joined by BREAK.
+def _column(rows: list[Mapping], key: str) -> tuple[np.ndarray, np.ndarray]:
+    """The ``key`` lists of all rows as one flat array, and the row offsets into it."""
+    lists = [row[key] for row in rows]
+    return np.fromiter(chain.from_iterable(lists), dtype=np.int64), np.cumsum([0, *map(len, lists)])
 
-    ``ontologies`` parallels ``sequence`` (None at BREAK positions and for
-    actions that carry no resource attribution).
+
+@dataclass(slots=True)
+class TraceSet:
+    """Every user's full chronological action sequence, sessions joined by BREAK.
+
+    Row u is user ``users[u]``: its labels are ``labels[offsets[u]:offsets[u + 1]]``,
+    with the parallel ``onto_codes`` indexing ``onto_pool``, distinct names in
+    sorted order (-1 at BREAK slots and for actions without resource
+    attribution), and its session lengths are
+    ``session_lengths[session_offsets[u]:session_offsets[u + 1]]``.
     """
 
-    user: str
-    sequence: list[int]
-    ontologies: list[str | None]
-    session_count: int
-    session_lengths: list[int]
+    users: list[str]
+    offsets: np.ndarray
+    labels: np.ndarray
+    onto_codes: np.ndarray
+    onto_pool: list[str]
+    session_lengths: np.ndarray
+    session_offsets: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.sequence)
+        return len(self.users)
 
-    def action_count(self, break_label: int) -> int:
-        """Number of non-BREAK tokens."""
-        return len(self.sequence) - self.sequence.count(break_label)
+    @classmethod
+    def from_rows(cls, rows: Iterable[Mapping]) -> "TraceSet":
+        """Build from per-user ``traces.jsonl`` records.
+
+        A record whose ``ontologies`` and ``sequence`` differ in length raises ``ValueError``.
+        """
+        rows = list(rows)
+        bad = [row["user"] for row in rows if len(row["ontologies"]) != len(row["sequence"])]
+        if bad:
+            raise ValueError(f"trace of {bad[0]!r}: ontologies and sequence differ in length")
+        pool = sorted({name for row in rows for name in row["ontologies"]} - {None})
+        code = {None: -1, **{name: c for c, name in enumerate(pool)}}
+        labels, offsets = _column(rows, "sequence")
+        lengths, session_offsets = _column(rows, "session_lengths")
+        names = chain.from_iterable(row["ontologies"] for row in rows)
+        onto = np.fromiter(map(code.__getitem__, names), dtype=np.int64)
+        return cls([row["user"] for row in rows], offsets, labels, onto, pool, lengths, session_offsets)
+
+    def rows(self) -> Iterator[dict]:
+        """Each user's trace as its ``traces.jsonl`` record, in row order."""
+        names = np.array(self.onto_pool + [None], dtype=object)  # code -1 -> None
+        bounds, sessions = self.offsets.tolist(), self.session_offsets.tolist()
+        for u, user in enumerate(self.users):
+            lo, hi = bounds[u], bounds[u + 1]
+            yield {
+                "user": user,
+                "sequence": self.labels[lo:hi].tolist(),
+                "ontologies": names[self.onto_codes[lo:hi]].tolist(),
+                "session_lengths": self.session_lengths[sessions[u]:sessions[u + 1]].tolist(),
+            }
+
+    def action_counts(self, break_label: int) -> np.ndarray:
+        """Number of non-BREAK tokens of each row."""
+        breaks = np.searchsorted(np.flatnonzero(self.labels == break_label), self.offsets)
+        return np.diff(self.offsets) - np.diff(breaks)
 
 
 @dataclass(slots=True)
@@ -94,18 +139,16 @@ def _split(batch: EventBatch, gap_seconds: float) -> tuple[np.ndarray, np.ndarra
 
 
 def _usage_stats(
-    batch: EventBatch, order: np.ndarray, user_start: np.ndarray, starts: np.ndarray,
+    ts: np.ndarray, onto: np.ndarray, n_onto: int, user_start: np.ndarray, starts: np.ndarray,
 ) -> UsageStats:
     """Usage statistics of the sorted events; ``starts`` are the sessions' first events."""
-    n_events = len(order)
-    ts = batch.timestamps[order]
-    onto = batch.onto_codes[order]
+    n_events = len(ts)
     first = np.flatnonzero(user_start)
     ends = np.append(starts[1:], n_events)
     lengths = ends - starts
     durations = ts[ends - 1] - ts[starts]
     # distinct ontologies per user, from the distinct (user, ontology) keys
-    stride = max(len(batch.onto_pool), 1)
+    stride = max(n_onto, 1)
     attributed = onto >= 0
     keys = np.unique((np.cumsum(user_start) - 1)[attributed] * stride + onto[attributed])
     return UsageStats(
@@ -126,21 +169,24 @@ def build_traces(
     batch: EventBatch,
     break_label: int,
     gap_minutes: float = DEFAULT_GAP_MINUTES,
-) -> tuple[list[UserTrace], UsageStats]:
+) -> tuple[TraceSet, UsageStats]:
     """Sessionize every user of ``batch``; return the traces and usage statistics.
 
-    Traces are sorted by user id. Within a user, events are ordered by
-    timestamp, ties in input order; a gap of ``gap_minutes`` or more
+    Trace rows are sorted by user id. Within a user, events are ordered
+    by timestamp, ties in input order; a gap of ``gap_minutes`` or more
     starts a new session. Inter-request gaps include the gaps between a
     user's sessions (the histogram that motivates the threshold in the
     first place). An empty batch gives no traces and zero statistics.
     """
     n_events = len(batch)
     if n_events == 0:
-        return [], UsageStats()
+        return TraceSet.from_rows([]), UsageStats()
     order, user_start, session_start = _split(batch, gap_minutes * 60.0)
     starts = np.flatnonzero(session_start)
-    usage = _usage_stats(batch, order, user_start, starts)
+    pool = sorted(set(batch.onto_pool))  # one code per name, as in from_rows
+    rank = {name: c for c, name in enumerate(pool)}
+    events_onto = np.array([rank[name] for name in batch.onto_pool] + [-1])[batch.onto_codes[order]]
+    usage = _usage_stats(batch.timestamps[order], events_onto, len(pool), user_start, starts)
 
     # event i moves right by one slot for every BREAK at or before it
     breaks = session_start & ~user_start
@@ -148,26 +194,14 @@ def build_traces(
     labels = np.full(n_events + int(breaks.sum()), break_label, dtype=np.int64)
     labels[slot] = batch.labels[order]
     onto = np.full(len(labels), -1, dtype=np.int64)
-    onto[slot] = batch.onto_codes[order]
-    onto_names = np.array(batch.onto_pool + [None], dtype=object)  # code -1 -> None
-
+    onto[slot] = events_onto
     first = np.flatnonzero(user_start)
-    bounds = np.append(slot[first], len(labels)).tolist()
-    user_sessions = np.append(np.flatnonzero(user_start[starts]), len(starts)).tolist()
-    lengths = np.diff(np.append(starts, n_events)).tolist()
-    first_codes = batch.user_codes[order[first]].tolist()
-    # free the corpus-length index arrays before the per-user lists are
-    # made, so that those reuse the memory (about 0.7 MB less peak RSS
-    # on a 38k-event corpus)
-    del order, slot
-    traces = [
-        UserTrace(
-            user=batch.user_pool[code],
-            sequence=labels[bounds[k]:bounds[k + 1]].tolist(),
-            ontologies=onto_names[onto[bounds[k]:bounds[k + 1]]].tolist(),
-            session_count=user_sessions[k + 1] - user_sessions[k],
-            session_lengths=lengths[user_sessions[k]:user_sessions[k + 1]],
-        )
-        for k, code in enumerate(first_codes)
-    ]
-    return traces, usage
+    return TraceSet(
+        users=[batch.user_pool[code] for code in batch.user_codes[order[first]].tolist()],
+        offsets=np.append(slot[first], len(labels)),
+        labels=labels,
+        onto_codes=onto,
+        onto_pool=pool,
+        session_lengths=np.diff(np.append(starts, n_events)),
+        session_offsets=np.append(np.flatnonzero(user_start[starts]), len(starts)),
+    ), usage

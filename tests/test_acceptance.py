@@ -185,10 +185,11 @@ def test_criterion_6_worked_session_example(ruleset):
         onto_pool=ontologies,
         onto_codes=np.array([-1 if o is None else ontologies.index(o) for _, o in hits], dtype=np.int64),
     )
-    (trace,), usage = build_traces(batch, ruleset.vocabulary.break_id, gap_minutes=30)
-    assert trace.session_count == usage.session_count == 1
+    traces, usage = build_traces(batch, ruleset.vocabulary.break_id, gap_minutes=30)
+    (trace,) = traces.rows()
+    assert len(trace["session_lengths"]) == usage.session_count == 1
     assert usage.mean_session_duration == 162
-    names = [ruleset.vocabulary[i].name for i in trace.sequence]
+    names = [ruleset.vocabulary[i].name for i in trace["sequence"]]
     assert names == [
         "Browse Main Page", "Login", "Login", "Browse Main Page", "Ontology Summary",
         "Create Ontology Submission", "Create Ontology Submission",
@@ -257,10 +258,10 @@ def test_criterion_8_flat_vs_tree_resource_contrast(tmp_path, ruleset):
     batch, _ = ingest_paths([log], ruleset=ruleset)
     traces, _ = build_traces(batch, vocab.break_id)
     by_resource = extract_resource_traces(traces, threshold_pct=20, break_label=vocab.break_id)
-    assignments = {t.user: 0 for t in traces}
+    assignments = {user: 0 for user in traces.users}
     profiles = {
         p.resource: p
-        for p in aggregate_cluster_actions(by_resource, assignments, 1, n, vocab.break_id)
+        for p in aggregate_cluster_actions(traces, by_resource, assignments, 1, n, vocab.break_id)
     }
     # the flat resource's users emit no tree-browsing actions at all
     assert profiles["FLATONT"].label_counts[tree] == 0

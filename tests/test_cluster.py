@@ -19,7 +19,7 @@ from trailmine.cluster import (
     total_sum_of_squares,
 )
 from trailmine.markov import FeatureMatrix, count_transitions
-from trailmine.sessions import UserTrace
+from trailmine.sessions import TraceSet
 
 
 def _blobs(rng, centers, per_blob=30, spread=0.05):
@@ -243,10 +243,10 @@ def test_fit_diagnostics():
     assert explained_variance_curve(np.ones((6, 2)), k_range=range(1, 4)).models == {}
 
 
-def _trace(user, seq, break_label=3):
-    return UserTrace(user=user, sequence=list(seq), ontologies=[None] * len(seq),
-                     session_count=1 + list(seq).count(break_label),
-                     session_lengths=[])
+def _trace(user, seq):
+    """A ``traces.jsonl`` record without attribution or session lengths."""
+    return {"user": user, "sequence": list(seq), "ontologies": [None] * len(seq),
+            "session_lengths": []}
 
 
 def test_profile_clusters_single_user():
@@ -255,32 +255,40 @@ def test_profile_clusters_single_user():
     fm = FeatureMatrix(["solo"], np.array([[0.2, 0.4, 0.4, 0.0]]), "stationary",
                        ["a", "b", "c", "BREAK"])
     model = kmeans_fit(fm, 1, seed=0)
-    profiles = profile_clusters(fm, model, [trace], break_label=BREAK)
+    profiles = profile_clusters(fm, model, TraceSet.from_rows([trace]), break_label=BREAK)
     assert profiles[0].size == 1
     assert profiles[0].mean_actions == 5 == profiles[0].median_actions
     assert profiles[0].action_histogram.tolist() == [1, 2, 2, 1]
     assert profiles[0].top_transitions[0][2] >= 1
 
 
+def test_profile_clusters_user_without_trace_raises():
+    fm = FeatureMatrix(["solo", "ghost"], np.array([[0.0, 1.0], [1.0, 0.0]]), "stationary")
+    model = kmeans_fit(fm, 1, seed=0)
+    with pytest.raises(KeyError):
+        profile_clusters(fm, model, TraceSet.from_rows([_trace("solo", [0, 1])]), break_label=3)
+
+
 def test_profiles_equal_sums_of_per_trace_counts():
     rng = np.random.default_rng(8)
     n, BREAK = 6, 5
-    traces = [_trace(f"u{i}", rng.integers(0, n, size=int(rng.integers(1, 25))), BREAK)
+    traces = [_trace(f"u{i}", rng.integers(0, n, size=int(rng.integers(1, 25))).tolist())
               for i in range(25)]
-    fm = FeatureMatrix([t.user for t in traces], rng.random((25, n)), "stationary")
+    fm = FeatureMatrix([t["user"] for t in traces], rng.random((25, n)), "stationary")
     model = kmeans_fit(fm, 3, seed=0)
-    profiles = profile_clusters(fm, model, traces, break_label=BREAK, top_transitions=n * n)
+    profiles = profile_clusters(fm, model, TraceSet.from_rows(traces), break_label=BREAK,
+                                top_transitions=n * n)
     for k, prof in enumerate(profiles):
         members = [t for t, a in zip(traces, model.assignments) if a == k]
-        counts = sum((count_transitions(t.sequence, n).counts for t in members),
+        counts = sum((count_transitions(t["sequence"], n).counts for t in members),
                      np.zeros((n, n), dtype=np.int64))
         flat = counts.ravel()
         order = np.argsort(-flat, kind="stable")
         assert prof.top_transitions == [(int(i // n), int(i % n), int(flat[i]))
                                         for i in order if flat[i] > 0]
-        hist = np.bincount(np.concatenate([t.sequence for t in members]), minlength=n)
+        hist = np.bincount(np.concatenate([t["sequence"] for t in members]), minlength=n)
         assert prof.action_histogram.tolist() == hist.tolist()
-        actions = [t.action_count(BREAK) for t in members]
+        actions = [len(t["sequence"]) - t["sequence"].count(BREAK) for t in members]
         assert prof.size == len(members)
         assert prof.mean_actions == float(np.mean(actions))
         assert prof.median_actions == float(np.median(actions))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from testutil import naive_attribution
+
 from trailmine.compare import (
     TooFewResources,
     UnassignedUser,
@@ -10,46 +12,50 @@ from trailmine.compare import (
     transition_diff,
 )
 from trailmine.markov import count_transitions
-from trailmine.sessions import UserTrace
+from trailmine.sessions import TraceSet
 
 BREAK = 33
 N = 34
 
 
 def _trace(user, pairs):
-    """pairs: list of (label, ontology_or_None)."""
-    return UserTrace(
-        user=user,
-        sequence=[p[0] for p in pairs],
-        ontologies=[p[1] for p in pairs],
-        session_count=1 + sum(1 for p in pairs if p[0] == BREAK),
-        session_lengths=[],
-    )
+    """The ``traces.jsonl`` record of pairs: list of (label, ontology_or_None)."""
+    return {
+        "user": user,
+        "sequence": [p[0] for p in pairs],
+        "ontologies": [p[1] for p in pairs],
+        "session_lengths": [],
+    }
+
+
+def _set(traces):
+    return TraceSet.from_rows(traces)
 
 
 def test_attribution_to_both_resources():
     pairs = [(12, "CPT")] * 5 + [(12, "RXNORM")] * 5
-    traces = extract_resource_traces([_trace("u", pairs)], threshold_pct=20, break_label=BREAK)
+    ts = _set([_trace("u", pairs)])
+    traces = extract_resource_traces(ts, threshold_pct=20, break_label=BREAK)
     assert set(traces) == {"CPT", "RXNORM"}
-    assert traces["CPT"][0].user == "u"
+    assert ts.users[traces["CPT"][0]] == "u"
 
 
 def test_below_threshold_not_attributed():
     pairs = [(12, "CPT")] * 19 + [(2, None)] * 81
-    traces = extract_resource_traces([_trace("u", pairs)], threshold_pct=20, break_label=BREAK)
+    traces = extract_resource_traces(_set([_trace("u", pairs)]), threshold_pct=20, break_label=BREAK)
     assert "CPT" not in traces
 
 
 def test_exact_threshold_is_attributed():
     pairs = [(12, "CPT")] * 20 + [(2, None)] * 80
-    traces = extract_resource_traces([_trace("u", pairs)], threshold_pct=20, break_label=BREAK)
+    traces = extract_resource_traces(_set([_trace("u", pairs)]), threshold_pct=20, break_label=BREAK)
     assert "CPT" in traces
 
 
 def test_break_excluded_from_denominator():
     # 1 resource action of 4 non-BREAK actions = 25%, BREAKs must not dilute it
     pairs = [(12, "CPT"), (2, None), (BREAK, None), (2, None), (2, None), (BREAK, None)]
-    traces = extract_resource_traces([_trace("u", pairs)], threshold_pct=25, break_label=BREAK)
+    traces = extract_resource_traces(_set([_trace("u", pairs)]), threshold_pct=25, break_label=BREAK)
     assert "CPT" in traces
 
 
@@ -65,19 +71,40 @@ def test_attribution_matches_naive_recount():
             label = BREAK if rng.random() < 0.08 else int(rng.integers(0, 33))
             pairs.append((label, None if label == BREAK else onto))
         traces.append(_trace(f"u{u}", pairs))
-    got = extract_resource_traces(traces, threshold_pct=20, break_label=BREAK)
+    got = extract_resource_traces(_set(traces), threshold_pct=20, break_label=BREAK)
     # naive recount
     want: dict[str, set] = {}
     for t in traces:
-        denom = sum(1 for lab in t.sequence if lab != BREAK)
+        denom = sum(1 for lab in t["sequence"] if lab != BREAK)
         counts: dict[str, int] = {}
-        for onto in t.ontologies:
+        for onto in t["ontologies"]:
             if onto:
                 counts[onto] = counts.get(onto, 0) + 1
         for res, c in counts.items():
             if denom and c / denom >= 0.2:
-                want.setdefault(res, set()).add(t.user)
-    assert {r: {t.user for t in ts} for r, ts in got.items()} == want
+                want.setdefault(res, set()).add(t["user"])
+    assert {r: {traces[i]["user"] for i in rows} for r, rows in got.items()} == want
+
+
+def test_attribution_matches_reference_loop():
+    """Rows per resource equal the per-trace loop's users, in trace order, at any threshold."""
+    rng = np.random.default_rng(31)
+    traces = []
+    for u in range(80):
+        pairs = []
+        for _ in range(int(rng.integers(1, 30))):
+            onto = ["A", "B", "C", "D", None][int(rng.integers(5))]
+            # a BREAK slot carrying an ontology only comes from a hand-written traces.jsonl
+            pairs.append((BREAK if rng.random() < 0.1 else int(rng.integers(0, 33)), onto))
+        traces.append(_trace(f"u{u:02d}", pairs))
+    traces.append(_trace("breaks_only", [(BREAK, "A"), (BREAK, None)]))  # no action at all
+    traces.append(_trace("unattributed", [(2, None)] * 4))
+    ts = _set(traces)
+    for pct in (0, 20, 25, 100):
+        got = extract_resource_traces(ts, threshold_pct=pct, break_label=BREAK)
+        want = naive_attribution(traces, pct, BREAK)
+        assert {r: [ts.users[i] for i in rows] for r, rows in got.items()} == want
+        assert all(rows.dtype == np.int64 and (np.diff(rows) > 0).all() for rows in got.values())
 
 
 def test_attribution_monotone_in_threshold():
@@ -92,8 +119,8 @@ def test_attribution_monotone_in_threshold():
         traces.append(_trace(f"u{u}", pairs))
     prev = None
     for pct in (5, 20, 50, 80):
-        got = extract_resource_traces(traces, threshold_pct=pct, break_label=BREAK)
-        flat = {(r, t.user) for r, ts in got.items() for t in ts}
+        got = extract_resource_traces(_set(traces), threshold_pct=pct, break_label=BREAK)
+        flat = {(r, int(i)) for r, rows in got.items() for i in rows}
         if prev is not None:
             assert flat <= prev
         prev = flat
@@ -101,8 +128,8 @@ def test_attribution_monotone_in_threshold():
 
 def test_aggregate_single_user():
     pairs = [(12, "CPT")] * 17
-    traces = {"CPT": [_trace("u", pairs)]}
-    profiles = aggregate_cluster_actions(traces, {"u": 2}, K=5, n=N, break_label=BREAK)
+    traces = _set([_trace("u", pairs)])
+    profiles = aggregate_cluster_actions(traces, {"CPT": [0]}, {"u": 2}, K=5, n=N, break_label=BREAK)
     p = profiles[0]
     assert p.resource == "CPT"
     assert p.cluster_action_counts.tolist() == [0, 0, 17, 0, 0]
@@ -119,33 +146,35 @@ def test_aggregate_counts_equal_sums_of_per_trace_counts():
                  (int(rng.integers(0, 33)), ["A", "B", "C"][int(rng.integers(3))])
                  for _ in range(int(rng.integers(1, 30)))]
         traces.append(_trace(f"u{u}", pairs))
-    assignments = {t.user: int(rng.integers(3)) for t in traces}
-    by_resource = extract_resource_traces(traces, threshold_pct=20, break_label=BREAK)
-    profiles = aggregate_cluster_actions(by_resource, assignments, K=3, n=N, break_label=BREAK)
+    assignments = {t["user"]: int(rng.integers(3)) for t in traces}
+    ts = _set(traces)
+    by_resource = extract_resource_traces(ts, threshold_pct=20, break_label=BREAK)
+    profiles = aggregate_cluster_actions(ts, by_resource, assignments, K=3, n=N, break_label=BREAK)
     assert sorted(p.resource for p in profiles) == sorted(by_resource)
     for p in profiles:
-        members = by_resource[p.resource]
-        want = sum((count_transitions(t.sequence, N).counts for t in members),
+        members = [traces[i] for i in by_resource[p.resource]]
+        want = sum((count_transitions(t["sequence"], N).counts for t in members),
                    np.zeros((N, N), dtype=np.int64))
         assert (p.counts.counts == want).all()
         assert p.label_counts.tolist() == np.bincount(
-            np.concatenate([t.sequence for t in members]), minlength=N).tolist()
+            np.concatenate([t["sequence"] for t in members]), minlength=N).tolist()
         clusters = np.zeros(3, dtype=np.int64)
         for t in members:
-            clusters[assignments[t.user]] += t.action_count(BREAK)
+            clusters[assignments[t["user"]]] += len(t["sequence"]) - t["sequence"].count(BREAK)
         assert p.cluster_action_counts.tolist() == clusters.tolist()
         assert p.user_count == len(members) and p.visits == clusters.sum()
 
 
 def test_aggregate_unassigned_user():
-    traces = {"CPT": [_trace("u", [(12, "CPT")] * 3)]}
+    traces = _set([_trace("u", [(12, "CPT")] * 3)])
     with pytest.raises(UnassignedUser):
-        aggregate_cluster_actions(traces, {}, K=2, n=N, break_label=BREAK)
+        aggregate_cluster_actions(traces, {"CPT": [0]}, {}, K=2, n=N, break_label=BREAK)
 
 
 def _profile_from(pairs_by_user, resource, assignments, K=1):
-    traces = {resource: [_trace(u, pairs) for u, pairs in pairs_by_user.items()]}
-    return aggregate_cluster_actions(traces, assignments, K=K, n=N, break_label=BREAK)[0]
+    traces = [_trace(u, pairs) for u, pairs in pairs_by_user.items()]
+    return aggregate_cluster_actions(_set(traces), {resource: np.arange(len(traces))}, assignments,
+                                     K=K, n=N, break_label=BREAK)[0]
 
 
 def test_diff_identical_profiles_is_zero():

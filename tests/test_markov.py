@@ -14,7 +14,7 @@ from trailmine.markov import (
     page_view_vector,
     stationary_distribution,
 )
-from trailmine.sessions import UserTrace
+from trailmine.sessions import TraceSet
 
 ABCABC = [0, 1, 2, 0, 1, 2]
 AABBCC = [0, 0, 1, 1, 2, 2]
@@ -164,12 +164,17 @@ def test_page_view_vector_empty_and_sum():
 
 
 def _trace(user, seq):
-    return UserTrace(user=user, sequence=list(seq), ontologies=[None] * len(seq),
-                     session_count=1, session_lengths=[len(seq)])
+    """A one-session ``traces.jsonl`` record."""
+    return {"user": user, "sequence": list(seq), "ontologies": [None] * len(seq),
+            "session_lengths": [len(seq)]}
+
+
+def _set(*traces):
+    return TraceSet.from_rows(traces)
 
 
 def test_feature_matrix_shapes_and_simplex():
-    traces = [_trace("a", [0, 1, 2, 0, 1]), _trace("b", [2, 2, 2, 1])]
+    traces = _set(_trace("a", [0, 1, 2, 0, 1]), _trace("b", [2, 2, 2, 1]))
     fm = build_feature_matrix(traces, 4, feature_kind="stationary")
     assert fm.X.shape == (2, 4)
     assert np.allclose(fm.X.sum(axis=1), 1.0, atol=1e-9)
@@ -201,38 +206,38 @@ def test_batched_features_match_per_user_solves(m):
     n = 9
     traces = _random_traces(rng, m, n)
     for alpha in (0.15, 1.0):
-        fm = build_feature_matrix(traces, n, alpha=alpha)
-        assert fm.X.shape == (m, n) and fm.user_ids == [t.user for t in traces]
+        fm = build_feature_matrix(_set(*traces), n, alpha=alpha)
+        assert fm.X.shape == (m, n) and fm.user_ids == [t["user"] for t in traces]
         assert fm.fallbacks == 0 and fm.max_residual <= 1e-10
         for row, trace in zip(fm.X, traces):
-            counts = count_transitions(trace.sequence, n)
+            counts = count_transitions(trace["sequence"], n)
             power = power_iteration(build_transition_model(counts, alpha).P)
             oracle = stationary_oracle(counts.counts, alpha)
             assert np.abs(row - power).max() <= 1e-8
             assert np.abs(row - oracle).max() <= 1e-8
-    pv = build_feature_matrix(traces, n, feature_kind="pageviews")
+    pv = build_feature_matrix(_set(*traces), n, feature_kind="pageviews")
     for row, trace in zip(pv.X, traces):
-        assert row.tolist() == page_view_vector(trace.sequence, n).views.tolist()
+        assert row.tolist() == page_view_vector(trace["sequence"], n).views.tolist()
 
 
 def test_feature_matrix_of_no_traces():
     for kind in ("stationary", "pageviews"):
-        fm = build_feature_matrix([], 5, feature_kind=kind)
+        fm = build_feature_matrix(_set(), 5, feature_kind=kind)
         assert fm.X.shape == (0, 5) and fm.user_ids == []
 
 
 def test_feature_matrix_errors():
     good = _trace("a", [0, 1, 0, 1])
     with pytest.raises(LabelOutOfRange):
-        build_feature_matrix([good, _trace("b", [0, 2])], 2)
+        build_feature_matrix(_set(good, _trace("b", [0, 2])), 2)
     with pytest.raises(LabelOutOfRange):
-        build_feature_matrix([_trace("b", [-1])], 2, feature_kind="pageviews")
+        build_feature_matrix(_set(_trace("b", [-1])), 2, feature_kind="pageviews")
     with pytest.raises(ValueError):
-        build_feature_matrix([good], 2, alpha=-0.1)
+        build_feature_matrix(_set(good), 2, alpha=-0.1)
     # state 1 of "b" is never left, so alpha = 0 cannot normalize its row
     with pytest.raises(ZeroRowWithoutTeleport):
-        build_feature_matrix([good, _trace("b", [0, 0, 1])], 2, alpha=0.0)
-    fm = build_feature_matrix([good], 2, alpha=0.0)
+        build_feature_matrix(_set(good, _trace("b", [0, 0, 1])), 2, alpha=0.0)
+    fm = build_feature_matrix(_set(good), 2, alpha=0.0)
     assert np.allclose(fm.X, [[0.5, 0.5]])
 
 
@@ -251,12 +256,15 @@ def test_grouped_counts_equal_sums_of_per_trace_counts():
     rng = np.random.default_rng(11)
     n, n_groups = 6, 4
     sequences = [rng.integers(0, n, size=int(rng.integers(0, 40))).tolist() for _ in range(30)]
-    groups = rng.integers(0, n_groups, size=len(sequences))
-    counts, hist = count_transitions_by_group(sequences, groups, n_groups, n)
+    traces = _set(*(_trace(f"u{i}", s) for i, s in enumerate(sequences)))
+    # every row once, then some rows again under other groups
+    rows = np.concatenate([np.arange(len(sequences)), rng.integers(0, len(sequences), size=20)])
+    groups = rng.integers(0, n_groups, size=len(rows))
+    counts, hist = count_transitions_by_group(traces.labels, traces.offsets, rows, groups, n_groups, n)
     for g in range(n_groups):
-        own = [s for s, h in zip(sequences, groups) if h == g]
+        own = [sequences[r] for r, h in zip(rows, groups) if h == g]
         want = sum((count_transitions(s, n).counts for s in own), np.zeros((n, n), dtype=np.int64))
         assert (counts[g] == want).all()
         assert hist[g].tolist() == np.bincount(np.concatenate([[]] + own).astype(int), minlength=n).tolist()
     with pytest.raises(ValueError):
-        count_transitions_by_group(sequences, groups, 2, n)
+        count_transitions_by_group(traces.labels, traces.offsets, rows, groups, 2, n)

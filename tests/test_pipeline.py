@@ -16,6 +16,7 @@ from trailmine.pipeline import (
     write_feature_csv,
     write_traces_jsonl,
 )
+from trailmine.sessions import TraceSet
 from trailmine.synth import default_archetypes, generate_synthetic_log
 
 
@@ -49,17 +50,18 @@ def test_parallel_ingest_matches_serial(corpus, ruleset):
     b2, s2 = ingest_paths([log], ruleset=ruleset, jobs=2)
     assert s1 == s2
     break_id = ruleset.vocabulary.break_id
-    assert build_traces(b1, break_id) == build_traces(b2, break_id)
+    (t1, u1), (t2, u2) = build_traces(b1, break_id), build_traces(b2, break_id)
+    assert list(t1.rows()) == list(t2.rows()) and u1 == u2
 
 
 def test_traces_recover_ground_truth(corpus, ruleset):
     log, truth = corpus
     batch, _ = ingest_paths([log], ruleset=ruleset)
     traces, _ = build_traces(batch, ruleset.vocabulary.break_id)
-    by_user = {t.user: t for t in traces}
+    by_user = {t["user"]: t for t in traces.rows()}
     assert set(by_user) == set(truth.users)
     for ip, ut in truth.users.items():
-        assert by_user[ip].sequence == ut.sequence
+        assert by_user[ip]["sequence"] == ut.sequence
 
 
 def test_parallel_ingest_uses_custom_ruleset(tmp_path):
@@ -142,9 +144,9 @@ def test_traces_jsonl_roundtrip(tmp_path, corpus, ruleset):
     write_traces_jsonl(traces, path)
     loaded = read_traces_jsonl(path)
     assert len(loaded) == len(traces)
-    for a, b in zip(loaded, traces):
-        assert (a.user, a.sequence, a.ontologies, a.session_lengths) == (
-            b.user, b.sequence, b.ontologies, b.session_lengths,
+    for a, b in zip(loaded.rows(), traces.rows()):
+        assert (a["user"], a["sequence"], a["ontologies"], a["session_lengths"]) == (
+            b["user"], b["sequence"], b["ontologies"], b["session_lengths"],
         )
 
 
@@ -153,7 +155,8 @@ def test_feature_csv_roundtrip(tmp_path, corpus, ruleset):
     batch, _ = ingest_paths([log], ruleset=ruleset)
     traces, _ = build_traces(batch, ruleset.vocabulary.break_id)
     fm = build_feature_matrix(
-        traces[:20], ruleset.vocabulary.n, label_names=ruleset.vocabulary.names()
+        TraceSet.from_rows(list(traces.rows())[:20]), ruleset.vocabulary.n,
+        label_names=ruleset.vocabulary.names(),
     )
     path = tmp_path / "features.csv"
     write_feature_csv(fm, path)
@@ -267,9 +270,9 @@ def test_event_batch_grouping_stable():
         onto_pool=["Z"],
         onto_codes=np.array([0, -1, -1, 0]),
     )
-    a, b = build_traces(batch, break_label=9)[0]  # sorted by user
-    assert (a.user, a.sequence) == ("a", [1, 3])  # ties keep input order
-    assert (b.user, b.sequence, b.ontologies) == ("b", [0, 2], ["Z", None])
+    a, b = build_traces(batch, break_label=9)[0].rows()  # sorted by user
+    assert (a["user"], a["sequence"]) == ("a", [1, 3])  # ties keep input order
+    assert (b["user"], b["sequence"], b["ontologies"]) == ("b", [0, 2], ["Z", None])
     assert [batch.user_pool[c] for c in batch.user_codes] == ["b", "a", "b", "a"]  # not sorted in place
 
 
@@ -282,3 +285,18 @@ def test_event_batch_merge_remaps_pools():
     assert [merged.user_pool[c] for c in merged.user_codes] == ["x", "y", "x"]
     assert [merged.onto_pool[c] for c in merged.onto_codes] == ["A", "B", "A"]
     assert merged.timestamps.tolist() == [1, 2, 3]
+    # a part with no attributed event and an empty onto_pool, then an empty part
+    p3 = EventBatch(["z"], np.array([0, 0]), np.array([4, 5]), np.array([6, 7]), [], np.array([-1, -1]))
+    empty = np.empty(0, dtype=np.int64)
+    p4 = EventBatch([], empty, empty, empty, [], empty)
+    merged = EventBatch.merge([p1, p3, p4, p2])
+    assert [merged.user_pool[c] for c in merged.user_codes] == ["x", "z", "z", "y", "x"]
+    assert merged.onto_pool == ["A", "B"]
+    assert merged.onto_codes.tolist() == [0, -1, -1, 1, 0]
+    assert merged.labels.tolist() == [2, 6, 7, 4, 5]
+    assert merged.timestamps.tolist() == [1, 4, 5, 2, 3]
+    # no parts: an empty batch of empty int64 columns
+    none = EventBatch.merge([])
+    assert len(none) == 0 and none.user_pool == [] and none.onto_pool == []
+    for column in (none.user_codes, none.timestamps, none.labels, none.onto_codes):
+        assert column.shape == (0,) and column.dtype == np.int64

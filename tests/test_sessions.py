@@ -1,11 +1,12 @@
 from dataclasses import asdict
 
 import numpy as np
+import pytest
 
-from testutil import naive_sessionize, naive_traces
+from testutil import naive_sessionize, naive_traces, naive_traces_jsonl
 from trailmine.logs import parse_log_line
-from trailmine.pipeline import EventBatch
-from trailmine.sessions import build_traces
+from trailmine.pipeline import EventBatch, read_traces_jsonl, write_traces_jsonl
+from trailmine.sessions import TraceSet, build_traces
 
 BREAK = 33
 
@@ -61,7 +62,9 @@ def example_batch(ruleset):
 
 
 def one_trace(timestamps, labels=None):
-    (trace,), _ = build_traces(make_batch(timestamps, labels), BREAK)
+    """The ``traces.jsonl`` record of a one-user batch."""
+    traces, _ = build_traces(make_batch(timestamps, labels), BREAK)
+    (trace,) = traces.rows()
     return trace
 
 
@@ -80,18 +83,19 @@ def split_sessions(sequence):
 def test_worked_example_is_one_session(ruleset):
     traces, usage = build_traces(example_batch(ruleset), ruleset.vocabulary.break_id)
     assert len(traces) == 1
-    assert traces[0].session_count == 1 and traces[0].session_lengths == [9]
+    (trace,) = traces.rows()
+    assert trace["session_lengths"] == [9]
     assert usage.mean_session_duration == 162
-    names = [ruleset.vocabulary[i].name for i in traces[0].sequence]
+    names = [ruleset.vocabulary[i].name for i in trace["sequence"]]
     assert names == EXAMPLE_SEQUENCE
 
 
 def test_gap_threshold_boundary():
     # 31 minutes apart: two singleton sessions
-    assert one_trace([0, 31 * 60]).session_lengths == [1, 1]
+    assert one_trace([0, 31 * 60])["session_lengths"] == [1, 1]
     # exactly the threshold splits, one second less does not
-    assert one_trace([0, 1800]).session_count == 2
-    assert one_trace([0, 1799]).session_count == 1
+    assert len(one_trace([0, 1800])["session_lengths"]) == 2
+    assert len(one_trace([0, 1799])["session_lengths"]) == 1
 
 
 def test_sessionize_matches_naive_splitter():
@@ -100,7 +104,7 @@ def test_sessionize_matches_naive_splitter():
         n = int(rng.integers(1, 25))
         gaps = rng.choice([0, 1, 5, 600, 1799, 1800, 1801, 4000], size=n - 1) if n > 1 else []
         ts = np.concatenate([[0], np.cumsum(gaps)]).astype(int) if n > 1 else np.array([0])
-        lengths_got = one_trace(ts.tolist()).session_lengths
+        lengths_got = one_trace(ts.tolist())["session_lengths"]
         lengths_want = [len(s) for s in naive_sessionize(list(ts), 1800)]
         assert lengths_got == lengths_want
 
@@ -111,9 +115,9 @@ def test_sessionize_partition_and_gap_invariants():
         n = int(rng.integers(1, 40))
         ts = np.cumsum(rng.integers(0, 2600, size=n)).astype(int)
         trace = one_trace(ts.tolist(), labels=[BREAK + 1 + i for i in range(n)])
-        sessions = [[label - BREAK - 1 for label in s] for s in split_sessions(trace.sequence)]
+        sessions = [[label - BREAK - 1 for label in s] for s in split_sessions(trace["sequence"])]
         assert [i for s in sessions for i in s] == list(range(n))  # partition, order preserved
-        assert [len(s) for s in sessions] == trace.session_lengths
+        assert [len(s) for s in sessions] == trace["session_lengths"]
         for s in sessions:
             for a, b in zip(s, s[1:]):
                 assert ts[b] - ts[a] < 1800
@@ -122,20 +126,20 @@ def test_sessionize_partition_and_gap_invariants():
 
 
 def test_ties_keep_order():
-    assert one_trace([10, 10, 10], labels=[1, 2, 3]).sequence == [1, 2, 3]
+    assert one_trace([10, 10, 10], labels=[1, 2, 3])["sequence"] == [1, 2, 3]
     # out-of-order input: ties still keep input order after the sort
-    assert one_trace([20, 10, 10, 20], labels=[1, 2, 3, 4]).sequence == [2, 3, 1, 4]
+    assert one_trace([20, 10, 10, 20], labels=[1, 2, 3, 4])["sequence"] == [2, 3, 1, 4]
 
 
 def test_trace_break_counting():
     # one session: no BREAK
     t = one_trace([0, 1])
-    assert t.session_count == 1 and BREAK not in t.sequence
+    assert len(t["session_lengths"]) == 1 and BREAK not in t["sequence"]
     # k singleton sessions: length 2k-1 with k-1 BREAKs
     k = 6
     t = one_trace([i * 4000 for i in range(k)])
-    assert len(t.sequence) == 2 * k - 1
-    assert t.sequence.count(BREAK) == k - 1 == t.session_count - 1
+    assert len(t["sequence"]) == 2 * k - 1
+    assert t["sequence"].count(BREAK) == k - 1 == len(t["session_lengths"]) - 1
 
 
 def test_trace_break_placement_property():
@@ -145,21 +149,22 @@ def test_trace_break_placement_property():
         ts = np.cumsum(rng.integers(0, 3000, size=n)).astype(int)
         labels = rng.integers(0, 5, size=n).tolist()
         t = one_trace(ts.tolist(), labels)
-        assert len(t.sequence) == sum(t.session_lengths) + t.session_count - 1
-        assert t.sequence[0] != BREAK and t.sequence[-1] != BREAK
-        for a, b in zip(t.sequence, t.sequence[1:]):
+        assert len(t["sequence"]) == sum(t["session_lengths"]) + len(t["session_lengths"]) - 1
+        assert t["sequence"][0] != BREAK and t["sequence"][-1] != BREAK
+        for a, b in zip(t["sequence"], t["sequence"][1:]):
             assert not (a == BREAK and b == BREAK)
-        assert len(t.ontologies) == len(t.sequence)
+        assert len(t["ontologies"]) == len(t["sequence"])
 
 
 def test_gap_between_users_is_no_session_split_nor_gap():
     # b's request falls inside a's session; a's two requests are 200 s apart
     traces, usage = build_traces(make_batch([0, 100, 200], users=["a", "b", "a"]), BREAK)
-    assert [(t.user, t.session_lengths) for t in traces] == [("a", [2]), ("b", [1])]
+    assert [(t["user"], t["session_lengths"]) for t in traces.rows()] == [("a", [2]), ("b", [1])]
     assert usage.inter_request_seconds == {200: 1}
     # users far apart in time: one session each and no inter-request gap at all
     traces, usage = build_traces(make_batch([0, 10_000], users=["a", "b"]), BREAK)
-    assert [t.session_count for t in traces] == [1, 1] and BREAK not in traces[0].sequence
+    rows = list(traces.rows())
+    assert [len(t["session_lengths"]) for t in rows] == [1, 1] and BREAK not in rows[0]["sequence"]
     assert usage.inter_request_seconds == {} and usage.session_count == 2
 
 
@@ -167,8 +172,14 @@ def test_pool_entries_with_one_name_are_one_user():
     batch = EventBatch(["a", "b", "a"], np.array([2, 1, 0, 2]), np.array([30, 0, 10, 20]),
                        np.array([3, 1, 0, 2]), [], np.full(4, -1))
     traces, usage = build_traces(batch, BREAK)
-    assert [(t.user, t.sequence) for t in traces] == [("a", [0, 2, 3]), ("b", [1])]
+    assert [(t["user"], t["sequence"]) for t in traces.rows()] == [("a", [0, 2, 3]), ("b", [1])]
     assert usage.users == 2 and usage.inter_request_seconds == {10: 2}
+    # likewise two ontology-pool entries with one name are one resource
+    batch.onto_pool, batch.onto_codes = ["Z", "idle", "Y", "Z"], np.array([0, 2, 3, -1])
+    traces, usage = build_traces(batch, BREAK)
+    assert traces.onto_pool == ["Y", "Z", "idle"] and traces.onto_codes.tolist() == [1, -1, 1, 0]
+    assert [t["ontologies"] for t in traces.rows()] == [["Z", None, "Z"], ["Y"]]
+    assert usage.ontologies_per_user == {1: 2}
 
 
 def test_stats_single_event_corpus():
@@ -226,11 +237,35 @@ def test_build_traces_matches_naive_reference():
         batch = make_batch(ts, labels, users, ontologies, user_pool=pool)
         traces, usage = build_traces(batch, BREAK, gap_minutes=30.0)
         want_traces, want_usage = naive_traces(users, ts, labels, ontologies, BREAK, 1800)
-        assert [asdict(t) for t in traces] == want_traces
+        assert list(traces.rows()) == want_traces
         assert asdict(usage) == want_usage
+
+
+def test_traces_jsonl_bytes_match_naive_writer(tmp_path):
+    """The flat writer gives the per-user ``json.dumps`` bytes, and a read-back rewrites them."""
+    rng = np.random.default_rng(77)
+    path, again = tmp_path / "traces.jsonl", tmp_path / "again.jsonl"
+    for _ in range(100):
+        (users, ts, labels, ontologies), pool = random_corpus(rng)
+        users = [u + '"\u00e9' if u.startswith("a") else u for u in users]  # escapes in names
+        pool = [u + '"\u00e9' if u.startswith("a") else u for u in pool]
+        traces, _ = build_traces(make_batch(ts, labels, users, ontologies, user_pool=pool), BREAK)
+        write_traces_jsonl(traces, path)
+        want, _ = naive_traces(users, ts, labels, ontologies, BREAK, 1800)
+        assert path.read_bytes() == naive_traces_jsonl(want)
+        write_traces_jsonl(read_traces_jsonl(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
+
+def test_trace_set_rejects_misaligned_record():
+    good = {"user": "a", "sequence": [1, 2], "ontologies": ["X", None], "session_lengths": [2]}
+    bad = {"user": "b", "sequence": [1, 2], "ontologies": ["X"], "session_lengths": [2]}
+    assert TraceSet.from_rows([good]).onto_codes.tolist() == [0, -1]
+    with pytest.raises(ValueError, match="'b'"):
+        TraceSet.from_rows([good, bad])
 
 
 def test_empty_batch_has_no_traces():
     traces, usage = build_traces(make_batch([]), BREAK)
-    assert traces == [] and usage.users == usage.session_count == 0
+    assert len(traces) == 0 and list(traces.rows()) == [] and usage.users == usage.session_count == 0
     assert usage.inter_request_seconds == {}

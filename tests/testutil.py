@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 
@@ -65,7 +67,7 @@ def naive_sessionize(timestamps, gap_seconds):
 def naive_traces(users, timestamps, labels, ontologies, break_label, gap_seconds):
     """Per-user loop reference for ``build_traces``: (traces, usage) as plain dicts.
 
-    Events arrive as parallel lists in input order. Each user's events are
+    Each trace is the user's ``traces.jsonl`` record. Events arrive as parallel lists in input order. Each user's events are
     stably sorted by timestamp, split with :func:`naive_sessionize` and
     joined with one BREAK between sessions; the usage statistics walk the
     same per-user sessions, so no gap between two users is ever seen.
@@ -99,7 +101,7 @@ def naive_traces(users, timestamps, labels, ontologies, break_label, gap_seconds
             durations.append(session[-1][1] - session[0][1])
         traces.append({
             "user": user, "sequence": sequence, "ontologies": attributed,
-            "session_count": len(sessions), "session_lengths": [len(s) for s in sessions],
+            "session_lengths": [len(s) for s in sessions],
         })
         for a, b in zip(ts, ts[1:]):
             bump(usage["inter_request_seconds"], b - a)
@@ -119,6 +121,44 @@ def naive_traces(users, timestamps, labels, ontologies, break_label, gap_seconds
     else:
         usage["median_session_duration"] = (durations[mid - 1] + durations[mid]) / 2
     return traces, usage
+
+
+def naive_traces_jsonl(traces) -> bytes:
+    """Reference ``traces.jsonl`` bytes: one ``json.dumps`` per user record."""
+    return b"".join(
+        json.dumps(
+            {
+                "user": t["user"],
+                "sequence": t["sequence"],
+                "ontologies": t["ontologies"],
+                "session_lengths": t["session_lengths"],
+            },
+            separators=(",", ":"),
+        ).encode("utf-8") + b"\n"
+        for t in traces
+    )
+
+
+def naive_attribution(traces, threshold_pct, break_label):
+    """Per-trace loop reference for ``extract_resource_traces``: resource -> users.
+
+    A user counts under every resource holding at least ``threshold_pct``
+    percent of the user's non-BREAK actions; users without any action
+    count nowhere.
+    """
+    out = {}
+    for t in traces:
+        denom = len(t["sequence"]) - t["sequence"].count(break_label)
+        if denom == 0:
+            continue
+        per_resource = {}
+        for onto in t["ontologies"]:
+            if onto is not None:
+                per_resource[onto] = per_resource.get(onto, 0) + 1
+        for resource, cnt in per_resource.items():
+            if cnt * 100.0 >= threshold_pct * denom:
+                out.setdefault(resource, []).append(t["user"])
+    return out
 
 
 def brute_force_two_partition_inertia(X: np.ndarray) -> float:
