@@ -146,8 +146,9 @@ def _cmd_synth(args) -> int:
 
 def _cmd_ingest(args) -> int:
     cfg = _config(args)
-    batch, funnel, _ = stage_ingest(cfg)
-    _, counts, _ = stage_sessionize(cfg, batch)
+    ruleset = cfg.ruleset()
+    batch, funnel, _ = stage_ingest(cfg, ruleset)
+    _, counts, _ = stage_sessionize(cfg, ruleset, batch)
     with open(Path(cfg.out_dir) / "ingest_stats.json", "w", encoding="utf-8") as fh:
         json.dump({**funnel, "users": counts["users"]}, fh, indent=1)
     print(f"{funnel['lines']} lines -> {funnel['events']} events, {counts['users']} users; "
@@ -157,17 +158,19 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_features(args) -> int:
     cfg = _config(args)
-    features, _, _ = stage_features(cfg, read_traces_jsonl(args.traces), Path(args.out))
+    traces = read_traces_jsonl(args.traces)
+    features, _, _ = stage_features(cfg, cfg.ruleset(), traces, Path(args.out))
     print(f"wrote {features.m} x {features.n} {cfg.feature_kind} features to {args.out}")
     return 0
 
 
 def _cmd_cluster(args) -> int:
     cfg = _config(args)
+    ruleset = cfg.ruleset()
     features = read_feature_csv(args.features)
     curve, _, _ = stage_elbow(cfg, features)
     traces = read_traces_jsonl(args.traces) if args.traces else None
-    model, _, _ = stage_cluster(cfg, features, traces, curve)
+    model, _, _ = stage_cluster(cfg, ruleset, features, traces, curve)
     print(f"K={model.K} (knee suggestion {curve.knee}), inertia {model.inertia:.6g}; "
           f"wrote {cfg.out_dir}")
     return 0
@@ -186,7 +189,9 @@ def _cmd_compare(args) -> int:
     cfg = _config(args)
     assignments = read_assignments_csv(args.assignments)
     K = max(assignments.values(), default=0) + 1
-    profiles, _, _ = stage_compare(cfg, read_traces_jsonl(args.traces), assignments, K, args.pair)
+    profiles, _, _ = stage_compare(
+        cfg, cfg.ruleset(), read_traces_jsonl(args.traces), assignments, K, args.pair,
+    )
     print(f"{len(profiles)} resources; wrote {cfg.out_dir}")
     return 0
 

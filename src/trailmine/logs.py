@@ -11,12 +11,14 @@ files goes through :func:`trailmine.pipeline.ingest_paths`;
 from __future__ import annotations
 
 import gzip
+import io
 import ipaddress
 import re
 from calendar import monthrange, timegm
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import BinaryIO
 from urllib.parse import quote, unquote
 
 __all__ = [
@@ -73,25 +75,31 @@ _MONTH_NAMES = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
 _MONTH_EPOCH: dict[tuple[int, int], tuple[int, int]] = {}
 
 
+_STAMP_RE = re.compile(
+    r"([0-9]{2})/([A-Z][a-z]{2})/([0-9]{4})"  # 14/Mar/2016
+    r":([0-9]{2}):([0-9]{2}):([0-9]{2})"  # :09:07:32
+    r" ([+-])([0-9]{2})([0-5][0-9])"  # " -0700"
+)
+
+
 def parse_clf_timestamp(ts: str) -> int:
-    """Parse ``14/Mar/2016:09:07:32 -0700`` into UTC epoch seconds."""
-    try:
-        day = int(ts[0:2])
-        mon = _MONTHS[ts[3:6]]
-        year = int(ts[7:11])
-        hh = int(ts[12:14])
-        mm = int(ts[15:17])
-        ss = int(ts[18:20])
-        sign = ts[21]
-        off = int(ts[22:24]) * 3600 + int(ts[24:26]) * 60
-    except (ValueError, KeyError, IndexError) as exc:
-        raise InvalidTimestamp(f"bad timestamp field: {ts!r}") from exc
+    """Parse ``14/Mar/2016:09:07:32 -0700`` into UTC epoch seconds.
+
+    The field is exactly that layout: 26 characters, ASCII digits, a month
+    abbreviation, the separators ``/ / : : : ' '``, a sign and offset
+    minutes below 60. Any other field, an impossible date or a time of day
+    past ``23:59:60`` raises :class:`InvalidTimestamp`.
+    """
+    m = _STAMP_RE.fullmatch(ts)
+    mon = _MONTHS.get(m.group(2)) if m else None
+    if mon is None:
+        raise InvalidTimestamp(f"bad timestamp field: {ts!r}")
+    day, year, hh, mm, ss = map(int, m.group(1, 3, 4, 5, 6))
     if not (1 <= day <= 31 and hh < 24 and mm < 60 and ss < 61):
         raise InvalidTimestamp(f"bad timestamp field: {ts!r}")
-    if sign == "-":
+    off = int(m.group(8)) * 3600 + int(m.group(9)) * 60
+    if m.group(7) == "-":
         off = -off
-    elif sign != "+":
-        raise InvalidTimestamp(f"bad timezone offset in: {ts!r}")
     key = (year, mon)
     month = _MONTH_EPOCH.get(key)
     if month is None:
@@ -223,11 +231,11 @@ class FilterConfig:
 class CompiledFilter:
     """Compiled form of :class:`FilterConfig`, shareable across workers.
 
-    User agents and paths repeat heavily in real logs, so verdicts are
-    memoized (the path cache is capped; it resets when full).
+    One check per field: :meth:`ua_dropped`, :meth:`ip_dropped` and
+    :meth:`asset_dropped`. They keep no memo; the chunked ingest pass
+    calls each once per distinct value, and :meth:`drop_reason` combines
+    them in precedence order for a single request.
     """
-
-    _PATH_CACHE_MAX = 1 << 18
 
     def __init__(self, cfg: FilterConfig):
         self.config = cfg
@@ -253,40 +261,35 @@ class CompiledFilter:
                     raise ValueError(f"asset pattern {pat!r} does not compile") from exc
             joined = "|".join(f"(?:{p})" for p in cfg.drop_asset_patterns)
             self._asset_re = re.compile(joined)
-        self._ua_cache: dict[str, bool] = {}
-        self._path_cache: dict[str, bool] = {}
 
-    def _ua_dropped(self, useragent: str) -> bool:
-        verdict = self._ua_cache.get(useragent)
-        if verdict is None:
-            low = useragent.lower()
-            verdict = any(needle in low for needle in self._ua_needles)
-            self._ua_cache[useragent] = verdict
-        return verdict
+    def ua_dropped(self, useragent: str) -> bool:
+        """The user agent holds a blacklisted substring, case-insensitively."""
+        low = useragent.lower()
+        return any(needle in low for needle in self._ua_needles)
 
-    def _asset_dropped(self, path: str) -> bool:
-        verdict = self._path_cache.get(path)
-        if verdict is None:
-            if len(self._path_cache) >= self._PATH_CACHE_MAX:
-                self._path_cache.clear()
-            verdict = self._asset_re.search(path) is not None
-            self._path_cache[path] = verdict
-        return verdict
+    def ip_dropped(self, ip: str) -> bool:
+        """The IP is blacklisted exactly or lies in a blacklisted block."""
+        if ip in self._ip_exact:
+            return True
+        if not self._ip_nets:
+            return False
+        try:
+            addr = ipaddress.ip_address(ip)
+        except ValueError:
+            return False
+        return any(addr in net for net in self._ip_nets)
+
+    def asset_dropped(self, path: str) -> bool:
+        """The decoded path matches an asset pattern."""
+        return self._asset_re is not None and self._asset_re.search(path) is not None
 
     def drop_reason(self, useragent: str, ip: str, path: str) -> str | None:
         """Return "useragent" / "ip" / "asset" for dropped traffic, else None."""
-        if self._ua_needles and self._ua_dropped(useragent):
+        if self.ua_dropped(useragent):
             return "useragent"
-        if ip in self._ip_exact:
+        if self.ip_dropped(ip):
             return "ip"
-        if self._ip_nets:
-            try:
-                addr = ipaddress.ip_address(ip)
-            except ValueError:
-                addr = None
-            if addr is not None and any(addr in net for net in self._ip_nets):
-                return "ip"
-        if self._asset_re is not None and self._asset_dropped(path):
+        if self.asset_dropped(path):
             return "asset"
         return None
 
@@ -311,16 +314,17 @@ def default_filter_config() -> FilterConfig:
     )
 
 
-def open_log(path: str | Path):
-    """Open a plain or gzip-compressed log file for text reading.
+def _text_lines(raw: BinaryIO) -> io.TextIOWrapper:
+    """The lines of a binary stream, decoded as UTF-8 with replacement.
 
-    Lines end at LF only, the rule the parallel ingest applies to its
-    byte ranges, so CR, form feed and the Unicode line separators stay
-    inside a line. The grammar's trailing whitespace absorbs the CR of a
-    CRLF ending.
+    Lines end at LF only, on every ingest route, so CR, form feed and the
+    Unicode line separators stay inside a line. The grammar's trailing
+    whitespace absorbs the CR of a CRLF ending.
     """
-    path = str(path)
-    if path.endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8", errors="replace", newline="\n")
-    return open(path, encoding="utf-8", errors="replace", newline="\n")
+    return io.TextIOWrapper(raw, encoding="utf-8", errors="replace", newline="\n")
 
+
+def open_log(path: str | Path) -> io.TextIOWrapper:
+    """Open a plain or gzip-compressed log file for reading lines, as :func:`_text_lines` reads."""
+    path = str(path)
+    return _text_lines(gzip.open(path, "rb") if path.endswith(".gz") else open(path, "rb"))

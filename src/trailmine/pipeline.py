@@ -7,20 +7,26 @@ the documented file formats and returns its manifest entry.
 subcommand calls the same functions on inputs read back from disk, so
 long runs can be resumed per stage.
 
-Ingest has one per-line loop, :func:`_ingest_lines`, for every route.
-Parsing and mapping are pure per line, so ingestion can fan out over
-worker processes; per-user ordering is restored afterwards by the stable
-(user, timestamp) sort of :func:`~trailmine.sessions.build_traces`.
+Ingest has one pass, :func:`_ingest_lines`, for every route. It takes the
+lines in fixed-size chunks: each line is matched against the grammar, the
+timestamps of a chunk are decoded as arrays, and each distinct request,
+user agent and IP is decided once, not once per line. Parsing and mapping
+are pure per line, so ingestion can fan out over worker processes;
+per-user ordering is restored afterwards by the stable (user, timestamp)
+sort of :func:`~trailmine.sessions.build_traces`.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import time
 from dataclasses import dataclass, field, fields, asdict
 from configparser import ConfigParser
+from itertools import islice
 from multiprocessing import Pool
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 from urllib.parse import unquote
@@ -49,8 +55,10 @@ from .compare import (
 from .logs import (
     CompiledFilter,
     FilterConfig,
+    InvalidTimestamp,
     MalformedLine,
     _split_request,
+    _text_lines,
     default_filter_config,
     line_pattern,
     load_list_file,
@@ -172,83 +180,189 @@ class EventBatch:
         return cls(list(user_pool), user_codes, timestamps, labels, list(onto_pool), onto_codes)
 
 
+# Lines per chunk of the ingest pass. A chunk's fields and columns are alive
+# at once: on the long_traces corpus 1024 lines ran within noise of 2048 and
+# peaked about 1 MB lower in RSS.
+_CHUNK_LINES = 1024
+# Distinct request fields whose verdicts a _Verdicts table keeps; the table
+# is emptied at a chunk start once it holds this many.
+_REQUEST_VERDICTS_MAX = 1 << 18
+# request verdicts that are not a label id
+_MALFORMED, _ASSET, _UNMAPPED = -3, -2, -1
+
+
+def _factorize(values: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct values in first-appearance order, and each value's index among them."""
+    index = dict.fromkeys(values)
+    for i, value in enumerate(index):
+        index[value] = i
+    return list(index), np.fromiter(map(index.__getitem__, values), np.int64, len(values))
+
+
+def _decode_timestamps(stamps: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch seconds of each timestamp field, and a mask of the valid ones.
+
+    :func:`parse_clf_timestamp` checks each distinct date and offset once,
+    at midnight; the time of day is read from one fixed-width digit
+    matrix under the same rules. A field that is not 26 characters long
+    fails at its date and offset, which then are not 18 characters.
+    """
+    dates, date_codes = _factorize([s[:12] + s[20:] for s in stamps])
+    midnight = np.zeros(len(dates), dtype=np.int64)
+    date_ok = np.zeros(len(dates), dtype=bool)
+    for i, date in enumerate(dates):
+        try:
+            midnight[i] = parse_clf_timestamp(date[:12] + "00:00:00" + date[12:])
+            date_ok[i] = True
+        except InvalidTimestamp:
+            pass
+    chars = np.array(stamps, dtype="U26").view(np.uint32).reshape(len(stamps), 26)
+    digits = chars[:, [12, 13, 15, 16, 18, 19]] - ord("0")  # wraps below "0"
+    hh, mm, ss = (digits[:, i].astype(np.int64) * 10 + digits[:, i + 1] for i in (0, 2, 4))
+    valid = (
+        date_ok[date_codes] & (digits < 10).all(axis=1)
+        & (chars[:, 14] == ord(":")) & (chars[:, 17] == ord(":"))
+        & (hh < 24) & (mm < 60) & (ss < 61)
+    )
+    return midnight[date_codes] + hh * 3600 + mm * 60 + ss, valid
+
+
+def _request_verdict(
+    request: str, ruleset: RuleSet, filt: CompiledFilter, onto_ids: dict[str, int],
+) -> tuple[int, int]:
+    """(label id, or _MALFORMED / _ASSET / _UNMAPPED; ontology id or -1) of a request field."""
+    try:
+        method, raw_path, _ = _split_request(request)
+    except MalformedLine:
+        return _MALFORMED, -1
+    path = unquote(raw_path) if "%" in raw_path else raw_path
+    if filt.asset_dropped(path):
+        return _ASSET, -1
+    hit = ruleset.match(method, path)
+    if hit is None:
+        return _UNMAPPED, -1
+    label, onto = hit
+    return label, -1 if onto is None else onto_ids.setdefault(onto, len(onto_ids))
+
+
+def _checked(values: Sequence[str], check: Callable[[str], bool]) -> np.ndarray:
+    """``check`` of each value, called once per distinct value."""
+    distinct, codes = _factorize(values)
+    return np.array([check(v) for v in distinct], dtype=bool)[codes]
+
+
+class _Verdicts:
+    """The rules and filter of an ingest, with the verdict of each distinct request.
+
+    One table serves every chunk of every :func:`_ingest_lines` call that
+    shares it: all files of one in-process ``ingest_paths`` call, or all
+    byte ranges one worker process is given. Ontology ids are handed out
+    as requests are decided, so each call renumbers the ones it uses.
+    """
+
+    def __init__(self, ruleset: RuleSet, filt: CompiledFilter):
+        self.ruleset = ruleset
+        self.filt = filt
+        self.requests: dict[str, tuple[int, int]] = {}
+        self.onto_ids: dict[str, int] = {}
+
+    def decide(self, requests: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """(label or verdict code, ontology id or -1) arrays of request fields."""
+        if len(self.requests) >= _REQUEST_VERDICTS_MAX:
+            self.requests.clear()
+        distinct, codes = _factorize(requests)
+        for request in distinct:
+            if request not in self.requests:
+                self.requests[request] = _request_verdict(
+                    request, self.ruleset, self.filt, self.onto_ids,
+                )
+        table = np.array([self.requests[r] for r in distinct], dtype=np.int64)
+        return table[codes, 0], table[codes, 1]
+
+
+def _by_first_appearance(codes: np.ndarray, names: list[str]) -> tuple[list[str], np.ndarray]:
+    """Renumber ``codes`` (-1 stays -1) in order of first appearance; the names they use.
+
+    Ontology ids are handed out as request verdicts are decided, which
+    includes requests that are later dropped or were seen by an earlier
+    call; the pool keeps the ones mapped here.
+    """
+    used, first = np.unique(codes[codes >= 0], return_index=True)
+    order = used[np.argsort(first)]
+    remap = np.full(len(names) + 1, -1, dtype=np.int64)  # the last slot maps -1
+    remap[order] = np.arange(len(order))
+    return [names[i] for i in order.tolist()], remap[codes]
+
+
 def _ingest_lines(
     lines: Iterable[str],
-    ruleset: RuleSet,
-    filt: CompiledFilter,
+    verdicts: _Verdicts,
     log_format: str,
     user_key: Callable | None = None,
 ) -> tuple[EventBatch, IngestStats]:
-    """Fused parse + filter + map loop over raw lines (the hot path).
+    """Parse, filter and map raw lines, one chunk of ``_CHUNK_LINES`` at a time.
+
+    Each chunk is matched line by line against the grammar, keeping only
+    the IP, timestamp, request and user-agent fields. Timestamps are
+    decoded as arrays (:func:`_decode_timestamps`). Each distinct request
+    field is split, decoded, asset-checked and matched to a rule once per
+    ``verdicts`` table (see :class:`_Verdicts`), and each distinct user
+    agent and IP is checked once per chunk. The verdicts combine as
+    boolean arrays in the precedence malformed, user agent, IP, asset,
+    unmapped. Pools list users and ontologies in order of first
+    appearance among mapped lines.
 
     The user is the IP field unless ``user_key`` is given; it is applied
     to the parsed :class:`RequestRecord` of each mapped line.
     """
     stats = IngestStats()
-    user_pool: dict[str, int] = {}
-    onto_pool: dict[str, int] = {}
-    ucodes: list[int] = []
-    ts_list: list[int] = []
-    label_list: list[int] = []
-    ocodes: list[int] = []
-    line_re = line_pattern(log_format)
-    combined = log_format == "combined"
-    drop_reason = filt.drop_reason
-    match_rule = ruleset.match
-    for line in lines:
-        stats.lines += 1
-        m = line_re.match(line)
-        if m is None:
-            stats.malformed += 1
+    match = line_pattern(log_format).match
+    fields = (1, 4, 5, 9) if log_format == "combined" else (1, 4, 5)
+    columns = [itemgetter(i) for i in range(len(fields))]
+    if user_key is not None:
+        fields += (0,)  # the whole line, parsed again for the user_key record
+    filt = verdicts.filt
+    user_ids: dict[str, int] = {}
+    parts: list[tuple[np.ndarray, ...]] = []
+    it = iter(lines)
+    while chunk := list(islice(it, _CHUNK_LINES)):
+        stats.lines += len(chunk)
+        rows = [m.group(*fields) for m in map(match, chunk) if m is not None]
+        stats.malformed += len(chunk) - len(rows)
+        del chunk  # only the fields are kept
+        if not rows:
             continue
-        g = m.groups()
-        try:
-            epoch = parse_clf_timestamp(g[3])
-            method, raw_path, _ = _split_request(g[4])
-        except MalformedLine:
-            stats.malformed += 1
-            continue
-        stats.parsed += 1
-        path = unquote(raw_path) if "%" in raw_path else raw_path
-        ua = g[8] if combined else ""
-        reason = drop_reason(ua, g[0], path)
-        if reason is not None:
-            if reason == "useragent":
-                stats.dropped_useragent += 1
-            elif reason == "ip":
-                stats.dropped_ip += 1
-            else:
-                stats.dropped_asset += 1
-            continue
-        hit = match_rule(method, path)
-        if hit is None:
-            stats.unmapped += 1
-            continue
-        user = g[0] if user_key is None else user_key(parse_log_line(line, log_format))
-        code = user_pool.get(user)
-        if code is None:
-            code = user_pool.setdefault(user, len(user_pool))
-        ucodes.append(code)
-        ts_list.append(epoch)
-        label_list.append(hit[0])
-        onto = hit[1]
-        if onto is None:
-            ocodes.append(-1)
+        ips, stamps, requests, *uas = (list(map(column, rows)) for column in columns)
+        useragents = uas[0] if uas else [""] * len(rows)  # "common" has no user agent
+        epochs, ok = _decode_timestamps(stamps)
+        labels, ontos = verdicts.decide(requests)
+        ok &= labels != _MALFORMED
+        stats.malformed += len(rows) - int(ok.sum())
+        stats.parsed += int(ok.sum())
+        drops = (
+            ("dropped_useragent", _checked(useragents, filt.ua_dropped)),
+            ("dropped_ip", _checked(ips, filt.ip_dropped)),
+            ("dropped_asset", labels == _ASSET),
+            ("unmapped", labels == _UNMAPPED),
+        )
+        for counter, dropped in drops:
+            setattr(stats, counter, getattr(stats, counter) + int((ok & dropped).sum()))
+            ok &= ~dropped
+        mapped = np.flatnonzero(ok)
+        if user_key is None:
+            users = (ips[i] for i in mapped.tolist())
         else:
-            ocode = onto_pool.get(onto)
-            if ocode is None:
-                ocode = onto_pool.setdefault(onto, len(onto_pool))
-            ocodes.append(ocode)
-    stats.events = len(ucodes)
-    batch = EventBatch(
-        user_pool=list(user_pool),
-        user_codes=np.asarray(ucodes, dtype=np.int64),
-        timestamps=np.asarray(ts_list, dtype=np.int64),
-        labels=np.asarray(label_list, dtype=np.int64),
-        onto_pool=list(onto_pool),
-        onto_codes=np.asarray(ocodes, dtype=np.int64),
+            users = (user_key(parse_log_line(rows[i][-1], log_format)) for i in mapped.tolist())
+        user_codes = np.fromiter(
+            (user_ids.setdefault(u, len(user_ids)) for u in users), np.int64, len(mapped),
+        )
+        parts.append((user_codes, epochs[mapped], labels[mapped], ontos[mapped]))
+    user_codes, timestamps, labels, onto_codes = (
+        np.concatenate([p[i] for p in parts] + [np.empty(0, dtype=np.int64)]) for i in range(4)
     )
-    return batch, stats
+    onto_pool, onto_codes = _by_first_appearance(onto_codes, list(verdicts.onto_ids))
+    stats.events = len(user_codes)
+    return EventBatch(list(user_ids), user_codes, timestamps, labels, onto_pool, onto_codes), stats
 
 
 # worker-process state for parallel ingestion, set up once per worker
@@ -256,8 +370,7 @@ _WORKER: dict = {}
 
 
 def _worker_init(ruleset: RuleSet, filter_cfg: FilterConfig, log_format: str) -> None:
-    _WORKER["ruleset"] = ruleset
-    _WORKER["filter"] = filter_cfg.compile()
+    _WORKER["verdicts"] = _Verdicts(ruleset, filter_cfg.compile())
     _WORKER["format"] = log_format
 
 
@@ -266,14 +379,9 @@ def _worker_ingest(task: tuple[str, int, int]):
     with open(path, "rb") as fh:
         fh.seek(start)
         blob = fh.read(end - start)
-    # The line rule of open_log: lines end at b"\n" only (str.splitlines
-    # would also split on \x0c, \x1c-\x1e, \x85, \u2028 and \u2029). No
-    # UTF-8 sequence contains that byte, so splitting the decoded text on
-    # "\n" splits the bytes before decoding, replacement characters included.
-    lines = blob.decode("utf-8", errors="replace").split("\n")
-    if lines and not lines[-1]:
-        lines.pop()  # the range's final newline ends a line, it starts none
-    batch, stats = _ingest_lines(lines, _WORKER["ruleset"], _WORKER["filter"], _WORKER["format"])
+    # the range is whole lines, read as open_log reads a whole file
+    with _text_lines(io.BytesIO(blob)) as lines:
+        batch, stats = _ingest_lines(lines, _WORKER["verdicts"], _WORKER["format"])
     # already factorized: pickles as small string pools plus index arrays
     return batch, asdict(stats)
 
@@ -318,7 +426,7 @@ def ingest_paths(
     line_pattern(log_format)  # reject an unknown format even when no line is read
     ruleset = ruleset or default_ruleset()
     cfg = filter_config or default_filter_config()
-    filt = cfg.compile()
+    verdicts = _Verdicts(ruleset, cfg.compile())
 
     parts: list[EventBatch] = []
     stats = IngestStats()
@@ -341,7 +449,7 @@ def ingest_paths(
 
     for p in plain + gz:
         with open_log(p) as fh:
-            part, part_stats = _ingest_lines(fh, ruleset, filt, log_format, user_key)
+            part, part_stats = _ingest_lines(fh, verdicts, log_format, user_key)
         parts.append(part)
         stats.merge(part_stats)
     batch = EventBatch.merge(parts)
@@ -652,6 +760,7 @@ class PipelineConfig:
         return base
 
     def ruleset(self) -> RuleSet:
+        """Compile the rules; ``run_pipeline`` and each subcommand call this once."""
         return compile_ruleset(self.rules) if self.rules else default_ruleset()
 
 
@@ -674,11 +783,11 @@ def _out_dir(config: PipelineConfig) -> Path:
     return out_dir
 
 
-def stage_ingest(config: PipelineConfig) -> tuple[EventBatch, dict, list[str]]:
+def stage_ingest(config: PipelineConfig, ruleset: RuleSet) -> tuple[EventBatch, dict, list[str]]:
     """Parse, filter and map ``config.logs``; the entry is the funnel."""
     batch, stats = ingest_paths(
         config.logs,
-        ruleset=config.ruleset(),
+        ruleset=ruleset,
         filter_config=config.filter_config(),
         log_format=config.log_format,
         jobs=config.jobs,
@@ -689,21 +798,21 @@ def stage_ingest(config: PipelineConfig) -> tuple[EventBatch, dict, list[str]]:
 
 
 def stage_sessionize(
-    config: PipelineConfig, batch: EventBatch,
+    config: PipelineConfig, ruleset: RuleSet, batch: EventBatch,
 ) -> tuple[TraceSet, dict, list[str]]:
     """Traces (``traces.jsonl``) and usage statistics of an event batch."""
     out_dir = _out_dir(config)
-    traces, usage = build_traces(batch, config.ruleset().vocabulary.break_id, config.gap_minutes)
+    traces, usage = build_traces(batch, ruleset.vocabulary.break_id, config.gap_minutes)
     write_traces_jsonl(traces, out_dir / "traces.jsonl")
     files = ["traces.jsonl"] + write_usage_stats(usage, out_dir)
     return traces, {"users": len(traces), "sessions": usage.session_count}, files
 
 
 def stage_features(
-    config: PipelineConfig, traces: TraceSet, path: Path | None = None,
+    config: PipelineConfig, ruleset: RuleSet, traces: TraceSet, path: Path | None = None,
 ) -> tuple[FeatureMatrix, dict, list[str]]:
     """The feature matrix, written to ``path`` (default: ``features.csv``)."""
-    vocab = config.ruleset().vocabulary
+    vocab = ruleset.vocabulary
     features = build_feature_matrix(
         traces, vocab.n,
         feature_kind=config.feature_kind, alpha=config.alpha, label_names=vocab.names(),
@@ -733,6 +842,7 @@ def stage_elbow(
 
 def stage_cluster(
     config: PipelineConfig,
+    ruleset: RuleSet,
     features: FeatureMatrix,
     traces: TraceSet | None,
     curve: ElbowCurve,
@@ -748,7 +858,7 @@ def stage_cluster(
         model = kmeans_fit(features, K, seed=config.seed, restarts=config.restarts)
     profiles = []
     if traces is not None:
-        profiles = profile_clusters(features, model, traces, config.ruleset().vocabulary.break_id)
+        profiles = profile_clusters(features, model, traces, ruleset.vocabulary.break_id)
     files = write_cluster_outputs(features, model, profiles, _out_dir(config))
     return model, {"K": K, "inertia": model.inertia, **model.diagnostics()}, files
 
@@ -768,6 +878,7 @@ def stage_pca(
 
 def stage_compare(
     config: PipelineConfig,
+    ruleset: RuleSet,
     traces: TraceSet,
     assignments: dict[str, int],
     K: int,
@@ -780,7 +891,7 @@ def stage_compare(
     The map is skipped when the top ``config.top_resources`` cut leaves
     fewer than two resources.
     """
-    vocab = config.ruleset().vocabulary
+    vocab = ruleset.vocabulary
     resource_rows = extract_resource_traces(
         traces, threshold_pct=config.threshold_pct, break_label=vocab.break_id,
     )
@@ -813,9 +924,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
     :class:`PipelineStageError`; outputs of completed stages stay on
     disk, and the manifest written so far is preserved as
     ``manifest.partial.json``. An invalid config raises ``ValueError``
-    before any stage runs or any file is written.
+    before any stage runs or any file is written; so does a rules file
+    that does not compile.
     """
     config.validate()
+    ruleset = config.ruleset()
     out_dir = _out_dir(config)
     manifest: dict = {
         "config": config.as_dict(),
@@ -839,14 +952,14 @@ def run_pipeline(config: PipelineConfig) -> dict:
         manifest["outputs"] += files
         return result
 
-    batch = run("ingest", stage_ingest)
-    traces = run("sessionize", stage_sessionize, batch)
-    features = run("features", stage_features, traces)
+    batch = run("ingest", stage_ingest, ruleset)
+    traces = run("sessionize", stage_sessionize, ruleset, batch)
+    features = run("features", stage_features, ruleset, traces)
     curve = run("elbow", stage_elbow, features)
-    model = run("cluster", stage_cluster, features, traces, curve)
+    model = run("cluster", stage_cluster, ruleset, features, traces, curve)
     assignments = dict(zip(features.user_ids, (int(c) for c in model.assignments)))
     run("pca", stage_pca, features, assignments)
-    run("compare", stage_compare, traces, assignments, model.K)
+    run("compare", stage_compare, ruleset, traces, assignments, model.K)
 
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1)

@@ -70,6 +70,34 @@ def test_impossible_dates_are_invalid(stamp):
         logs.parse_clf_timestamp(stamp)
 
 
+@pytest.mark.parametrize(
+    "stamp",
+    [
+        " 1/Jan/2016:09:07:32 +0000",  # space-padded day
+        "14xMarx2016x09x07x32x-0700",  # wrong separators
+        "14/Mar/2016:09:07:32 -0700garbage",  # trailing text
+        "14/Mar/2016:+9:07:32 +0000",  # signed hour
+        "\u0661\u0664/Mar/2016:09:07:32 +0000",  # Arabic-Indic digits in the day
+        "14/Mar/2016:\u0660\u0669:07:32 +0000",  # Arabic-Indic digits in the hour
+        "14/Mar/2016:09:07:32 +0099",  # offset minutes above 59
+        "14/Mar/2016:09:07:32 +-100",  # signed offset digits
+    ],
+)
+def test_timestamp_layout_is_strict(tmp_path, stamp):
+    with pytest.raises(InvalidTimestamp):
+        logs.parse_clf_timestamp(stamp)
+    path = tmp_path / "stamp.log"
+    path.write_text(EXAMPLE.replace("14/Mar/2016:09:07:32 -0700", stamp) + "\n", encoding="utf-8")
+    _, stats = ingest_paths([path])
+    assert (stats.lines, stats.malformed, stats.events) == (1, 1, 0)
+
+
+def test_leap_second_and_offset_hours_stay_valid():
+    base = logs.parse_clf_timestamp("14/Mar/2016:09:07:59 +0000")
+    assert logs.parse_clf_timestamp("14/Mar/2016:09:07:60 +0000") == base + 1
+    assert logs.parse_clf_timestamp("14/Mar/2016:09:07:59 +9959") == base - 99 * 3600 - 59 * 60
+
+
 def test_leap_day_is_valid():
     leap = logs.parse_clf_timestamp("29/Feb/2016:00:00:00 +0000")
     assert leap == logs.parse_clf_timestamp("01/Mar/2016:00:00:00 +0000") - 86400

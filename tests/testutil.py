@@ -256,3 +256,72 @@ def reference_ev_curve(X, ks, seed=0, restarts=10, knee_fraction=0.1):
         passing = [k for k, g in gains.items() if g > knee_fraction * gains[2]]
         knee = max(passing) if passing else ks[0]
     return points, knee
+
+
+# Reference ingest: the fused per-line parse + filter + map loop as first
+# written. The chunked pass of ``pipeline._ingest_lines`` must reproduce its
+# EventBatch and IngestStats exactly.
+
+def reference_ingest_lines(lines, ruleset, filt, log_format="combined", user_key=None):
+    """(EventBatch, IngestStats) of ``lines``, one line at a time."""
+    from urllib.parse import unquote
+
+    from trailmine.logs import (
+        MalformedLine, _split_request, line_pattern, parse_clf_timestamp, parse_log_line,
+    )
+    from trailmine.pipeline import EventBatch, IngestStats
+
+    stats = IngestStats()
+    user_pool, onto_pool = {}, {}
+    ucodes, ts_list, label_list, ocodes = [], [], [], []
+    line_re = line_pattern(log_format)
+    for line in lines:
+        stats.lines += 1
+        m = line_re.match(line)
+        if m is None:
+            stats.malformed += 1
+            continue
+        g = m.groups()
+        try:
+            epoch = parse_clf_timestamp(g[3])
+            method, raw_path, _ = _split_request(g[4])
+        except MalformedLine:
+            stats.malformed += 1
+            continue
+        stats.parsed += 1
+        path = unquote(raw_path) if "%" in raw_path else raw_path
+        ua = g[8] if log_format == "combined" else ""
+        reason = filt.drop_reason(ua, g[0], path)
+        if reason is not None:
+            setattr(stats, f"dropped_{reason}", getattr(stats, f"dropped_{reason}") + 1)
+            continue
+        hit = ruleset.match(method, path)
+        if hit is None:
+            stats.unmapped += 1
+            continue
+        user = g[0] if user_key is None else user_key(parse_log_line(line, log_format))
+        ucodes.append(user_pool.setdefault(user, len(user_pool)))
+        ts_list.append(epoch)
+        label_list.append(hit[0])
+        ocodes.append(-1 if hit[1] is None else onto_pool.setdefault(hit[1], len(onto_pool)))
+    stats.events = len(ucodes)
+    batch = EventBatch(
+        list(user_pool), np.asarray(ucodes, dtype=np.int64), np.asarray(ts_list, dtype=np.int64),
+        np.asarray(label_list, dtype=np.int64), list(onto_pool), np.asarray(ocodes, dtype=np.int64),
+    )
+    return batch, stats
+
+
+def reference_ingest_paths(paths, ruleset, filter_config, log_format="combined", user_key=None):
+    """The reference loop over each file in turn, merged as ``ingest_paths`` merges."""
+    from trailmine.logs import open_log
+    from trailmine.pipeline import EventBatch, IngestStats
+
+    filt = filter_config.compile()
+    parts, stats = [], IngestStats()
+    for path in paths:
+        with open_log(path) as fh:
+            part, part_stats = reference_ingest_lines(fh, ruleset, filt, log_format, user_key)
+        parts.append(part)
+        stats.merge(part_stats)
+    return EventBatch.merge(parts), stats
