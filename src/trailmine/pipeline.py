@@ -11,9 +11,10 @@ Ingest has one pass, :func:`_ingest_lines`, for every route. It takes the
 lines in fixed-size chunks: each line is matched against the grammar, the
 timestamps of a chunk are decoded as arrays, and each distinct request,
 user agent and IP is decided once, not once per line. Parsing and mapping
-are pure per line, so ingestion can fan out over worker processes;
-per-user ordering is restored afterwards by the stable (user, timestamp)
-sort of :func:`~trailmine.sessions.build_traces`.
+are pure per line, so ingestion can fan out over worker processes; the
+parts are merged in path order, and the stable (user, timestamp) sort of
+:func:`~trailmine.sessions.build_traces` keeps that order between a
+user's events of one second.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from .logs import (
     load_list_file,
     open_log,
     parse_clf_timestamp,
-    parse_log_line,
 )
 from .markov import FeatureMatrix, build_feature_matrix
 from .pca import PcaModel, loading_extremes, pca_fit, pca_project
@@ -255,8 +255,8 @@ class _Verdicts:
     """The rules and filter of an ingest, with the verdict of each distinct request.
 
     One table serves every chunk of every :func:`_ingest_lines` call that
-    shares it: all files of one in-process ``ingest_paths`` call, or all
-    byte ranges one worker process is given. Ontology ids are handed out
+    shares it: all tasks of one in-process ``ingest_paths`` call, or all
+    tasks one worker process is given. Ontology ids are handed out
     as requests are decided, so each call renumbers the ones it uses.
     """
 
@@ -295,10 +295,7 @@ def _by_first_appearance(codes: np.ndarray, names: list[str]) -> tuple[list[str]
 
 
 def _ingest_lines(
-    lines: Iterable[str],
-    verdicts: _Verdicts,
-    log_format: str,
-    user_key: Callable | None = None,
+    lines: Iterable[str], verdicts: _Verdicts, log_format: str,
 ) -> tuple[EventBatch, IngestStats]:
     """Parse, filter and map raw lines, one chunk of ``_CHUNK_LINES`` at a time.
 
@@ -309,18 +306,13 @@ def _ingest_lines(
     ``verdicts`` table (see :class:`_Verdicts`), and each distinct user
     agent and IP is checked once per chunk. The verdicts combine as
     boolean arrays in the precedence malformed, user agent, IP, asset,
-    unmapped. Pools list users and ontologies in order of first
-    appearance among mapped lines.
-
-    The user is the IP field unless ``user_key`` is given; it is applied
-    to the parsed :class:`RequestRecord` of each mapped line.
+    unmapped. The user of an event is its IP field. Pools list users and
+    ontologies in order of first appearance among mapped lines.
     """
     stats = IngestStats()
     match = line_pattern(log_format).match
     fields = (1, 4, 5, 9) if log_format == "combined" else (1, 4, 5)
     columns = [itemgetter(i) for i in range(len(fields))]
-    if user_key is not None:
-        fields += (0,)  # the whole line, parsed again for the user_key record
     filt = verdicts.filt
     user_ids: dict[str, int] = {}
     parts: list[tuple[np.ndarray, ...]] = []
@@ -349,12 +341,9 @@ def _ingest_lines(
             setattr(stats, counter, getattr(stats, counter) + int((ok & dropped).sum()))
             ok &= ~dropped
         mapped = np.flatnonzero(ok)
-        if user_key is None:
-            users = (ips[i] for i in mapped.tolist())
-        else:
-            users = (user_key(parse_log_line(rows[i][-1], log_format)) for i in mapped.tolist())
         user_codes = np.fromiter(
-            (user_ids.setdefault(u, len(user_ids)) for u in users), np.int64, len(mapped),
+            (user_ids.setdefault(ips[i], len(user_ids)) for i in mapped.tolist()),
+            np.int64, len(mapped),
         )
         parts.append((user_codes, epochs[mapped], labels[mapped], ontos[mapped]))
     user_codes, timestamps, labels, onto_codes = (
@@ -363,6 +352,22 @@ def _ingest_lines(
     onto_pool, onto_codes = _by_first_appearance(onto_codes, list(verdicts.onto_ids))
     stats.events = len(user_codes)
     return EventBatch(list(user_ids), user_codes, timestamps, labels, onto_pool, onto_codes), stats
+
+
+def _ingest_task(
+    task: tuple[str, int, int | None], verdicts: _Verdicts, log_format: str,
+) -> tuple[EventBatch, IngestStats]:
+    """Ingest a whole plain or gzip file (``end`` None) or a byte range of whole lines."""
+    path, start, end = task
+    if end is None:
+        with open_log(path) as lines:
+            return _ingest_lines(lines, verdicts, log_format)
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        blob = fh.read(end - start)
+    # the range is read as open_log reads a whole file
+    with _text_lines(io.BytesIO(blob)) as lines:
+        return _ingest_lines(lines, verdicts, log_format)
 
 
 # worker-process state for parallel ingestion, set up once per worker
@@ -374,16 +379,9 @@ def _worker_init(ruleset: RuleSet, filter_cfg: FilterConfig, log_format: str) ->
     _WORKER["format"] = log_format
 
 
-def _worker_ingest(task: tuple[str, int, int]):
-    path, start, end = task
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        blob = fh.read(end - start)
-    # the range is whole lines, read as open_log reads a whole file
-    with _text_lines(io.BytesIO(blob)) as lines:
-        batch, stats = _ingest_lines(lines, _WORKER["verdicts"], _WORKER["format"])
-    # already factorized: pickles as small string pools plus index arrays
-    return batch, asdict(stats)
+def _worker_ingest(task: tuple[str, int, int | None]) -> tuple[EventBatch, IngestStats]:
+    # the batch is already factorized: it pickles as small string pools plus index arrays
+    return _ingest_task(task, _WORKER["verdicts"], _WORKER["format"])
 
 
 def _chunk_file(path: str, jobs: int) -> list[tuple[str, int, int]]:
@@ -412,48 +410,37 @@ def ingest_paths(
     filter_config: FilterConfig | None = None,
     log_format: str = "combined",
     jobs: int = 1,
-    user_key: Callable | None = None,
 ) -> tuple[EventBatch, IngestStats]:
-    """Parse, filter and map log files into an event batch.
+    """Parse, filter and map log files into an event batch, in the order given.
 
-    ``jobs > 1`` fans plain-text files out over worker processes
-    (gzip files fall back to in-process parsing). ``user_key`` maps the
-    :class:`RequestRecord` of each mapped line to its user (default: the
-    IP field). Every route runs the same loop, :func:`_ingest_lines`; a
-    ``user_key`` run parses in-process, since a lambda cannot be sent to
-    a worker. Raises ``ValueError`` for an unknown ``log_format``.
+    Each file is one task, read whole through :func:`open_log`; with
+    ``jobs > 1`` a plain-text file is split into byte ranges of whole
+    lines instead. More than one task with ``jobs > 1`` runs on a pool
+    of ``jobs`` worker processes, each with its own request verdicts;
+    otherwise the tasks run in-process and share one table. Either way
+    each task runs :func:`_ingest_task`, and the parts are merged in
+    task order, so events of one user keep the order of the paths.
+    Raises ``ValueError`` for an unknown ``log_format``.
     """
     line_pattern(log_format)  # reject an unknown format even when no line is read
     ruleset = ruleset or default_ruleset()
     cfg = filter_config or default_filter_config()
-    verdicts = _Verdicts(ruleset, cfg.compile())
-
-    parts: list[EventBatch] = []
+    tasks: list[tuple[str, int, int | None]] = []
+    for path in map(str, paths):
+        if jobs > 1 and not path.endswith(".gz"):
+            tasks += _chunk_file(path, jobs * 4)  # fine chunks even out load
+        else:
+            tasks.append((path, 0, None))
+    if jobs > 1 and len(tasks) > 1:
+        with Pool(jobs, initializer=_worker_init, initargs=(ruleset, cfg, log_format)) as pool:
+            results = pool.map(_worker_ingest, tasks)
+    else:
+        verdicts = _Verdicts(ruleset, cfg.compile())
+        results = [_ingest_task(task, verdicts, log_format) for task in tasks]
     stats = IngestStats()
-    plain = [str(p) for p in paths if not str(p).endswith(".gz")]
-    gz = [str(p) for p in paths if str(p).endswith(".gz")]
-
-    if jobs > 1 and plain and user_key is None:
-        tasks: list[tuple[str, int, int]] = []
-        for p in plain:
-            tasks.extend(_chunk_file(p, jobs * 4))  # fine chunks even out load
-        with Pool(
-            processes=jobs,
-            initializer=_worker_init,
-            initargs=(ruleset, cfg, log_format),
-        ) as pool:
-            for part, st in pool.map(_worker_ingest, tasks):
-                parts.append(part)
-                stats.merge(IngestStats(**st))
-        plain = []
-
-    for p in plain + gz:
-        with open_log(p) as fh:
-            part, part_stats = _ingest_lines(fh, verdicts, log_format, user_key)
-        parts.append(part)
+    for _, part_stats in results:
         stats.merge(part_stats)
-    batch = EventBatch.merge(parts)
-    return batch, stats
+    return EventBatch.merge([part for part, _ in results]), stats
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +459,13 @@ def read_traces_jsonl(path: str | Path) -> TraceSet:
         return TraceSet.from_rows(json.loads(line) for line in fh)
 
 
+def _label_names(features: FeatureMatrix) -> list[str]:
+    """The features' label names, or ``label_0``, ``label_1``, ... when they have none."""
+    return features.label_names or [f"label_{i}" for i in range(features.n)]
+
+
 def write_feature_csv(features: FeatureMatrix, path: str | Path) -> None:
-    names = features.label_names or [f"label_{i}" for i in range(features.n)]
+    names = _label_names(features)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("user," + ",".join(names) + "\n")
         for uid, row in zip(features.user_ids, features.X):
@@ -544,7 +536,7 @@ def write_cluster_outputs(
     out_dir: Path,
 ) -> list[str]:
     files = []
-    names = features.label_names or [f"label_{i}" for i in range(features.n)]
+    names = _label_names(features)
     p = out_dir / "assignments.csv"
     with open(p, "w", encoding="utf-8") as fh:
         fh.write("user,cluster\n")
@@ -594,9 +586,23 @@ def write_elbow_csv(curve, path: Path) -> None:
             fh.write(f"{k},{repr(float(ev))}\n")
 
 
+def _write_pca_report(path: Path, title: str, model: PcaModel, names: list[str]) -> None:
+    """The title, each component's variance ratios and its extreme loadings."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(title + "\n")
+        for i, (ratio, cum) in enumerate(zip(model.explained_variance_ratio, model.cumulative_ratio)):
+            fh.write(f"PC{i + 1}: variance ratio {ratio:.4f}, cumulative {cum:.4f}\n")
+        for ext in loading_extremes(model, names):
+            fh.write(
+                f"PC{ext['component']}: largest {ext['largest']} "
+                f"({ext['largest_coefficient']:+.4f}), smallest {ext['smallest']} "
+                f"({ext['smallest_coefficient']:+.4f})\n"
+            )
+
+
 def write_pca_outputs(features: FeatureMatrix, model, coords, assignments, out_dir: Path) -> list[str]:
     files = []
-    names = features.label_names or [f"label_{i}" for i in range(features.n)]
+    names = _label_names(features)
     p = out_dir / "pca_loadings.csv"
     with open(p, "w", encoding="utf-8") as fh:
         fh.write("label," + ",".join(f"PC{i + 1}" for i in range(model.r)) + "\n")
@@ -616,16 +622,7 @@ def write_pca_outputs(features: FeatureMatrix, model, coords, assignments, out_d
             fh.write(row + "\n")
     files.append(p.name)
     p = out_dir / "pca_report.txt"
-    with open(p, "w", encoding="utf-8") as fh:
-        fh.write("principal components over behavior features\n")
-        for i, (ratio, cum) in enumerate(zip(model.explained_variance_ratio, model.cumulative_ratio)):
-            fh.write(f"PC{i + 1}: variance ratio {ratio:.4f}, cumulative {cum:.4f}\n")
-        for ext in loading_extremes(model, names):
-            fh.write(
-                f"PC{ext['component']}: largest {ext['largest']} "
-                f"({ext['largest_coefficient']:+.4f}), smallest {ext['smallest']} "
-                f"({ext['smallest_coefficient']:+.4f})\n"
-            )
+    _write_pca_report(p, "principal components over behavior features", model, names)
     files.append(p.name)
     return files
 
@@ -667,19 +664,10 @@ def write_compare_outputs(profiles, diff, projection, names, out_dir: Path) -> l
                 fh.write(rname + "," + ",".join(map(repr, row.tolist())) + "\n")
         files.append(p.name)
         p = out_dir / "resource_pca_report.txt"
-        cluster_names = [f"cluster_{k}" for k in range(projection.model.n)]
-        with open(p, "w", encoding="utf-8") as fh:
-            fh.write("principal components over per-cluster resource activity\n")
-            for i, (ratio, cum) in enumerate(
-                zip(projection.model.explained_variance_ratio, projection.model.cumulative_ratio)
-            ):
-                fh.write(f"PC{i + 1}: variance ratio {ratio:.4f}, cumulative {cum:.4f}\n")
-            for ext in loading_extremes(projection.model, cluster_names):
-                fh.write(
-                    f"PC{ext['component']}: largest {ext['largest']} "
-                    f"({ext['largest_coefficient']:+.4f}), smallest {ext['smallest']} "
-                    f"({ext['smallest_coefficient']:+.4f})\n"
-                )
+        _write_pca_report(
+            p, "principal components over per-cluster resource activity", projection.model,
+            [f"cluster_{k}" for k in range(projection.model.n)],
+        )
         files.append(p.name)
     return files
 
@@ -743,6 +731,13 @@ class PipelineConfig:
         """Reject, by name, a setting that would fail a stage partway through a run."""
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        lo, hi = self.k_range
+        if not 1 <= lo <= hi:
+            raise ValueError(f"k_range must be LO:HI with 1 <= LO <= HI, got {lo}:{hi}")
+        if self.k is not None and self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.pca_components < 1:
+            raise ValueError(f"pca_components must be >= 1, got {self.pca_components}")
 
     def as_dict(self) -> dict:
         d = asdict(self)

@@ -12,6 +12,7 @@ from trailmine.compare import (
     transition_diff,
 )
 from trailmine.markov import count_transitions
+from trailmine.pca import RankDeficientWarning
 from trailmine.sessions import TraceSet
 
 BREAK = 33
@@ -209,7 +210,8 @@ def test_project_identical_profiles_coincide():
     pa = _profile_from({"u1": pairs}, "A", {"u1": 0}, K=3)
     pb = _profile_from({"u2": pairs}, "B", {"u2": 0}, K=3)
     pc = _profile_from({"u3": [(2, None), (12, "C")] * 8}, "C", {"u3": 1}, K=3)
-    proj = project_resources([pa, pb, pc], top_m=50, r=2)
+    with pytest.warns(RankDeficientWarning):  # three resources have two distinct profiles
+        proj = project_resources([pa, pb, pc], top_m=50, r=2)
     ia, ib = proj.resources.index("A"), proj.resources.index("B")
     assert np.allclose(proj.coordinates[ia], proj.coordinates[ib], atol=1e-9)
 

@@ -96,30 +96,26 @@ def faulty_lines():
     return _with_faults(lines, seed=31)
 
 
-def _user_and_agent(record):
-    return f"{record.ip}|{record.useragent[:12]}"
-
-
 @pytest.mark.parametrize(
-    "suffixes,jobs,user_key",
+    "suffixes,jobs",
     [
-        ((".log",), 1, None),
-        ((".log",), 2, None),
-        ((".log.gz",), 1, None),
-        ((".log.gz",), 2, None),
-        ((".log",), 1, _user_and_agent),
-        ((".log.gz",), 2, _user_and_agent),
-        ((".log", ".log.gz"), 1, None),  # two files share one table of request verdicts
+        ((".log",), 1),
+        ((".log",), 2),
+        ((".log.gz",), 1),
+        ((".log.gz",), 2),
+        ((".log", ".log.gz"), 1),  # two files share one table of request verdicts
+        ((".log.gz", ".log"), 1),  # parts merge in path order, gzip first or not
+        ((".log.gz", ".log"), 2),
     ],
 )
-def test_chunked_ingest_matches_reference(tmp_path, ruleset, faulty_lines, suffixes, jobs, user_key):
+def test_chunked_ingest_matches_reference(tmp_path, ruleset, faulty_lines, suffixes, jobs):
     paths = [
         _write(tmp_path / f"faulty{i}{suffix}", faulty_lines[i::2] if i else faulty_lines)
         for i, suffix in enumerate(suffixes)
     ]
     cfg = _filter_config()
-    got = ingest_paths(paths, ruleset=ruleset, filter_config=cfg, jobs=jobs, user_key=user_key)
-    want = reference_ingest_paths(paths, ruleset, cfg, user_key=user_key)
+    got = ingest_paths(paths, ruleset=ruleset, filter_config=cfg, jobs=jobs)
+    want = reference_ingest_paths(paths, ruleset, cfg)
     _assert_same(got, want)
     stats = got[1]
     # every fault kind and every drop reason occurs in this corpus

@@ -114,10 +114,9 @@ def test_line_rule_is_the_same_on_every_route(tmp_path, ruleset):
     with gzip.open(gz, "wb") as fh:
         fh.write(data)
     results = []
-    routes = ((plain, 1, None), (plain, 2, None), (gz, 1, None), (gz, 2, None),
-              (plain, 2, lambda record: record.ip))
-    for n, (path, jobs, user_key) in enumerate(routes):
-        batch, stats = ingest_paths([path], ruleset=ruleset, jobs=jobs, user_key=user_key)
+    routes = ((plain, 1), (plain, 2), (gz, 1), (gz, 2))
+    for n, (path, jobs) in enumerate(routes):
+        batch, stats = ingest_paths([path], ruleset=ruleset, jobs=jobs)
         traces, _ = build_traces(batch, ruleset.vocabulary.break_id)
         out = tmp_path / f"traces_{n}.jsonl"
         write_traces_jsonl(traces, out)
@@ -127,13 +126,6 @@ def test_line_rule_is_the_same_on_every_route(tmp_path, ruleset):
     for other_stats, other_bytes in results[1:]:
         assert other_stats == stats
         assert other_bytes == traces_bytes
-
-
-def test_user_key_hook(corpus):
-    log, _ = corpus
-    batch, stats = ingest_paths([log], user_key=lambda record: "everyone")
-    assert batch.user_pool == ["everyone"] and (batch.user_codes == 0).all()
-    assert stats.events == len(batch)
 
 
 def test_traces_jsonl_roundtrip(tmp_path, corpus, ruleset):
@@ -218,13 +210,21 @@ def test_manifest_counts(tmp_path, corpus):
 
 
 def test_run_pipeline_rejects_restarts_before_any_stage(tmp_path, corpus):
+    """Settings that would fail a stage partway through are named before any stage runs."""
     log, _ = corpus
     ini = tmp_path / "pipeline.ini"
     out = tmp_path / "out"
-    ini.write_text(f"[pipeline]\nlogs = {log}\nout_dir = {out}\nrestarts = 0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="restarts"):
-        run_pipeline(PipelineConfig.from_ini(ini))
-    assert not out.exists()
+    for setting, message in (
+        ("restarts = 0", "restarts must be >= 1"),
+        ("k_range = 5:3", "k_range must be LO:HI"),
+        ("k_range = 0:4", "k_range must be LO:HI"),
+        ("k = 0", "k must be >= 1"),
+        ("pca_components = 0", "pca_components must be >= 1"),
+    ):
+        ini.write_text(f"[pipeline]\nlogs = {log}\nout_dir = {out}\n{setting}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            run_pipeline(PipelineConfig.from_ini(ini))
+        assert not out.exists(), setting
 
 
 def test_config_ini_roundtrip(tmp_path):

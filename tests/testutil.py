@@ -262,12 +262,12 @@ def reference_ev_curve(X, ks, seed=0, restarts=10, knee_fraction=0.1):
 # written. The chunked pass of ``pipeline._ingest_lines`` must reproduce its
 # EventBatch and IngestStats exactly.
 
-def reference_ingest_lines(lines, ruleset, filt, log_format="combined", user_key=None):
+def reference_ingest_lines(lines, ruleset, filt, log_format="combined"):
     """(EventBatch, IngestStats) of ``lines``, one line at a time."""
     from urllib.parse import unquote
 
     from trailmine.logs import (
-        MalformedLine, _split_request, line_pattern, parse_clf_timestamp, parse_log_line,
+        MalformedLine, _split_request, line_pattern, parse_clf_timestamp,
     )
     from trailmine.pipeline import EventBatch, IngestStats
 
@@ -299,8 +299,7 @@ def reference_ingest_lines(lines, ruleset, filt, log_format="combined", user_key
         if hit is None:
             stats.unmapped += 1
             continue
-        user = g[0] if user_key is None else user_key(parse_log_line(line, log_format))
-        ucodes.append(user_pool.setdefault(user, len(user_pool)))
+        ucodes.append(user_pool.setdefault(g[0], len(user_pool)))
         ts_list.append(epoch)
         label_list.append(hit[0])
         ocodes.append(-1 if hit[1] is None else onto_pool.setdefault(hit[1], len(onto_pool)))
@@ -312,7 +311,7 @@ def reference_ingest_lines(lines, ruleset, filt, log_format="combined", user_key
     return batch, stats
 
 
-def reference_ingest_paths(paths, ruleset, filter_config, log_format="combined", user_key=None):
+def reference_ingest_paths(paths, ruleset, filter_config, log_format="combined"):
     """The reference loop over each file in turn, merged as ``ingest_paths`` merges."""
     from trailmine.logs import open_log
     from trailmine.pipeline import EventBatch, IngestStats
@@ -321,7 +320,7 @@ def reference_ingest_paths(paths, ruleset, filter_config, log_format="combined",
     parts, stats = [], IngestStats()
     for path in paths:
         with open_log(path) as fh:
-            part, part_stats = reference_ingest_lines(fh, ruleset, filt, log_format, user_key)
+            part, part_stats = reference_ingest_lines(fh, ruleset, filt, log_format)
         parts.append(part)
         stats.merge(part_stats)
     return EventBatch.merge(parts), stats
