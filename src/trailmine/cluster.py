@@ -24,7 +24,13 @@ formulation it replaces, so every iterate is bit for bit the same:
   ``Generator.choice(m, p=...)`` draws, so it takes the same index from
   the same random stream, without ``choice``'s per-call checks of ``p``.
   Those checks used to be the only guard against a NaN in the features,
-  so the fits now reject non-finite input on entry.
+  so the fits now reject non-finite input on entry;
+- the elbow draws each restart's k-means++ order once, for its largest
+  K, and every K starts Lloyd from the first K rows of that order. This
+  is exact: restart ``r`` always draws from ``default_rng([seed, r])``,
+  the generator serves only the seeding, and draw ``k`` reads only the
+  draws before it. So the first K draws for a larger K are the K draws
+  for K itself, from the same random stream.
 """
 
 from __future__ import annotations
@@ -120,33 +126,39 @@ def _weighted_draw(w: np.ndarray, total: float, rng: np.random.Generator) -> int
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _kmeanspp_init(
+def _kmeanspp_order(
     X: np.ndarray, xx: np.ndarray, K: int, rng: np.random.Generator,
 ) -> np.ndarray:
+    """The row indices of ``K`` k-means++ draws from ``rng``, in draw order."""
     m = X.shape[0]
-    centroids = np.empty((K, X.shape[1]))
-    centroids[0] = X[rng.integers(m)]
-    d2 = _sqdist(X, centroids[:1], xx).ravel()
+    order = np.empty(K, dtype=np.intp)
+    idx = order[0] = int(rng.integers(m))
+    d2 = _sqdist(X, X[idx : idx + 1], xx).ravel()
     for k in range(1, K):
         total = d2.sum()
         if total <= 0.0:
             idx = int(rng.integers(m))
         else:
             idx = _weighted_draw(d2, total, rng)
-        centroids[k] = X[idx]
-        d2 = np.minimum(d2, _sqdist(X, centroids[k : k + 1], xx).ravel())
-    return centroids
+        order[k] = idx
+        if k < K - 1:  # the last draw's distances are never read
+            d2 = np.minimum(d2, _sqdist(X, X[idx : idx + 1], xx).ravel())
+    return order
+
+
+def _restart_orders(X: np.ndarray, xx: np.ndarray, K: int, seed: int, restarts: int) -> np.ndarray:
+    """``(restarts, K)`` draw orders, restart ``r`` drawn from ``default_rng([seed, r])``."""
+    return np.array([
+        _kmeanspp_order(X, xx, K, np.random.default_rng([seed, r])) for r in range(restarts)
+    ])
 
 
 def _lloyd(
-    X: np.ndarray,
-    xx: np.ndarray,
-    K: int,
-    rng: np.random.Generator,
+    X: np.ndarray, xx: np.ndarray, C: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, float, int, list[float], int]:
-    """One run: (centroids, assignments, inertia, iterations, history, re-seeds)."""
+    """One run from centroids ``C``: (centroids, assignments, inertia, iterations, history, re-seeds)."""
     m, n = X.shape
-    C = _kmeanspp_init(X, xx, K, rng)
+    K = C.shape[0]
     history: list[float] = []
     rows = np.arange(m)
     cols = np.arange(n)
@@ -187,14 +199,19 @@ def kmeans_fit(
     K: int,
     seed: int = 0,
     restarts: int = 10,
+    *,
+    orders: np.ndarray | None = None,
 ) -> ClusterModel:
     """Best-of-restarts Lloyd's K-means.
 
     Each restart draws its own k-means++ initialization from a child
     generator of ``seed``; the restart with the lowest inertia wins
-    (first one on exact ties). Raises :class:`EmptyMatrix` and
-    :class:`KTooLarge` on degenerate inputs, and ``ValueError`` for
-    ``restarts < 1`` or a NaN or infinite feature.
+    (first one on exact ties). ``orders`` passes in draw orders already
+    drawn for at least ``K`` centres, one row per restart: restart ``r``
+    starts from rows ``orders[r, :K]`` (see the module notes). Raises
+    :class:`EmptyMatrix` and :class:`KTooLarge` on degenerate inputs, and
+    ``ValueError`` for ``restarts < 1``, a NaN or infinite feature, or
+    ``orders`` of the wrong shape.
     """
     X = _feature_rows(features, restarts)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -202,10 +219,15 @@ def kmeans_fit(
     if not 1 <= K <= X.shape[0]:
         raise KTooLarge(f"K={K} not in [1, {X.shape[0]}]")
     xx = (X * X).sum(1)
+    if orders is None:
+        orders = _restart_orders(X, xx, K, seed, restarts)
+    orders = np.asarray(orders)
+    if orders.ndim != 2 or orders.shape[0] != restarts or orders.shape[1] < K:
+        raise ValueError(f"orders must be ({restarts}, >= {K}), got shape {orders.shape}")
     best = None
     inertias = []
     for r in range(restarts):
-        run = _lloyd(X, xx, K, np.random.default_rng([seed, r]))
+        run = _lloyd(X, xx, X[orders[r, :K]])
         inertias.append(run[2])
         if best is None or run[2] < best[2]:
             best = run
@@ -236,10 +258,12 @@ def explained_variance_curve(
 ) -> ElbowCurve:
     """Explained variance for each K in ``k_range``, from independent fits.
 
-    Each K gets its own :func:`kmeans_fit`, kept in ``models``, so the
-    curve only guarantees EV(K) >= EV(1) = 0, not monotonicity. All
-    points identical (zero total sum of squares) defines EV = 1 for
-    every K, with no fit. The knee suggestion is the largest K whose
+    Each K gets its own :func:`kmeans_fit`, kept in ``models``; the
+    restarts' k-means++ orders are drawn once, for the largest K, and
+    each K starts from their first K rows, so every fit equals the one
+    ``kmeans_fit`` makes alone. The curve only guarantees EV(K) >=
+    EV(1) = 0, not monotonicity. All points identical (zero total sum of
+    squares) defines EV = 1 for every K, with no fit. The knee suggestion is the largest K whose
     marginal EV gain still exceeds :data:`KNEE_FRACTION` of the K=1 to
     K=2 gain.
     """
@@ -252,13 +276,13 @@ def explained_variance_curve(
     total_ss = total_sum_of_squares(X)
     points: list[tuple[int, float]] = []
     models: dict[int, ClusterModel] = {}
-    for K in ks:
-        if total_ss == 0.0:
-            points.append((K, 1.0))
-            continue
-        model = models[K] = kmeans_fit(X, K, seed=seed, restarts=restarts)
-        ev = min(1.0, max(0.0, 1.0 - model.inertia / total_ss))
-        points.append((K, ev))
+    if total_ss == 0.0:
+        points = [(K, 1.0) for K in ks]
+    else:
+        orders = _restart_orders(X, (X * X).sum(1), ks[-1], seed, restarts)
+        for K in ks:
+            model = models[K] = kmeans_fit(X, K, seed=seed, restarts=restarts, orders=orders)
+            points.append((K, min(1.0, max(0.0, 1.0 - model.inertia / total_ss))))
     knee = None
     gains = {
         k1: ev1 - ev0

@@ -228,6 +228,56 @@ class FilterConfig:
         return CompiledFilter(self)
 
 
+_GLOBAL_FLAGS = re.compile(r"\(\?([aiLmsux]+)\)")
+_VERBOSE_GROUP = re.compile(r"\(\?[a-zA-Z-]*x")
+
+
+def _scoped(pat: str) -> str:
+    """``pat`` as a group that can join an alternation.
+
+    Leading global flags such as ``(?m)`` become the group's own scoped
+    flags, since an alternation cannot hold global flags after its start.
+    """
+    letters, pos = "", 0
+    while m := _GLOBAL_FLAGS.match(pat, pos):
+        letters, pos = letters + m[1], m.end()
+    if not letters:
+        return f"(?:{pat})"
+    end = "\n)" if "x" in letters else ")"  # a newline ends a trailing verbose comment
+    return f"(?{letters}:{pat[pos:]}{end}"
+
+
+def _start_anchored(pat: str, compiled: re.Pattern) -> bool:
+    """``pat`` can match only at the start of a string, so ``match`` decides it as ``search`` does.
+
+    It starts with ``^``, compiles without MULTILINE and has no ``|`` at
+    depth 0 (escapes, ``[...]`` classes and groups skipped). Where the
+    scan is unsure (a verbose group, whose comments it cannot read, or
+    unbalanced parentheses) the answer is False.
+    """
+    if not pat.startswith("^") or compiled.flags & re.MULTILINE or _VERBOSE_GROUP.search(pat):
+        return False
+    depth, i = 0, 0
+    while i < len(pat):
+        c = pat[i]
+        if c == "\\":
+            i += 1
+        elif c == "[":  # a "]" right after "[" or "[^" is a literal
+            i += 2 if pat.startswith("[^", i) else 1
+            if pat.startswith("]", i):
+                i += 1
+            while i < len(pat) and pat[i] != "]":
+                i += 2 if pat[i] == "\\" else 1
+        elif c == "(":
+            depth += 1
+        elif c == ")":
+            depth -= 1
+        elif c == "|" and depth == 0:
+            return False
+        i += 1
+    return depth == 0
+
+
 class CompiledFilter:
     """Compiled form of :class:`FilterConfig`, shareable across workers.
 
@@ -252,15 +302,17 @@ class CompiledFilter:
                 exact.add(entry)
         self._ip_exact = frozenset(exact)
         self._ip_nets = tuple(nets)
-        self._asset_re = None
-        if cfg.drop_asset_patterns:
-            for pat in cfg.drop_asset_patterns:
-                try:
-                    re.compile(pat)
-                except re.error as exc:
-                    raise ValueError(f"asset pattern {pat!r} does not compile") from exc
-            joined = "|".join(f"(?:{p})" for p in cfg.drop_asset_patterns)
-            self._asset_re = re.compile(joined)
+        # patterns that can only match at the start of the path are tried
+        # with one anchored ``match``, every other one with one ``search``
+        anchored, anywhere = [], []
+        for pat in cfg.drop_asset_patterns:
+            try:
+                compiled = re.compile(pat)
+            except re.error as exc:
+                raise ValueError(f"asset pattern {pat!r} does not compile") from exc
+            (anchored if _start_anchored(pat, compiled) else anywhere).append(_scoped(pat))
+        self._asset_match = re.compile("|".join(anchored)).match if anchored else None
+        self._asset_search = re.compile("|".join(anywhere)).search if anywhere else None
 
     def ua_dropped(self, useragent: str) -> bool:
         """The user agent holds a blacklisted substring, case-insensitively."""
@@ -280,8 +332,11 @@ class CompiledFilter:
         return any(addr in net for net in self._ip_nets)
 
     def asset_dropped(self, path: str) -> bool:
-        """The decoded path matches an asset pattern."""
-        return self._asset_re is not None and self._asset_re.search(path) is not None
+        """The decoded path matches an asset pattern (``re.search`` semantics)."""
+        return (
+            (self._asset_match is not None and self._asset_match(path) is not None)
+            or (self._asset_search is not None and self._asset_search(path) is not None)
+        )
 
     def drop_reason(self, useragent: str, ip: str, path: str) -> str | None:
         """Return "useragent" / "ip" / "asset" for dropped traffic, else None."""

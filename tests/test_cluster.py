@@ -12,6 +12,7 @@ from trailmine.cluster import (
     LLOYD_MAX_ITER,
     EmptyMatrix,
     KTooLarge,
+    _kmeanspp_order,
     _weighted_draw,
     explained_variance_curve,
     kmeans_fit,
@@ -145,9 +146,10 @@ def test_non_finite_features_rejected(bad):
         kmeans_fit(fm, 2)
 
 
-def _assert_same_fit(X, K, seed, restarts):
-    """kmeans_fit reproduces the reference loop bit for bit, restart by restart."""
-    model = kmeans_fit(X, K, seed=seed, restarts=restarts)
+def _assert_same_fit(X, K, seed, restarts, model=None):
+    """``model`` (by default a fresh kmeans_fit) is the reference loop's, bit for bit, restart by restart."""
+    if model is None:
+        model = kmeans_fit(X, K, seed=seed, restarts=restarts)
     C, assign, inertia, n_iter, history = reference_kmeans_fit(X, K, seed, restarts)
     assert np.array_equal(model.centroids, C)
     assert np.array_equal(model.assignments, assign)
@@ -197,16 +199,74 @@ def test_lloyd_matches_reference_at_k_one_and_k_m():
     assert model.inertia < 1e-12  # one point per cluster, up to the rounding of the expanded distance
 
 
+def _assert_same_curve(X, ks, seed, restarts):
+    """The elbow's points, knee and every per-K model are the reference ones."""
+    curve = explained_variance_curve(X, k_range=ks, seed=seed, restarts=restarts)
+    points, knee = reference_ev_curve(X, sorted(ks), seed=seed, restarts=restarts)
+    assert curve.points == points
+    assert curve.knee == knee
+    assert list(curve.models) == sorted(ks)
+    for K, model in curve.models.items():
+        _assert_same_fit(X, K, seed, restarts, model)
+    return curve
+
+
 def test_ev_curve_matches_reference():
     rng = np.random.default_rng(44)
     centers = rng.normal(scale=4.0, size=(5, 3))
     X = np.vstack([c + rng.normal(scale=0.3, size=(8, 3)) for c in centers])
     X = np.vstack([X, X[:6]])  # duplicate rows too
-    ks = list(range(1, 13))
-    curve = explained_variance_curve(X, k_range=ks, seed=5, restarts=3)
-    points, knee = reference_ev_curve(X, ks, seed=5, restarts=3)
-    assert curve.points == points
-    assert curve.knee == knee
+    _assert_same_curve(X, list(range(1, 13)), seed=5, restarts=3)
+    _assert_same_curve(X, {3, 7, 12}, seed=6, restarts=3)  # the orders come from K=12, not from K=3
+
+
+def test_ev_curve_matches_reference_up_to_k_m():
+    X = np.random.default_rng(11).normal(size=(17, 4))
+    _assert_same_curve(X, range(1, 18), seed=2, restarts=3)
+
+
+def test_ev_curve_matches_reference_past_the_distinct_rows():
+    # 60 rows, at most 27 distinct: draws past them find every distance 0 and fall back to rng.integers
+    X = np.random.default_rng(7).integers(0, 3, size=(60, 3)).astype(np.float64)
+    assert len(np.unique(X, axis=0)) < 30
+    _assert_same_curve(X, [2, 4, 8, 30], seed=4, restarts=4)
+
+
+def test_ev_curve_matches_reference_through_empty_cluster_reseeding():
+    # the matrix of test_lloyd_matches_reference_through_empty_cluster_reseeding, as one elbow per seed
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=(4, 2))
+    X = base[rng.integers(0, 4, size=14)]
+    reseeded = 0
+    for seed in range(4):
+        curve = _assert_same_curve(X, (8, 11, 13), seed, restarts=2)
+        reseeded += sum(model.reseeded for model in curve.models.values())
+    assert reseeded > 0
+
+
+def test_kmeanspp_order_prefix_is_the_smaller_draw():
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(24, 3))
+    X = np.vstack([X, X[:10], np.zeros((6, 3))])  # repeated rows: some draws hit the fallback
+    xx = (X * X).sum(1)
+    for s in range(3):
+        for r in range(3):
+            full = _kmeanspp_order(X, xx, len(X), np.random.default_rng([s, r]))
+            assert len(np.unique(X[full[:25]], axis=0)) == 25  # the 25 distinct rows come first
+            for k in range(1, len(X) + 1):
+                assert np.array_equal(full[:k], _kmeanspp_order(X, xx, k, np.random.default_rng([s, r])))
+
+
+def test_orders_of_wrong_shape_rejected():
+    X = np.random.default_rng(2).normal(size=(10, 2))
+    ref = kmeans_fit(X, 3, seed=1, restarts=2)
+    xx = (X * X).sum(1)
+    orders = np.array([_kmeanspp_order(X, xx, 5, np.random.default_rng([1, r])) for r in range(2)])
+    model = kmeans_fit(X, 3, seed=1, restarts=2, orders=orders)  # wider than K is fine
+    assert np.array_equal(model.assignments, ref.assignments) and model.inertia == ref.inertia
+    for bad in (orders[:1], np.vstack([orders, orders[:1]]), orders[:, :2], orders[0]):
+        with pytest.raises(ValueError, match="orders"):
+            kmeans_fit(X, 3, seed=1, restarts=2, orders=bad)
 
 
 def test_weighted_draw_equals_generator_choice():

@@ -1,4 +1,5 @@
 import gzip
+import re
 
 import pytest
 
@@ -174,6 +175,27 @@ def test_asset_patterns_drop_paths():
     filt = FilterConfig(drop_asset_patterns=[r"\.css$", r"^/ajax/"]).compile()
     reasons = [filt.drop_reason("Mozilla/5.0", "1.2.3.4", p) for p in ("/site.css", "/ajax/ping", "/search")]
     assert reasons == ["asset", "asset", None]
+
+
+ASSET_PATTERNS = [r"^/a|b", r"^[|]x", r"^\|x", r"^/x(?:/|$)", r"\.css$", r"(?m)^/y"]
+ASSET_PATHS = ["/a", "/ab", "xb", "|x", "/|x", "/x", "/x/", "/xy", "/q/x", "a.css", "a.css\n",
+               "/q\n/y", "/y", "/yz", "y", "/search", ""]
+
+
+def test_asset_check_equals_search_over_each_pattern():
+    # anchored patterns share one match and the rest one search; no verdict may change
+    shipped = logs.default_filter_config().drop_asset_patterns
+    for patterns in [ASSET_PATTERNS, *([p] for p in ASSET_PATTERNS), shipped, shipped + ASSET_PATTERNS]:
+        filt = FilterConfig(drop_asset_patterns=patterns).compile()
+        for path in ASSET_PATHS + ["/assets/x.png", "/ajax", "/ajaxy", "/q\n/assets/"]:
+            assert filt.asset_dropped(path) == any(re.search(p, path) for p in patterns), (patterns, path)
+
+
+def test_asset_patterns_split_by_anchor():
+    anchored = [p for p in ASSET_PATTERNS if logs._start_anchored(p, re.compile(p))]
+    assert anchored == [r"^[|]x", r"^\|x", r"^/x(?:/|$)"]
+    shipped = logs.default_filter_config().drop_asset_patterns
+    assert sum(logs._start_anchored(p, re.compile(p)) for p in shipped) == sum(p.startswith("^") for p in shipped)
 
 
 def test_bad_asset_pattern_reports_entry():
