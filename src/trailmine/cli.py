@@ -15,14 +15,16 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+from .logs import LOG_FORMATS
+from .markov import FEATURE_KINDS
 from .pipeline import (
     PipelineConfig,
     PipelineStageError,
-    parse_k_range,
     read_assignments_csv,
     read_feature_csv,
     read_traces_jsonl,
     run_pipeline,
+    setting_parser,
     stage_cluster,
     stage_compare,
     stage_elbow,
@@ -36,29 +38,16 @@ from .synth import default_archetypes, generate_synthetic_log, load_archetypes_j
 USAGE_EXIT = 1
 DATA_EXIT = 2
 
-# one flag per PipelineConfig field; a subcommand takes those its stages read,
-# and a flag left unset keeps the config's default
+# one flag per PipelineConfig field, read by its setting_parser; a subcommand takes
+# those its stages read, and a flag left unset keeps the config's default
 _CONFIG_FLAGS = {
     "logs": {"nargs": "+"},
-    "out_dir": {},
-    "log_format": {"choices": ["combined", "common"]},
+    "log_format": {"choices": LOG_FORMATS},
     "rules": {"help": "action mapping rules file, which fixes the vocabulary (default: built-in)"},
-    "ua_blacklist": {},
-    "ip_blacklist": {},
-    "asset_patterns": {},
-    "gap_minutes": {"type": float},
-    "alpha": {"type": float},
-    "feature_kind": {"flag": "--features", "choices": ["stationary", "pageviews"]},
-    "k": {"type": int},
+    "feature_kind": {"flag": "--features", "choices": FEATURE_KINDS},
     "k_range": {"help": "elbow range, LO:HI"},
-    "seed": {"type": int},
-    "restarts": {"type": int},
-    "pca_components": {"type": int},
-    "threshold_pct": {"type": float},
-    "top_actions": {"type": int},
-    "top_resources": {"type": int},
-    "jobs": {"type": int},
 }
+_FIELDS = {f.name: f for f in fields(PipelineConfig)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,9 +59,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_config_flags(p: argparse.ArgumentParser, *names: str, required=("out_dir",)) -> None:
     for name in names:
-        spec = dict(_CONFIG_FLAGS[name])
+        spec = dict(_CONFIG_FLAGS.get(name, {}))
         flag = spec.pop("flag", "--" + name.replace("_", "-"))
-        p.add_argument(flag, dest=name, required=name in required, **spec)
+        parse = str if "nargs" in spec else setting_parser(_FIELDS[name])  # each --logs token is one path
+        p.add_argument(flag, dest=name, type=parse, required=name in required, **spec)
 
 
 def _build_parser() -> _Parser:
@@ -115,7 +105,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("run", help="run the whole pipeline")
     p.add_argument("--config", help="INI config file ([pipeline] section)")
-    _add_config_flags(p, *_CONFIG_FLAGS, required=())
+    _add_config_flags(p, *_FIELDS, required=())
     return parser
 
 
@@ -123,10 +113,10 @@ def _config(args) -> PipelineConfig:
     """The INI file of ``--config`` if given, overridden by every flag set."""
     config = getattr(args, "config", None)
     cfg = PipelineConfig.from_ini(config) if config else PipelineConfig()
-    for f in fields(PipelineConfig):
-        value = getattr(args, f.name, None)
+    for name in _FIELDS:
+        value = getattr(args, name, None)
         if value is not None:
-            setattr(cfg, f.name, parse_k_range(value) if f.name == "k_range" else value)
+            setattr(cfg, name, value)
     cfg.validate()
     return cfg
 

@@ -27,6 +27,7 @@ __all__ = [
     "RequestRecord",
     "FilterConfig",
     "CompiledFilter",
+    "LOG_FORMATS",
     "line_pattern",
     "parse_log_line",
     "format_log_line",
@@ -61,6 +62,7 @@ _LINE_PATTERNS = {
         r'^(\S+) (\S+) (\S+) \[([^\]]+)\] "([^"]*)" (\d{3}) (\S+)\s*$'
     ),
 }
+LOG_FORMATS = tuple(_LINE_PATTERNS)
 
 _MONTHS = {
     "Jan": 1, "Feb": 2, "Mar": 3, "Apr": 4, "May": 5, "Jun": 6,
@@ -303,16 +305,22 @@ class CompiledFilter:
         self._ip_exact = frozenset(exact)
         self._ip_nets = tuple(nets)
         # patterns that can only match at the start of the path are tried
-        # with one anchored ``match``, every other one with one ``search``
-        anchored, anywhere = [], []
+        # with one anchored ``match``, every other one with one ``search``;
+        # a pattern with groups is searched on its own, since group numbers
+        # and names would collide in an alternation
+        anchored, anywhere, grouped = [], [], []
         for pat in cfg.drop_asset_patterns:
             try:
                 compiled = re.compile(pat)
             except re.error as exc:
                 raise ValueError(f"asset pattern {pat!r} does not compile") from exc
-            (anchored if _start_anchored(pat, compiled) else anywhere).append(_scoped(pat))
+            if compiled.groups:
+                grouped.append(compiled.search)
+            else:
+                (anchored if _start_anchored(pat, compiled) else anywhere).append(_scoped(pat))
         self._asset_match = re.compile("|".join(anchored)).match if anchored else None
         self._asset_search = re.compile("|".join(anywhere)).search if anywhere else None
+        self._asset_grouped = grouped or None
 
     def ua_dropped(self, useragent: str) -> bool:
         """The user agent holds a blacklisted substring, case-insensitively."""
@@ -336,6 +344,8 @@ class CompiledFilter:
         return (
             (self._asset_match is not None and self._asset_match(path) is not None)
             or (self._asset_search is not None and self._asset_search(path) is not None)
+            or (self._asset_grouped is not None
+                and any(search(path) is not None for search in self._asset_grouped))
         )
 
     def drop_reason(self, useragent: str, ip: str, path: str) -> str | None:

@@ -47,9 +47,12 @@ __all__ = [
     "page_view_vector",
     "build_feature_matrix",
     "DEFAULT_ALPHA",
+    "FEATURE_KINDS",
 ]
 
 DEFAULT_ALPHA = 0.15
+# the per-user features build_feature_matrix can stack
+FEATURE_KINDS = ("stationary", "pageviews")
 
 # A block holds at most _BLOCK sequences (the users of one stacked solve)
 # and, unless one sequence alone is longer, at most _BLOCK_LABELS labels.
@@ -320,7 +323,7 @@ def build_feature_matrix(
     so all users share one coordinate system. Stationary vectors are
     solved directly, a block of users per stacked solve.
     """
-    if feature_kind not in ("stationary", "pageviews"):
+    if feature_kind not in FEATURE_KINDS:
         raise ValueError(f"unknown feature kind {feature_kind!r}")
     _check_labels(traces.labels, n)
     lengths = np.diff(traces.offsets)

@@ -23,7 +23,7 @@ import io
 import json
 import os
 import time
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import Field, asdict, dataclass, field, fields
 from configparser import ConfigParser
 from itertools import islice
 from multiprocessing import Pool
@@ -66,7 +66,7 @@ from .logs import (
     open_log,
     parse_clf_timestamp,
 )
-from .markov import FeatureMatrix, build_feature_matrix
+from .markov import FEATURE_KINDS, FeatureMatrix, build_feature_matrix
 from .pca import PcaModel, loading_extremes, pca_fit, pca_project
 from .sessions import DEFAULT_GAP_MINUTES, TraceSet, build_traces
 
@@ -84,6 +84,7 @@ __all__ = [
     "read_feature_csv",
     "read_assignments_csv",
     "parse_k_range",
+    "setting_parser",
     "stage_ingest",
     "stage_sessionize",
     "stage_features",
@@ -447,6 +448,21 @@ def ingest_paths(
 # file formats
 
 
+def _write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A CSV of the header line and one line per row of as many cells; returns the file name.
+
+    Cells are written with ``%s``, which is ``repr`` for a Python float,
+    so float cells come from ``tolist()`` and read back exactly. One
+    ``%`` template per line formats as fast as an f-string.
+    """
+    line = ",".join(["%s"] * len(header)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(line % tuple(row))
+    return Path(path).name
+
+
 def write_traces_jsonl(traces: TraceSet, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for row in traces.rows():
@@ -464,12 +480,9 @@ def _label_names(features: FeatureMatrix) -> list[str]:
     return features.label_names or [f"label_{i}" for i in range(features.n)]
 
 
-def write_feature_csv(features: FeatureMatrix, path: str | Path) -> None:
-    names = _label_names(features)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("user," + ",".join(names) + "\n")
-        for uid, row in zip(features.user_ids, features.X):
-            fh.write(uid + "," + ",".join(map(repr, row.tolist())) + "\n")
+def write_feature_csv(features: FeatureMatrix, path: str | Path) -> str:
+    rows = ([uid, *row] for uid, row in zip(features.user_ids, features.X.tolist()))
+    return _write_rows(path, ["user", *_label_names(features)], rows)
 
 
 def read_feature_csv(path: str | Path) -> FeatureMatrix:
@@ -496,16 +509,8 @@ def read_assignments_csv(path: str | Path) -> dict[str, int]:
     return out
 
 
-def _write_histogram_csv(hist: dict[int, int], path: Path, value_name: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{value_name},count\n")
-        for value in sorted(hist):
-            fh.write(f"{value},{hist[value]}\n")
-
-
 def write_usage_stats(stats, out_dir: Path) -> list[str]:
     """Plain-text report plus one CSV per histogram; returns file names."""
-    files = []
     report = out_dir / "usage_stats.txt"
     with open(report, "w", encoding="utf-8") as fh:
         fh.write("corpus usage statistics\n")
@@ -516,17 +521,11 @@ def write_usage_stats(stats, out_dir: Path) -> list[str]:
         fh.write(f"mean_session_duration_s: {stats.mean_session_duration:.3f}\n")
         fh.write(f"median_session_duration_s: {stats.median_session_duration:.1f}\n")
         fh.write("note: a 1-event session has duration 0 s\n")
-    files.append(report.name)
-    for name, hist in (
-        ("inter_request_seconds", stats.inter_request_seconds),
-        ("requests_per_user", stats.requests_per_user),
-        ("ontologies_per_user", stats.ontologies_per_user),
-        ("requests_per_session", stats.requests_per_session),
-    ):
-        p = out_dir / f"hist_{name}.csv"
-        _write_histogram_csv(hist, p, name)
-        files.append(p.name)
-    return files
+    return [report.name] + [
+        _write_rows(out_dir / f"hist_{name}.csv", [name, "count"], sorted(getattr(stats, name).items()))
+        for name in ("inter_request_seconds", "requests_per_user", "ontologies_per_user",
+                     "requests_per_session")
+    ]
 
 
 def write_cluster_outputs(
@@ -535,20 +534,13 @@ def write_cluster_outputs(
     profiles: list[ClusterProfile],
     out_dir: Path,
 ) -> list[str]:
-    files = []
     names = _label_names(features)
-    p = out_dir / "assignments.csv"
-    with open(p, "w", encoding="utf-8") as fh:
-        fh.write("user,cluster\n")
-        for uid, c in zip(features.user_ids, model.assignments):
-            fh.write(f"{uid},{int(c)}\n")
-    files.append(p.name)
-    p = out_dir / "centroids.csv"
-    with open(p, "w", encoding="utf-8") as fh:
-        fh.write("cluster," + ",".join(names) + "\n")
-        for k, row in enumerate(model.centroids):
-            fh.write(f"{k}," + ",".join(map(repr, row.tolist())) + "\n")
-    files.append(p.name)
+    files = [
+        _write_rows(out_dir / "assignments.csv", ["user", "cluster"],
+                    zip(features.user_ids, map(int, model.assignments))),
+        _write_rows(out_dir / "centroids.csv", ["cluster", *names],
+                    ([k, *row] for k, row in enumerate(model.centroids.tolist()))),
+    ]
     p = out_dir / "cluster_profiles.txt"
     with open(p, "w", encoding="utf-8") as fh:
         fh.write(f"behavior clusters (K={model.K}, inertia={model.inertia!r})\n")
@@ -570,24 +562,17 @@ def write_cluster_outputs(
             fh.write(f"  top transitions: {trans}\n")
     files.append(p.name)
     for prof in profiles:
-        p = out_dir / f"cluster_{prof.cluster}_actions.csv"
-        with open(p, "w", encoding="utf-8") as fh:
-            fh.write("label,count\n")
-            for i, cnt in enumerate(prof.action_histogram):
-                fh.write(f"{names[i]},{int(cnt)}\n")
-        files.append(p.name)
+        files.append(_write_rows(out_dir / f"cluster_{prof.cluster}_actions.csv", ["label", "count"],
+                                 zip(names, map(int, prof.action_histogram))))
     return files
 
 
-def write_elbow_csv(curve, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("K,explained_variance\n")
-        for k, ev in curve.points:
-            fh.write(f"{k},{repr(float(ev))}\n")
+def write_elbow_csv(curve, path: Path) -> str:
+    return _write_rows(path, ["K", "explained_variance"], ((k, float(ev)) for k, ev in curve.points))
 
 
-def _write_pca_report(path: Path, title: str, model: PcaModel, names: list[str]) -> None:
-    """The title, each component's variance ratios and its extreme loadings."""
+def _write_pca_report(path: Path, title: str, model: PcaModel, names: list[str]) -> str:
+    """The title, each component's variance ratios and its extreme loadings; returns the file name."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(title + "\n")
         for i, (ratio, cum) in enumerate(zip(model.explained_variance_ratio, model.cumulative_ratio)):
@@ -598,49 +583,36 @@ def _write_pca_report(path: Path, title: str, model: PcaModel, names: list[str])
                 f"({ext['largest_coefficient']:+.4f}), smallest {ext['smallest']} "
                 f"({ext['smallest_coefficient']:+.4f})\n"
             )
+    return path.name
 
 
 def write_pca_outputs(features: FeatureMatrix, model, coords, assignments, out_dir: Path) -> list[str]:
-    files = []
     names = _label_names(features)
-    p = out_dir / "pca_loadings.csv"
-    with open(p, "w", encoding="utf-8") as fh:
-        fh.write("label," + ",".join(f"PC{i + 1}" for i in range(model.r)) + "\n")
-        for j, name in enumerate(names):
-            fh.write(name + "," + ",".join(map(repr, model.components[:, j].tolist())) + "\n")
-    files.append(p.name)
-    p = out_dir / "pca_coordinates.csv"
-    with open(p, "w", encoding="utf-8") as fh:
-        header = "id," + ",".join(f"PC{i + 1}" for i in range(model.r))
-        if assignments is not None:
-            header += ",cluster"
-        fh.write(header + "\n")
-        for i, uid in enumerate(features.user_ids):
-            row = uid + "," + ",".join(map(repr, coords[i].tolist()))
-            if assignments is not None:
-                row += f",{int(assignments[i])}"
-            fh.write(row + "\n")
-    files.append(p.name)
-    p = out_dir / "pca_report.txt"
-    _write_pca_report(p, "principal components over behavior features", model, names)
-    files.append(p.name)
-    return files
+    pcs = [f"PC{i + 1}" for i in range(model.r)]
+    header = ["id", *pcs]
+    rows = [[uid, *row] for uid, row in zip(features.user_ids, coords.tolist())]
+    if assignments is not None:
+        header.append("cluster")
+        for row, cluster in zip(rows, assignments):
+            row.append(int(cluster))
+    return [
+        _write_rows(out_dir / "pca_loadings.csv", ["label", *pcs],
+                    ([name, *col] for name, col in zip(names, model.components.T.tolist()))),
+        _write_rows(out_dir / "pca_coordinates.csv", header, rows),
+        _write_pca_report(out_dir / "pca_report.txt", "principal components over behavior features",
+                          model, names),
+    ]
 
 
 def write_compare_outputs(profiles, diff, projection, names, out_dir: Path) -> list[str]:
     files = []
     if profiles:
         K = len(profiles[0].cluster_action_counts)
-        p = out_dir / "resource_profiles.csv"
-        with open(p, "w", encoding="utf-8") as fh:
-            fh.write("resource,visits,users," + ",".join(f"cluster_{k}" for k in range(K)) + "\n")
-            for prof in profiles:
-                fh.write(
-                    f"{prof.resource},{prof.visits},{prof.user_count},"
-                    + ",".join(str(int(v)) for v in prof.cluster_action_counts)
-                    + "\n"
-                )
-        files.append(p.name)
+        files.append(_write_rows(
+            out_dir / "resource_profiles.csv",
+            ["resource", "visits", "users", *(f"cluster_{k}" for k in range(K))],
+            ([p.resource, p.visits, p.user_count, *map(int, p.cluster_action_counts)] for p in profiles),
+        ))
     if diff is not None:
         p = out_dir / f"transition_diff_{diff.resource_a}_vs_{diff.resource_b}.json"
         shown = diff.labels_shown
@@ -657,23 +629,45 @@ def write_compare_outputs(profiles, diff, projection, names, out_dir: Path) -> l
             json.dump(payload, fh, indent=1)
         files.append(p.name)
     if projection is not None:
-        p = out_dir / "resource_coordinates.csv"
-        with open(p, "w", encoding="utf-8") as fh:
-            fh.write("resource," + ",".join(f"PC{i + 1}" for i in range(projection.model.r)) + "\n")
-            for rname, row in zip(projection.resources, projection.coordinates):
-                fh.write(rname + "," + ",".join(map(repr, row.tolist())) + "\n")
-        files.append(p.name)
-        p = out_dir / "resource_pca_report.txt"
-        _write_pca_report(
-            p, "principal components over per-cluster resource activity", projection.model,
-            [f"cluster_{k}" for k in range(projection.model.n)],
-        )
-        files.append(p.name)
+        model = projection.model
+        header = ["resource", *(f"PC{i + 1}" for i in range(model.r))]
+        rows = ([r, *row] for r, row in zip(projection.resources, projection.coordinates.tolist()))
+        files += [
+            _write_rows(out_dir / "resource_coordinates.csv", header, rows),
+            _write_pca_report(out_dir / "resource_pca_report.txt",
+                              "principal components over per-cluster resource activity",
+                              model, [f"cluster_{k}" for k in range(model.n)]),
+        ]
     return files
 
 
 # ---------------------------------------------------------------------------
 # configuration and full run
+
+
+def parse_k_range(text: str) -> tuple[int, int]:
+    """An elbow K range written ``LO:HI``, ``LO..HI`` or ``LO HI``."""
+    bounds = text.replace(":", " ").replace("..", " ").split()
+    if len(bounds) != 2:
+        raise ValueError(f"K range {text!r} is not LO:HI")
+    return int(bounds[0]), int(bounds[1])
+
+
+# the text parser of each PipelineConfig annotation (a string under
+# ``from __future__ import annotations``) for its INI key and its flag;
+# any other annotation is text
+_SETTING_PARSERS: dict[str, Callable[[str], object]] = {
+    "float": float,
+    "int": int,
+    "int | None": int,
+    "list[str]": str.split,
+    "tuple[int, int]": parse_k_range,
+}
+
+
+def setting_parser(f: Field) -> Callable[[str], object]:
+    """How an INI value or a command-line flag of the config field ``f`` is read."""
+    return _SETTING_PARSERS.get(f.type, str)
 
 
 @dataclass
@@ -710,25 +704,20 @@ class PipelineConfig:
         if unknown:
             raise ValueError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
         cfg = cls()
-        if "logs" in section:
-            cfg.logs = section["logs"].split()
-        for key in ("out_dir", "log_format", "rules", "ua_blacklist", "ip_blacklist",
-                    "asset_patterns", "feature_kind"):
-            if key in section:
-                setattr(cfg, key, section[key])
-        for key in ("gap_minutes", "alpha", "threshold_pct"):
-            if key in section:
-                setattr(cfg, key, float(section[key]))
-        for key in ("seed", "restarts", "pca_components",
-                    "top_actions", "top_resources", "jobs", "k"):
-            if key in section:
-                setattr(cfg, key, int(section[key]))
-        if "k_range" in section:
-            cfg.k_range = parse_k_range(section["k_range"])
+        for f in fields(cls):
+            if f.name in section:
+                setattr(cfg, f.name, setting_parser(f)(section[f.name]))
         return cfg
 
     def validate(self) -> None:
-        """Reject, by name, a setting that would fail a stage partway through a run."""
+        """Reject, by name, a setting that would fail a stage partway or reshape its input."""
+        line_pattern(self.log_format)  # raises for an unknown format
+        if self.feature_kind not in FEATURE_KINDS:
+            raise ValueError(f"unknown feature kind {self.feature_kind!r}")
+        if not self.alpha >= 0:
+            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if not self.gap_minutes > 0:
+            raise ValueError(f"gap_minutes must be > 0, got {self.gap_minutes}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         lo, hi = self.k_range
@@ -757,14 +746,6 @@ class PipelineConfig:
     def ruleset(self) -> RuleSet:
         """Compile the rules; ``run_pipeline`` and each subcommand call this once."""
         return compile_ruleset(self.rules) if self.rules else default_ruleset()
-
-
-def parse_k_range(text: str) -> tuple[int, int]:
-    """An elbow K range written ``LO:HI``, ``LO..HI`` or ``LO HI``."""
-    bounds = text.replace(":", " ").replace("..", " ").split()
-    if len(bounds) != 2:
-        raise ValueError(f"K range {text!r} is not LO:HI")
-    return int(bounds[0]), int(bounds[1])
 
 
 # ---------------------------------------------------------------------------
@@ -812,13 +793,13 @@ def stage_features(
         traces, vocab.n,
         feature_kind=config.feature_kind, alpha=config.alpha, label_names=vocab.names(),
     )
-    path = _out_dir(config) / "features.csv" if path is None else Path(path)
-    write_feature_csv(features, path)
+    path = _out_dir(config) / "features.csv" if path is None else path
+    files = [write_feature_csv(features, path)]
     entry = {
         "users": features.m, "kind": config.feature_kind,
         "max_residual": features.max_residual, "lstsq_fallbacks": features.fallbacks,
     }
-    return features, entry, [path.name]
+    return features, entry, files
 
 
 def stage_elbow(
@@ -830,9 +811,9 @@ def stage_elbow(
         features, range(lo, min(hi, features.m) + 1),
         seed=config.seed, restarts=config.restarts,
     )
-    write_elbow_csv(curve, _out_dir(config) / "elbow.csv")
+    files = [write_elbow_csv(curve, _out_dir(config) / "elbow.csv")]
     fits = [{"K": K, **model.diagnostics()} for K, model in curve.models.items()]
-    return curve, {"knee": curve.knee, "fits": fits}, ["elbow.csv"]
+    return curve, {"knee": curve.knee, "fits": fits}, files
 
 
 def stage_cluster(

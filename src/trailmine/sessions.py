@@ -177,7 +177,10 @@ def build_traces(
     starts a new session. Inter-request gaps include the gaps between a
     user's sessions (the histogram that motivates the threshold in the
     first place). An empty batch gives no traces and zero statistics.
+    Raises ``ValueError`` unless ``gap_minutes > 0``.
     """
+    if not gap_minutes > 0:  # NaN too: no gap would ever split a session
+        raise ValueError(f"gap_minutes must be > 0, got {gap_minutes}")
     n_events = len(batch)
     if n_events == 0:
         return TraceSet.from_rows([]), UsageStats()

@@ -1,8 +1,12 @@
+import argparse
 import json
+from dataclasses import fields
 
 import pytest
 
+from trailmine import cli
 from trailmine.cli import main
+from trailmine.pipeline import PipelineConfig
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +97,50 @@ def test_usage_error_exit_code():
         with pytest.raises(SystemExit) as exc:
             main(["features", "--traces", "t.jsonl", "--out", "f.csv", flag, "1"])
         assert exc.value.code == 1
+    for flag, value in (("--seed", "abc"), ("--k-range", "abc"), ("--k-range", "1:x")):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--logs", "a.log", flag, value])
+        assert exc.value.code == 1, (flag, value)
+
+
+# a valid value, other than the default, of every PipelineConfig field
+NON_DEFAULT = {
+    "logs": "a.log b.log",
+    "out_dir": "elsewhere",
+    "log_format": "common",
+    "rules": "rules.txt",
+    "ua_blacklist": "ua.txt",
+    "ip_blacklist": "ip.txt",
+    "asset_patterns": "assets.txt",
+    "gap_minutes": "45.5",
+    "alpha": "0.2",
+    "feature_kind": "pageviews",
+    "k": "5",
+    "k_range": "2:12",
+    "seed": "3",
+    "restarts": "4",
+    "pca_components": "2",
+    "threshold_pct": "12.5",
+    "top_actions": "7",
+    "top_resources": "9",
+    "jobs": "2",
+}
+
+
+def test_every_setting_reads_the_same_from_ini_and_flag(tmp_path):
+    """Each config field is one INI key and one ``run`` flag, and the two agree."""
+    subparsers = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    run_flags = {a.dest: a.option_strings[0] for a in subparsers.choices["run"]._actions}
+    default = PipelineConfig()
+    ini = tmp_path / "cfg.ini"
+    for f in fields(PipelineConfig):
+        text = NON_DEFAULT[f.name]
+        ini.write_text(f"[pipeline]\n{f.name} = {text}\n", encoding="utf-8")
+        from_ini = PipelineConfig.from_ini(ini)
+        tokens = text.split() if f.name == "logs" else [text]
+        from_flag = cli._config(cli._build_parser().parse_args(["run", run_flags[f.name], *tokens]))
+        assert from_ini == from_flag, f.name
+        assert getattr(from_ini, f.name) != getattr(default, f.name), f.name
 
 
 def test_data_error_exit_code(tmp_path):

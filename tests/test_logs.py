@@ -184,10 +184,15 @@ ASSET_PATHS = ["/a", "/ab", "xb", "|x", "/|x", "/x", "/x/", "/xy", "/q/x", "a.cs
 
 def test_asset_check_equals_search_over_each_pattern():
     # anchored patterns share one match and the rest one search; no verdict may change
+    # patterns with groups are searched on their own: in one alternation the
+    # second \1 would name the first pattern's group, and two (?P<x>...) collide
     shipped = logs.default_filter_config().drop_asset_patterns
-    for patterns in [ASSET_PATTERNS, *([p] for p in ASSET_PATTERNS), shipped, shipped + ASSET_PATTERNS]:
+    backrefs, named = [r"(a)\1", r"(b)\1"], [r"^(?P<x>/z)", r"(?P<x>\.png)$"]
+    for patterns in [ASSET_PATTERNS, *([p] for p in ASSET_PATTERNS), shipped, shipped + ASSET_PATTERNS,
+                     backrefs, named, shipped + backrefs + named]:
         filt = FilterConfig(drop_asset_patterns=patterns).compile()
-        for path in ASSET_PATHS + ["/assets/x.png", "/ajax", "/ajaxy", "/q\n/assets/"]:
+        for path in ASSET_PATHS + ["/assets/x.png", "/ajax", "/ajaxy", "/q\n/assets/", "/aa", "/bb",
+                                   "/ab", "/z", "/y.png"]:
             assert filt.asset_dropped(path) == any(re.search(p, path) for p in patterns), (patterns, path)
 
 

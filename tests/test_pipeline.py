@@ -220,6 +220,12 @@ def test_run_pipeline_rejects_restarts_before_any_stage(tmp_path, corpus):
         ("k_range = 0:4", "k_range must be LO:HI"),
         ("k = 0", "k must be >= 1"),
         ("pca_components = 0", "pca_components must be >= 1"),
+        ("log_format = combind", "unknown log format: 'combind'"),
+        ("feature_kind = bogus", "unknown feature kind 'bogus'"),
+        ("alpha = -1", "alpha must be >= 0"),
+        ("alpha = nan", "alpha must be >= 0"),
+        ("gap_minutes = 0", "gap_minutes must be > 0"),
+        ("gap_minutes = -5", "gap_minutes must be > 0"),
     ):
         ini.write_text(f"[pipeline]\nlogs = {log}\nout_dir = {out}\n{setting}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=message):

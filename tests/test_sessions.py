@@ -98,6 +98,14 @@ def test_gap_threshold_boundary():
     assert len(one_trace([0, 1799])["session_lengths"]) == 1
 
 
+@pytest.mark.parametrize("gap", [0, -5, float("nan")])
+def test_gap_not_above_zero_is_rejected(gap):
+    # a gap of 0 or less would make every event its own session, NaN none
+    for timestamps in ([0, 60, 120], []):
+        with pytest.raises(ValueError, match="gap_minutes must be > 0"):
+            build_traces(make_batch(timestamps), BREAK, gap)
+
+
 def test_sessionize_matches_naive_splitter():
     rng = np.random.default_rng(1234)
     for _ in range(10_000):
