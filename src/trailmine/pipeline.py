@@ -706,7 +706,11 @@ class PipelineConfig:
         cfg = cls()
         for f in fields(cls):
             if f.name in section:
-                setattr(cfg, f.name, setting_parser(f)(section[f.name]))
+                try:
+                    value = setting_parser(f)(section[f.name])
+                except ValueError as exc:
+                    raise ValueError(f"{f.name}: {exc}") from exc
+                setattr(cfg, f.name, value)
         return cfg
 
     def validate(self) -> None:

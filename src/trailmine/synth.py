@@ -13,14 +13,16 @@ contrast is what the stationary-versus-pageview validation leans on.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from urllib.parse import quote
 
 import numpy as np
 
 from .actions import ActionVocabulary, RuleSet, default_ruleset
-from .logs import RequestRecord, format_log_line
+from .logs import _MONTH_NAMES
 
 __all__ = [
     "VocabularyMismatch",
@@ -194,6 +196,10 @@ _WINDOW_START = int(datetime(2016, 1, 1, tzinfo=timezone.utc).timestamp())
 _WINDOW_DAYS = 30
 INTRA_GAP = (5, 120)       # seconds between requests inside a session
 INTER_GAP = (1900, 7200)   # seconds between sessions, always above 30 min
+# per-label integer draws [gap, k, size]: gap before the label, {k} in its
+# path, response size
+_LABEL_LOWS = np.array([INTRA_GAP[0], 1, 200], dtype=np.int64)
+_LABEL_HIGHS = np.array([INTRA_GAP[1], 100000, 6000], dtype=np.int64)
 
 
 def _draw(dist: tuple, rng: np.random.Generator) -> int:
@@ -253,31 +259,84 @@ def _verify_paths(ruleset: RuleSet) -> dict[int, tuple[str, str]]:
     return emitters
 
 
-def _session_labels(
-    spec: ArchetypeSpec,
-    rng: np.random.Generator,
-    vocab: ActionVocabulary,
-) -> list[int]:
-    if spec.session_template is not None:
-        return list(spec.session_template)
-    length = max(1, _draw(spec.session_length, rng))
-    profile = np.asarray(spec.transition_profile, dtype=np.float64)
-    if spec.start_distribution is not None:
-        start_p = np.asarray(spec.start_distribution, dtype=np.float64)
-        state = int(rng.choice(vocab.n, p=start_p / start_p.sum()))
-    else:
-        # start from the profile's stationary-ish row mass
-        mass = profile.sum(axis=0)
-        state = int(rng.choice(vocab.n, p=mass / mass.sum()))
-    labels = [state]
-    for _ in range(length - 1):
-        row = profile[state]
-        total = row.sum()
-        if total <= 0:
-            break
-        state = int(rng.choice(vocab.n, p=row / total))
-        labels.append(state)
-    return labels
+def _cdf(p: np.ndarray) -> list[float]:
+    """The CDF ``Generator.choice(len(p), p=p)`` searches with ``rng.random()``.
+
+    ``bisect_right(cdf, rng.random())`` then draws what ``choice`` draws,
+    consuming the same single double from the stream.
+    """
+    if not (p >= 0).all():
+        raise ValueError("probabilities must be finite and non-negative")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+@dataclass
+class _DrawTable:
+    """One archetype's categorical draws, built once per generator call.
+
+    ``rows[i]`` is the CDF of transition row ``i``, or ``None`` for a row
+    that sums to 0 (a chain stops there). ``start`` is ``None`` for a
+    template archetype, which draws no labels.
+    """
+
+    spec: ArchetypeSpec
+    resources: list[str]
+    resource_cdf: list[float]
+    start: list[float] | None
+    rows: list[list[float] | None]
+
+    @classmethod
+    def build(cls, spec: ArchetypeSpec) -> "_DrawTable":
+        resources = sorted(spec.resource_affinity) or ["MISC"]
+        weights = np.array(
+            [spec.resource_affinity.get(rname, 1.0) for rname in resources], dtype=np.float64
+        )
+        resource_cdf = _cdf(weights / weights.sum())
+        if spec.session_template is not None:
+            return cls(spec, resources, resource_cdf, None, [])
+        profile = np.asarray(spec.transition_profile, dtype=np.float64)
+        if spec.start_distribution is not None:
+            start_p = np.asarray(spec.start_distribution, dtype=np.float64)
+        else:
+            # start from the profile's stationary-ish row mass
+            start_p = profile.sum(axis=0)
+        rows = []
+        for row in profile:
+            total = row.sum()
+            rows.append(_cdf(row / total) if total > 0 else None)
+        return cls(spec, resources, resource_cdf, _cdf(start_p / start_p.sum()), rows)
+
+    def session_labels(self, rng: np.random.Generator) -> list[int]:
+        """One session's labels, drawn as ``rng.choice`` over the chain would draw them."""
+        if self.start is None:
+            return list(self.spec.session_template)
+        length = max(1, _draw(self.spec.session_length, rng))
+        random = rng.random
+        state = bisect_right(self.start, random())
+        labels = [state]
+        rows = self.rows
+        for _ in range(length - 1):
+            cdf = rows[state]
+            if cdf is None:
+                break
+            state = bisect_right(cdf, random())
+            labels.append(state)
+        return labels
+
+
+_TWO_DIGITS = tuple(f"{i:02d}" for i in range(60))
+
+
+def _clf_stamp(ts: int, days: dict[int, str]) -> str:
+    """``dd/Mon/YYYY:HH:MM:SS +0000`` for epoch ``ts``; ``days`` caches each UTC day's date part."""
+    day, sec = divmod(ts, 86400)
+    date = days.get(day)
+    if date is None:
+        d = datetime.fromtimestamp(day * 86400, tz=timezone.utc)
+        date = days[day] = f"{d.day:02d}/{_MONTH_NAMES[d.month - 1]}/{d.year:04d}:"
+    return f"{date}{_TWO_DIGITS[sec // 3600]}:{_TWO_DIGITS[sec // 60 % 60]}:{_TWO_DIGITS[sec % 60]} +0000"
 
 
 def generate_synthetic_log(
@@ -296,7 +355,16 @@ def generate_synthetic_log(
     blacklisted user agents and make up ``bot_fraction`` of all lines.
     When ``path`` is given the lines are also written there (gzip when
     the name ends in .gz).
+
+    Each line is the one ``logs.format_log_line`` renders for its
+    request, built here from cached parts. Per session, the integer
+    draws ``[k, size, (gap, k, size)...]`` come from one array-bounded
+    ``rng.integers`` call, which draws element by element through the
+    same bounded routine as the scalar calls, so the stream is consumed
+    in the order of one scalar draw per value.
     """
+    if users_per_archetype < 0:
+        raise ValueError(f"users_per_archetype must be >= 0, got {users_per_archetype}")
     if not 0.0 <= bot_fraction < 1.0:
         raise ValueError("bot_fraction must lie in [0, 1)")
     rs = ruleset or default_ruleset()
@@ -305,22 +373,28 @@ def generate_synthetic_log(
         _check_archetype(spec, vocab)
     emitters = _verify_paths(rs)
     break_id = vocab.break_id
+    split_templates = {lab: template.split("{k}") for lab, (_, template) in emitters.items()}
+    has_acr = {lab: "{acr}" in template for lab, (_, template) in emitters.items()}
 
     rng = np.random.default_rng(seed)
     entries: list[tuple[int, int, int, str]] = []  # (ts, stream, seq, line)
     users: dict[str, UserTruth] = {}
     per_resource: dict[str, int] = {}
     stream = 0
+    days: dict[int, str] = {}
+    targets: dict[tuple[int, str], list[str]] = {}  # quoted request parts, split at {k}
+    # bounds of [gap, k, size] per label; a session draws [1 : 3 * len(labels)]
+    lows = np.empty(0, dtype=np.int64)
+    highs = lows
 
     for ai, spec in enumerate(archetypes):
-        resources = sorted(spec.resource_affinity) or ["MISC"]
-        weights = np.array(
-            [spec.resource_affinity.get(rname, 1.0) for rname in resources], dtype=np.float64
-        )
-        weights = weights / weights.sum()
+        table = _DrawTable.build(spec)
+        resources, resource_cdf = table.resources, table.resource_cdf
         for u in range(users_per_archetype):
             ip = f"10.{ai + 1}.{u // 250}.{u % 250 + 1}"
             ua = HUMAN_USERAGENTS[int(rng.integers(len(HUMAN_USERAGENTS)))]
+            head = f"{ip} - - ["
+            tail = f' "-" "{ua}"'
             n_sessions = max(1, _draw(spec.sessions_per_user, rng))
             ts = _WINDOW_START + int(rng.integers(0, _WINDOW_DAYS * 86400))
             sequence: list[int] = []
@@ -332,29 +406,34 @@ def generate_synthetic_log(
                 if s:
                     ts += int(rng.integers(*INTER_GAP))
                     sequence.append(break_id)
-                acr = resources[int(rng.choice(len(resources), p=weights))]
-                labels = _session_labels(spec, rng, vocab)
-                session_lengths.append(len(labels))
-                for i, lab in enumerate(labels):
-                    if i:
-                        ts += int(rng.integers(*INTRA_GAP))
-                    method, template = emitters[lab]
-                    p = template.format(acr=acr, k=int(rng.integers(1, 100000)))
-                    record = RequestRecord(
-                        ip=ip,
-                        timestamp=datetime.fromtimestamp(ts, tz=timezone.utc),
-                        method=method,
-                        path=p,
-                        query="",
-                        status=200,
-                        useragent=ua,
-                    )
-                    line = format_log_line(record, size=int(rng.integers(200, 6000)))
-                    entries.append((ts, stream, seq_no, line))
+                acr = resources[bisect_right(resource_cdf, rng.random())]
+                labels = table.session_labels(rng)
+                n = len(labels)
+                session_lengths.append(n)
+                if 3 * n > len(lows):
+                    lows = np.tile(_LABEL_LOWS, 2 * n)
+                    highs = np.tile(_LABEL_HIGHS, 2 * n)
+                draws = rng.integers(lows[1 : 3 * n], highs[1 : 3 * n]).tolist()
+                draws.insert(0, 0)  # the first label follows no intra-session gap
+                acr_hits = 0
+                for lab, gap, k, size in zip(labels, draws[0::3], draws[1::3], draws[2::3]):
+                    ts += gap
+                    parts = targets.get((lab, acr))
+                    if parts is None:
+                        method = emitters[lab][0]
+                        parts = [quote(part.format(acr=acr), safe="/") for part in split_templates[lab]]
+                        parts[0] = f'"{method} {parts[0]}'
+                        parts[-1] += ' HTTP/1.1" 200 '
+                        targets[(lab, acr)] = parts
+                    entries.append((
+                        ts, stream, seq_no,
+                        f"{head}{_clf_stamp(ts, days)}] {str(k).join(parts)}{size}{tail}",
+                    ))
                     seq_no += 1
-                    sequence.append(lab)
-                    if "{acr}" in template:
-                        truth_resources[acr] = truth_resources.get(acr, 0) + 1
+                    acr_hits += has_acr[lab]
+                sequence.extend(labels)
+                if acr_hits:
+                    truth_resources[acr] = truth_resources.get(acr, 0) + acr_hits
             users[ip] = UserTruth(
                 archetype=ai,
                 sequence=sequence,
@@ -367,23 +446,19 @@ def generate_synthetic_log(
 
     human_lines = len(entries)
     n_bots = int(round(human_lines * bot_fraction / (1.0 - bot_fraction))) if bot_fraction else 0
-    for b in range(n_bots):
-        ts = _WINDOW_START + int(rng.integers(0, _WINDOW_DAYS * 86400))
-        ip = f"192.0.2.{b % 250 + 1}"
-        ua = BOT_USERAGENTS[int(rng.integers(len(BOT_USERAGENTS)))]
-        p = _BOT_PATHS[int(rng.integers(len(_BOT_PATHS)))]
-        record = RequestRecord(
-            ip=ip,
-            timestamp=datetime.fromtimestamp(ts, tz=timezone.utc),
-            method="GET",
-            path=p,
-            query="",
-            status=200,
-            useragent=ua,
-        )
-        entries.append((ts, stream + 1 + b, 0, format_log_line(record, size=256)))
+    bot_draws = rng.integers(
+        [0, 0, 0], [_WINDOW_DAYS * 86400, len(BOT_USERAGENTS), len(_BOT_PATHS)], size=(n_bots, 3)
+    ).tolist()
+    bot_targets = [quote(p, safe="/") for p in _BOT_PATHS]
+    for b, (offset, ua_i, path_i) in enumerate(bot_draws):
+        ts = _WINDOW_START + offset
+        entries.append((
+            ts, stream + 1 + b, 0,
+            f'192.0.2.{b % 250 + 1} - - [{_clf_stamp(ts, days)}] "GET {bot_targets[path_i]} '
+            f'HTTP/1.1" 200 256 "-" "{BOT_USERAGENTS[ua_i]}"',
+        ))
 
-    entries.sort(key=lambda e: (e[0], e[1], e[2]))
+    entries.sort()  # (ts, stream, seq) is unique, so line text is never compared
     lines = [e[3] for e in entries]
     truth = GroundTruth(
         archetype_names=[spec.name for spec in archetypes],
@@ -395,14 +470,15 @@ def generate_synthetic_log(
     )
     if path is not None:
         path = Path(path)
+        text = "".join(line + "\n" for line in lines)
         if str(path).endswith(".gz"):
             import gzip
 
             with gzip.open(path, "wt", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
+                fh.write(text)
         else:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
+                fh.write(text)
     return lines, truth
 
 

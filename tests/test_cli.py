@@ -189,6 +189,25 @@ def test_unknown_log_format_in_config(tmp_path, synth_log, capsys):
     assert "unknown log format: 'combind'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("seed = abc", "seed: invalid literal"),
+    ("k_range = 3", "k_range: K range '3' is not LO:HI"),
+])
+def test_malformed_ini_value_names_its_key(tmp_path, capsys, setting, message):
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(f"[pipeline]\nlogs = a.log\nout_dir = {tmp_path / 'o'}\n{setting}\n",
+                   encoding="utf-8")
+    assert main(["run", "--config", str(ini)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_synth_rejects_negative_users(tmp_path, capsys):
+    log = tmp_path / "synth.log"
+    assert main(["synth", "--out", str(log), "--users", "-3"]) == 2
+    assert "users_per_archetype must be >= 0" in capsys.readouterr().err
+    assert not log.exists()
+
+
 @pytest.mark.parametrize("route", ["flag", "ini", "cluster"])
 def test_restarts_below_one_is_a_data_error_before_any_stage(tmp_path, synth_log, capsys, route):
     out = tmp_path / "o"

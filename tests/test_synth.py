@@ -1,8 +1,14 @@
+import dataclasses
+import gzip
+import json
+import re
+
 import numpy as np
 import pytest
+from testutil import reference_generate_synthetic_log
 
 from trailmine.actions import default_ruleset
-from trailmine.logs import parse_log_line
+from trailmine.logs import format_log_line, parse_log_line
 from trailmine.pipeline import ingest_paths
 from trailmine.synth import (
     ArchetypeSpec,
@@ -10,6 +16,7 @@ from trailmine.synth import (
     VocabularyMismatch,
     default_archetypes,
     generate_synthetic_log,
+    load_archetypes_json,
 )
 
 
@@ -40,9 +47,10 @@ def test_bot_fraction_and_filter_ground_truth(tmp_path):
 
 def test_session_gap_contract():
     _, truth = generate_synthetic_log(default_archetypes(), 6, seed=4)
+    break_id = default_ruleset().vocabulary.break_id
     # session lengths in the ground truth must match the BREAK structure
     for ut in truth.users.values():
-        breaks = ut.sequence.count(33)
+        breaks = ut.sequence.count(break_id)
         assert breaks == len(ut.session_lengths) - 1
         assert sum(ut.session_lengths) + breaks == len(ut.sequence)
 
@@ -195,3 +203,104 @@ def test_ground_truth_roundtrip(tmp_path):
     assert loaded.human_lines == truth.human_lines
     some_user = next(iter(truth.users))
     assert loaded.users[some_user].sequence == truth.users[some_user].sequence
+
+
+def _json_archetypes(tmp_path):
+    """A chain that runs into an all-zero row, and one with no start label."""
+    config = [
+        {
+            "name": "dead-end",
+            "rows": {
+                "Browse Search": {"Browse Search": 0.3, "Browse Ontology Class": 0.7},
+                "Browse Ontology Class": {"Browse Search": 0.5, "Browse Help": 0.5},
+            },
+            "start": "Browse Search",
+            "session_length": ["geometric", 12],
+            "sessions_per_user": ["uniform", 1, 3],
+            "resource_affinity": {"CPT": 0.5, "GO": 0.5},
+        },
+        {
+            "name": "no-start",
+            "rows": {
+                "Ontology Summary": {"Browse Ontology Classes": 0.6, "Ontology Analytics": 0.4},
+                "Browse Ontology Classes": {"Ontology Summary": 1.0},
+                "Ontology Analytics": {"Ontology Summary": 0.5, "Browse Ontology Classes": 0.5},
+            },
+            "session_length": ["uniform", 1, 15],
+        },
+    ]
+    path = tmp_path / "archetypes.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return load_archetypes_json(path)
+
+
+def _default_archetypes(_tmp_path):
+    return default_archetypes()
+
+
+def _uniform_archetypes(_tmp_path):
+    return [
+        dataclasses.replace(s, session_length=("uniform", 2, 9), sessions_per_user=("uniform", 1, 4))
+        for s in default_archetypes()
+    ]
+
+
+def _escaped_resources(_tmp_path):
+    affinity = {"A B": 0.5, "Ä": 0.3, "GO": 0.2}
+    return [dataclasses.replace(s, resource_affinity=affinity) for s in default_archetypes()]
+
+
+def _read_text(path):
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with opener(path, "rt", encoding="utf-8") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("specs, users, seed, bots, log_name", [
+    *[(_default_archetypes, 6, seed, bots, "synth.log")
+      for seed in (1, 2, 3) for bots in (0.0, 0.1, 0.3)],
+    (_uniform_archetypes, 5, 4, 0.1, "synth.log"),
+    (_json_archetypes, 8, 5, 0.1, "synth.log"),
+    (_escaped_resources, 4, 6, 0.0, "synth.log"),
+    (_default_archetypes, 4, 7, 0.3, "synth.log.gz"),
+])
+def test_generator_matches_reference(tmp_path, specs, users, seed, bots, log_name):
+    archetypes = specs(tmp_path)
+    out = {}
+    for name, generate in (("new", generate_synthetic_log), ("ref", reference_generate_synthetic_log)):
+        (tmp_path / name).mkdir()
+        log = tmp_path / name / log_name
+        lines, truth = generate(archetypes, users, seed=seed, bot_fraction=bots, path=log)
+        truth.save(tmp_path / name / "truth.json")
+        out[name] = (lines, _read_text(log), (tmp_path / name / "truth.json").read_bytes())
+    assert out["new"][0], "empty corpus compares nothing"
+    assert out["new"] == out["ref"]
+
+
+def test_lines_are_what_format_log_line_renders():
+    archetypes = default_archetypes()[:3] + _escaped_resources(None)[2:4]
+    lines, truth = generate_synthetic_log(archetypes, 3, seed=11, bot_fraction=0.3)
+    assert truth.bot_lines > 0
+    for line in lines:
+        size = int(re.search(r'" 200 (\d+) "', line).group(1))
+        assert format_log_line(parse_log_line(line), size=size) == line
+
+
+def test_empty_corpus_writes_an_empty_file(tmp_path):
+    log = tmp_path / "synth.log"
+    lines, truth = generate_synthetic_log(default_archetypes(), 0, seed=1, bot_fraction=0.2, path=log)
+    assert lines == [] and truth.users == {} and truth.bot_lines == 0
+    assert log.read_bytes() == b""
+    _, stats = ingest_paths([log])
+    assert (stats.lines, stats.malformed) == (0, 0)
+
+
+def test_negative_user_count_is_rejected():
+    with pytest.raises(ValueError, match="users_per_archetype"):
+        generate_synthetic_log(default_archetypes(), -3, seed=1)
+
+
+def test_negative_weights_are_rejected():
+    spec = dataclasses.replace(default_archetypes()[1], resource_affinity={"GO": 1.5, "CPT": -0.5})
+    with pytest.raises(ValueError, match="non-negative"):
+        generate_synthetic_log([spec], 2, seed=1)

@@ -324,3 +324,156 @@ def reference_ingest_paths(paths, ruleset, filter_config, log_format="combined")
         parts.append(part)
         stats.merge(part_stats)
     return EventBatch.merge(parts), stats
+
+
+# Reference synthetic generator: the per-line loop as first written, with one
+# ``rng.choice`` per drawn label, scalar ``rng.integers`` draws and
+# ``format_log_line`` per line. ``synth.generate_synthetic_log`` must
+# reproduce its lines, file bytes and ground truth exactly.
+
+def _reference_session_labels(spec, rng, vocab):
+    from trailmine.synth import _draw
+
+    if spec.session_template is not None:
+        return list(spec.session_template)
+    length = max(1, _draw(spec.session_length, rng))
+    profile = np.asarray(spec.transition_profile, dtype=np.float64)
+    if spec.start_distribution is not None:
+        start_p = np.asarray(spec.start_distribution, dtype=np.float64)
+        state = int(rng.choice(vocab.n, p=start_p / start_p.sum()))
+    else:
+        # start from the profile's stationary-ish row mass
+        mass = profile.sum(axis=0)
+        state = int(rng.choice(vocab.n, p=mass / mass.sum()))
+    labels = [state]
+    for _ in range(length - 1):
+        row = profile[state]
+        total = row.sum()
+        if total <= 0:
+            break
+        state = int(rng.choice(vocab.n, p=row / total))
+        labels.append(state)
+    return labels
+
+
+def reference_generate_synthetic_log(
+    archetypes, users_per_archetype, seed=0, bot_fraction=0.0, path=None, ruleset=None,
+):
+    """(lines, GroundTruth) drawn one label, one integer and one line at a time."""
+    from datetime import datetime, timezone
+    from pathlib import Path
+
+    from trailmine.actions import default_ruleset
+    from trailmine.logs import RequestRecord, format_log_line
+    from trailmine.synth import (
+        _BOT_PATHS, _WINDOW_DAYS, _WINDOW_START, BOT_USERAGENTS, HUMAN_USERAGENTS, INTER_GAP,
+        INTRA_GAP, GroundTruth, UserTruth, _check_archetype, _draw, _verify_paths,
+    )
+
+    if not 0.0 <= bot_fraction < 1.0:
+        raise ValueError("bot_fraction must lie in [0, 1)")
+    rs = ruleset or default_ruleset()
+    vocab = rs.vocabulary
+    for spec in archetypes:
+        _check_archetype(spec, vocab)
+    emitters = _verify_paths(rs)
+    break_id = vocab.break_id
+
+    rng = np.random.default_rng(seed)
+    entries = []  # (ts, stream, seq, line)
+    users = {}
+    per_resource = {}
+    stream = 0
+
+    for ai, spec in enumerate(archetypes):
+        resources = sorted(spec.resource_affinity) or ["MISC"]
+        weights = np.array(
+            [spec.resource_affinity.get(rname, 1.0) for rname in resources], dtype=np.float64
+        )
+        weights = weights / weights.sum()
+        for u in range(users_per_archetype):
+            ip = f"10.{ai + 1}.{u // 250}.{u % 250 + 1}"
+            ua = HUMAN_USERAGENTS[int(rng.integers(len(HUMAN_USERAGENTS)))]
+            n_sessions = max(1, _draw(spec.sessions_per_user, rng))
+            ts = _WINDOW_START + int(rng.integers(0, _WINDOW_DAYS * 86400))
+            sequence = []
+            session_lengths = []
+            truth_resources = {}
+            seq_no = 0
+            stream += 1
+            for s in range(n_sessions):
+                if s:
+                    ts += int(rng.integers(*INTER_GAP))
+                    sequence.append(break_id)
+                acr = resources[int(rng.choice(len(resources), p=weights))]
+                labels = _reference_session_labels(spec, rng, vocab)
+                session_lengths.append(len(labels))
+                for i, lab in enumerate(labels):
+                    if i:
+                        ts += int(rng.integers(*INTRA_GAP))
+                    method, template = emitters[lab]
+                    p = template.format(acr=acr, k=int(rng.integers(1, 100000)))
+                    record = RequestRecord(
+                        ip=ip,
+                        timestamp=datetime.fromtimestamp(ts, tz=timezone.utc),
+                        method=method,
+                        path=p,
+                        query="",
+                        status=200,
+                        useragent=ua,
+                    )
+                    line = format_log_line(record, size=int(rng.integers(200, 6000)))
+                    entries.append((ts, stream, seq_no, line))
+                    seq_no += 1
+                    sequence.append(lab)
+                    if "{acr}" in template:
+                        truth_resources[acr] = truth_resources.get(acr, 0) + 1
+            users[ip] = UserTruth(
+                archetype=ai,
+                sequence=sequence,
+                session_lengths=session_lengths,
+                action_count=len(sequence) - sequence.count(break_id),
+                resources=truth_resources,
+            )
+            for acr, cnt in truth_resources.items():
+                per_resource[acr] = per_resource.get(acr, 0) + cnt
+
+    human_lines = len(entries)
+    n_bots = int(round(human_lines * bot_fraction / (1.0 - bot_fraction))) if bot_fraction else 0
+    for b in range(n_bots):
+        ts = _WINDOW_START + int(rng.integers(0, _WINDOW_DAYS * 86400))
+        ip = f"192.0.2.{b % 250 + 1}"
+        ua = BOT_USERAGENTS[int(rng.integers(len(BOT_USERAGENTS)))]
+        p = _BOT_PATHS[int(rng.integers(len(_BOT_PATHS)))]
+        record = RequestRecord(
+            ip=ip,
+            timestamp=datetime.fromtimestamp(ts, tz=timezone.utc),
+            method="GET",
+            path=p,
+            query="",
+            status=200,
+            useragent=ua,
+        )
+        entries.append((ts, stream + 1 + b, 0, format_log_line(record, size=256)))
+
+    entries.sort(key=lambda e: (e[0], e[1], e[2]))
+    lines = [e[3] for e in entries]
+    truth = GroundTruth(
+        archetype_names=[spec.name for spec in archetypes],
+        users=users,
+        per_resource=per_resource,
+        human_lines=human_lines,
+        bot_lines=n_bots,
+        seed=seed,
+    )
+    if path is not None:
+        path = Path(path)
+        if str(path).endswith(".gz"):
+            import gzip
+
+            with gzip.open(path, "wt", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+    return lines, truth
