@@ -20,6 +20,7 @@ from .markov import FEATURE_KINDS
 from .pipeline import (
     PipelineConfig,
     PipelineStageError,
+    RunRecord,
     read_assignments_csv,
     read_feature_csv,
     read_traces_jsonl,
@@ -135,54 +136,50 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    cfg = _config(args)
-    ruleset = cfg.ruleset()
-    batch, funnel, _ = stage_ingest(cfg, ruleset)
-    _, counts, _ = stage_sessionize(cfg, ruleset, batch)
-    with open(Path(cfg.out_dir) / "ingest_stats.json", "w", encoding="utf-8") as fh:
-        json.dump({**funnel, "users": counts["users"]}, fh, indent=1)
-    print(f"{funnel['lines']} lines -> {funnel['events']} events, {counts['users']} users; "
-          f"wrote {cfg.out_dir}")
+    record = RunRecord(_config(args))
+    batch = stage_ingest(record)
+    traces = stage_sessionize(record, batch)
+    funnel = record.stages["ingest"]
+    with open(record.path("ingest_stats.json"), "w", encoding="utf-8") as fh:
+        json.dump({**funnel, "users": len(traces)}, fh, indent=1)
+    print(f"{funnel['lines']} lines -> {funnel['events']} events, {len(traces)} users; "
+          f"wrote {record.config.out_dir}")
     return 0
 
 
 def _cmd_features(args) -> int:
-    cfg = _config(args)
-    traces = read_traces_jsonl(args.traces)
-    features, _, _ = stage_features(cfg, cfg.ruleset(), traces, Path(args.out))
-    print(f"wrote {features.m} x {features.n} {cfg.feature_kind} features to {args.out}")
+    record = RunRecord(_config(args))
+    features = stage_features(record, read_traces_jsonl(args.traces), Path(args.out))
+    print(f"wrote {features.m} x {features.n} {record.config.feature_kind} features to {args.out}")
     return 0
 
 
 def _cmd_cluster(args) -> int:
-    cfg = _config(args)
-    ruleset = cfg.ruleset()
+    record = RunRecord(_config(args))
     features = read_feature_csv(args.features)
-    curve, _, _ = stage_elbow(cfg, features)
+    curve = stage_elbow(record, features)
     traces = read_traces_jsonl(args.traces) if args.traces else None
-    model, _, _ = stage_cluster(cfg, ruleset, features, traces, curve)
+    model = stage_cluster(record, features, traces, curve)
     print(f"K={model.K} (knee suggestion {curve.knee}), inertia {model.inertia:.6g}; "
-          f"wrote {cfg.out_dir}")
+          f"wrote {record.config.out_dir}")
     return 0
 
 
 def _cmd_pca(args) -> int:
-    cfg = _config(args)
+    record = RunRecord(_config(args))
     assignments = read_assignments_csv(args.assignments) if args.assignments else None
-    model, _, _ = stage_pca(cfg, read_feature_csv(args.features), assignments)
+    model = stage_pca(record, read_feature_csv(args.features), assignments)
     print(f"{model.r} components, cumulative variance {model.cumulative_ratio[-1]:.4f}; "
-          f"wrote {cfg.out_dir}")
+          f"wrote {record.config.out_dir}")
     return 0
 
 
 def _cmd_compare(args) -> int:
-    cfg = _config(args)
+    record = RunRecord(_config(args))
     assignments = read_assignments_csv(args.assignments)
     K = max(assignments.values(), default=0) + 1
-    profiles, _, _ = stage_compare(
-        cfg, cfg.ruleset(), read_traces_jsonl(args.traces), assignments, K, args.pair,
-    )
-    print(f"{len(profiles)} resources; wrote {cfg.out_dir}")
+    profiles = stage_compare(record, read_traces_jsonl(args.traces), assignments, K, args.pair)
+    print(f"{len(profiles)} resources; wrote {record.config.out_dir}")
     return 0
 
 

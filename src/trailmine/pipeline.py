@@ -1,11 +1,12 @@
 """Pipeline orchestration: ingest, traces, features, clusters, comparison.
 
 Each stage is one function (``stage_ingest`` ... ``stage_compare``) that
-takes a :class:`PipelineConfig` plus its inputs, writes its artifacts in
-the documented file formats and returns its manifest entry.
-:func:`run_pipeline` calls them in order, and each ``trailmine``
-subcommand calls the same functions on inputs read back from disk, so
-long runs can be resumed per stage.
+takes a :class:`RunRecord` plus its inputs, writes its artifacts in the
+documented file formats, sets its manifest entry in the record and
+returns its result. :func:`run_pipeline` calls them in order through one
+record and saves it as ``manifest.json``; each ``trailmine`` subcommand
+calls the same functions on inputs read back from disk, so long runs can
+be resumed per stage.
 
 Ingest has one pass, :func:`_ingest_lines`, for every route. It takes the
 lines in fixed-size chunks: each line is matched against the grammar, the
@@ -73,6 +74,7 @@ from .sessions import DEFAULT_GAP_MINUTES, TraceSet, build_traces
 __all__ = [
     "PipelineConfig",
     "PipelineStageError",
+    "RunRecord",
     "IngestStats",
     "EventBatch",
     "ingest_paths",
@@ -448,8 +450,8 @@ def ingest_paths(
 # file formats
 
 
-def _write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """A CSV of the header line and one line per row of as many cells; returns the file name.
+def _write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A CSV of the header line and one line per row of as many cells.
 
     Cells are written with ``%s``, which is ``repr`` for a Python float,
     so float cells come from ``tolist()`` and read back exactly. One
@@ -460,7 +462,6 @@ def _write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(line % tuple(row))
-    return Path(path).name
 
 
 def write_traces_jsonl(traces: TraceSet, path: str | Path) -> None:
@@ -480,9 +481,9 @@ def _label_names(features: FeatureMatrix) -> list[str]:
     return features.label_names or [f"label_{i}" for i in range(features.n)]
 
 
-def write_feature_csv(features: FeatureMatrix, path: str | Path) -> str:
+def write_feature_csv(features: FeatureMatrix, path: str | Path) -> None:
     rows = ([uid, *row] for uid, row in zip(features.user_ids, features.X.tolist()))
-    return _write_rows(path, ["user", *_label_names(features)], rows)
+    _write_rows(path, ["user", *_label_names(features)], rows)
 
 
 def read_feature_csv(path: str | Path) -> FeatureMatrix:
@@ -509,10 +510,9 @@ def read_assignments_csv(path: str | Path) -> dict[str, int]:
     return out
 
 
-def write_usage_stats(stats, out_dir: Path) -> list[str]:
-    """Plain-text report plus one CSV per histogram; returns file names."""
-    report = out_dir / "usage_stats.txt"
-    with open(report, "w", encoding="utf-8") as fh:
+def write_usage_stats(stats, record: RunRecord) -> None:
+    """Plain-text report plus one CSV per histogram."""
+    with open(record.path("usage_stats.txt"), "w", encoding="utf-8") as fh:
         fh.write("corpus usage statistics\n")
         fh.write(f"users: {stats.users}\n")
         fh.write(f"events: {stats.total_events}\n")
@@ -521,28 +521,23 @@ def write_usage_stats(stats, out_dir: Path) -> list[str]:
         fh.write(f"mean_session_duration_s: {stats.mean_session_duration:.3f}\n")
         fh.write(f"median_session_duration_s: {stats.median_session_duration:.1f}\n")
         fh.write("note: a 1-event session has duration 0 s\n")
-    return [report.name] + [
-        _write_rows(out_dir / f"hist_{name}.csv", [name, "count"], sorted(getattr(stats, name).items()))
-        for name in ("inter_request_seconds", "requests_per_user", "ontologies_per_user",
-                     "requests_per_session")
-    ]
+    for name in ("inter_request_seconds", "requests_per_user", "ontologies_per_user",
+                 "requests_per_session"):
+        _write_rows(record.path(f"hist_{name}.csv"), [name, "count"], sorted(getattr(stats, name).items()))
 
 
 def write_cluster_outputs(
     features: FeatureMatrix,
     model: ClusterModel,
     profiles: list[ClusterProfile],
-    out_dir: Path,
-) -> list[str]:
+    record: RunRecord,
+) -> None:
     names = _label_names(features)
-    files = [
-        _write_rows(out_dir / "assignments.csv", ["user", "cluster"],
-                    zip(features.user_ids, map(int, model.assignments))),
-        _write_rows(out_dir / "centroids.csv", ["cluster", *names],
-                    ([k, *row] for k, row in enumerate(model.centroids.tolist()))),
-    ]
-    p = out_dir / "cluster_profiles.txt"
-    with open(p, "w", encoding="utf-8") as fh:
+    _write_rows(record.path("assignments.csv"), ["user", "cluster"],
+                zip(features.user_ids, map(int, model.assignments)))
+    _write_rows(record.path("centroids.csv"), ["cluster", *names],
+                ([k, *row] for k, row in enumerate(model.centroids.tolist())))
+    with open(record.path("cluster_profiles.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"behavior clusters (K={model.K}, inertia={model.inertia!r})\n")
         for prof in profiles:
             fh.write(
@@ -560,19 +555,17 @@ def write_cluster_outputs(
                 f"{names[a]} -> {names[b]} ({c})" for a, b, c in prof.top_transitions[:5]
             )
             fh.write(f"  top transitions: {trans}\n")
-    files.append(p.name)
     for prof in profiles:
-        files.append(_write_rows(out_dir / f"cluster_{prof.cluster}_actions.csv", ["label", "count"],
-                                 zip(names, map(int, prof.action_histogram))))
-    return files
+        _write_rows(record.path(f"cluster_{prof.cluster}_actions.csv"), ["label", "count"],
+                    zip(names, map(int, prof.action_histogram)))
 
 
-def write_elbow_csv(curve, path: Path) -> str:
-    return _write_rows(path, ["K", "explained_variance"], ((k, float(ev)) for k, ev in curve.points))
+def write_elbow_csv(curve, path: Path) -> None:
+    _write_rows(path, ["K", "explained_variance"], ((k, float(ev)) for k, ev in curve.points))
 
 
-def _write_pca_report(path: Path, title: str, model: PcaModel, names: list[str]) -> str:
-    """The title, each component's variance ratios and its extreme loadings; returns the file name."""
+def _write_pca_report(path: Path, title: str, model: PcaModel, names: list[str]) -> None:
+    """The title, each component's variance ratios and its extreme loadings."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(title + "\n")
         for i, (ratio, cum) in enumerate(zip(model.explained_variance_ratio, model.cumulative_ratio)):
@@ -583,10 +576,9 @@ def _write_pca_report(path: Path, title: str, model: PcaModel, names: list[str])
                 f"({ext['largest_coefficient']:+.4f}), smallest {ext['smallest']} "
                 f"({ext['smallest_coefficient']:+.4f})\n"
             )
-    return path.name
 
 
-def write_pca_outputs(features: FeatureMatrix, model, coords, assignments, out_dir: Path) -> list[str]:
+def write_pca_outputs(features: FeatureMatrix, model, coords, assignments, record: RunRecord) -> None:
     names = _label_names(features)
     pcs = [f"PC{i + 1}" for i in range(model.r)]
     header = ["id", *pcs]
@@ -595,26 +587,22 @@ def write_pca_outputs(features: FeatureMatrix, model, coords, assignments, out_d
         header.append("cluster")
         for row, cluster in zip(rows, assignments):
             row.append(int(cluster))
-    return [
-        _write_rows(out_dir / "pca_loadings.csv", ["label", *pcs],
-                    ([name, *col] for name, col in zip(names, model.components.T.tolist()))),
-        _write_rows(out_dir / "pca_coordinates.csv", header, rows),
-        _write_pca_report(out_dir / "pca_report.txt", "principal components over behavior features",
-                          model, names),
-    ]
+    _write_rows(record.path("pca_loadings.csv"), ["label", *pcs],
+                ([name, *col] for name, col in zip(names, model.components.T.tolist())))
+    _write_rows(record.path("pca_coordinates.csv"), header, rows)
+    _write_pca_report(record.path("pca_report.txt"), "principal components over behavior features",
+                      model, names)
 
 
-def write_compare_outputs(profiles, diff, projection, names, out_dir: Path) -> list[str]:
-    files = []
+def write_compare_outputs(profiles, diff, projection, names, record: RunRecord) -> None:
     if profiles:
         K = len(profiles[0].cluster_action_counts)
-        files.append(_write_rows(
-            out_dir / "resource_profiles.csv",
+        _write_rows(
+            record.path("resource_profiles.csv"),
             ["resource", "visits", "users", *(f"cluster_{k}" for k in range(K))],
             ([p.resource, p.visits, p.user_count, *map(int, p.cluster_action_counts)] for p in profiles),
-        ))
+        )
     if diff is not None:
-        p = out_dir / f"transition_diff_{diff.resource_a}_vs_{diff.resource_b}.json"
         shown = diff.labels_shown
         payload = {
             "resource_a": diff.resource_a,
@@ -625,20 +613,17 @@ def write_compare_outputs(profiles, diff, projection, names, out_dir: Path) -> l
             "histogram_b": [int(diff.histogram_b[i]) for i in shown],
             "diff": [[float(v) for v in row] for row in diff.diff],
         }
-        with open(p, "w", encoding="utf-8") as fh:
+        name = f"transition_diff_{diff.resource_a}_vs_{diff.resource_b}.json"
+        with open(record.path(name), "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1)
-        files.append(p.name)
     if projection is not None:
         model = projection.model
         header = ["resource", *(f"PC{i + 1}" for i in range(model.r))]
         rows = ([r, *row] for r, row in zip(projection.resources, projection.coordinates.tolist()))
-        files += [
-            _write_rows(out_dir / "resource_coordinates.csv", header, rows),
-            _write_pca_report(out_dir / "resource_pca_report.txt",
-                              "principal components over per-cluster resource activity",
-                              model, [f"cluster_{k}" for k in range(model.n)]),
-        ]
-    return files
+        _write_rows(record.path("resource_coordinates.csv"), header, rows)
+        _write_pca_report(record.path("resource_pca_report.txt"),
+                          "principal components over per-cluster resource activity",
+                          model, [f"cluster_{k}" for k in range(model.n)])
 
 
 # ---------------------------------------------------------------------------
@@ -748,122 +733,154 @@ class PipelineConfig:
         return base
 
     def ruleset(self) -> RuleSet:
-        """Compile the rules; ``run_pipeline`` and each subcommand call this once."""
+        """Compile the rules; a :class:`RunRecord` calls this once, when it is made."""
         return compile_ruleset(self.rules) if self.rules else default_ruleset()
 
 
+class RunRecord:
+    """What one run did: its config, its rules, each stage's entry and the files written.
+
+    The rules are compiled once, here. Stages set their entry in
+    ``stages``, and writers name each file they write in the out dir
+    through :meth:`path`, so ``outputs`` lists the files in the order
+    they were written. The out dir is made when the first file needs it.
+    """
+
+    def __init__(self, config: PipelineConfig):
+        self.config = config
+        self.ruleset = config.ruleset()
+        self.stages: dict[str, dict] = {}
+        self.outputs: list[str] = []
+
+    def path(self, name: str) -> Path:
+        """The out-dir path of ``name``, now listed among the outputs."""
+        out_dir = Path(self.config.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        self.outputs.append(name)
+        return out_dir / name
+
+    def run(self, stage: str, fn: Callable, *inputs):
+        """``fn(self, *inputs)``, timed into the entry it sets.
+
+        A failure saves ``manifest.partial.json`` and raises :class:`PipelineStageError`.
+        """
+        t0 = time.perf_counter()
+        try:
+            result = fn(self, *inputs)
+        except Exception as exc:
+            self.save("manifest.partial.json")
+            raise PipelineStageError(stage, exc) from exc
+        self.stages[stage] = {"seconds": round(time.perf_counter() - t0, 3), **self.stages[stage]}
+        return result
+
+    def manifest(self) -> dict:
+        return {
+            "config": self.config.as_dict(),
+            "versions": {"trailmine": __version__, "numpy": np.__version__},
+            "stages": self.stages,
+            "outputs": list(self.outputs),
+        }
+
+    def save(self, name: str) -> None:
+        """Write the manifest as ``name``; its outputs are the files written before it."""
+        manifest = self.manifest()
+        with open(self.path(name), "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=1)
+
+
 # ---------------------------------------------------------------------------
-# stages: each takes the config plus its inputs, writes its artifacts under
-# config.out_dir and returns (its result, its manifest entry, the files written)
+# stages: each takes the run record plus its inputs, writes its artifacts
+# through the record, sets its entry in record.stages and returns its result
 
 
-def _out_dir(config: PipelineConfig) -> Path:
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
-
-
-def stage_ingest(config: PipelineConfig, ruleset: RuleSet) -> tuple[EventBatch, dict, list[str]]:
+def stage_ingest(record: RunRecord) -> EventBatch:
     """Parse, filter and map ``config.logs``; the entry is the funnel."""
+    config = record.config
     batch, stats = ingest_paths(
-        config.logs,
-        ruleset=ruleset,
-        filter_config=config.filter_config(),
-        log_format=config.log_format,
-        jobs=config.jobs,
+        config.logs, ruleset=record.ruleset, filter_config=config.filter_config(),
+        log_format=config.log_format, jobs=config.jobs,
     )
     if stats.parsed == 0:
         raise MalformedLine("no parseable lines in input")
-    return batch, stats.funnel(), []
+    record.stages["ingest"] = stats.funnel()
+    return batch
 
 
-def stage_sessionize(
-    config: PipelineConfig, ruleset: RuleSet, batch: EventBatch,
-) -> tuple[TraceSet, dict, list[str]]:
+def stage_sessionize(record: RunRecord, batch: EventBatch) -> TraceSet:
     """Traces (``traces.jsonl``) and usage statistics of an event batch."""
-    out_dir = _out_dir(config)
-    traces, usage = build_traces(batch, ruleset.vocabulary.break_id, config.gap_minutes)
-    write_traces_jsonl(traces, out_dir / "traces.jsonl")
-    files = ["traces.jsonl"] + write_usage_stats(usage, out_dir)
-    return traces, {"users": len(traces), "sessions": usage.session_count}, files
+    traces, usage = build_traces(batch, record.ruleset.vocabulary.break_id, record.config.gap_minutes)
+    write_traces_jsonl(traces, record.path("traces.jsonl"))
+    write_usage_stats(usage, record)
+    record.stages["sessionize"] = {"users": len(traces), "sessions": usage.session_count}
+    return traces
 
 
-def stage_features(
-    config: PipelineConfig, ruleset: RuleSet, traces: TraceSet, path: Path | None = None,
-) -> tuple[FeatureMatrix, dict, list[str]]:
+def stage_features(record: RunRecord, traces: TraceSet, path: Path | None = None) -> FeatureMatrix:
     """The feature matrix, written to ``path`` (default: ``features.csv``)."""
-    vocab = ruleset.vocabulary
+    config, vocab = record.config, record.ruleset.vocabulary
     features = build_feature_matrix(
         traces, vocab.n,
         feature_kind=config.feature_kind, alpha=config.alpha, label_names=vocab.names(),
     )
-    path = _out_dir(config) / "features.csv" if path is None else path
-    files = [write_feature_csv(features, path)]
-    entry = {
+    write_feature_csv(features, record.path("features.csv") if path is None else path)
+    record.stages["features"] = {
         "users": features.m, "kind": config.feature_kind,
         "max_residual": features.max_residual, "lstsq_fallbacks": features.fallbacks,
     }
-    return features, entry, files
+    return features
 
 
-def stage_elbow(
-    config: PipelineConfig, features: FeatureMatrix,
-) -> tuple[ElbowCurve, dict, list[str]]:
+def stage_elbow(record: RunRecord, features: FeatureMatrix) -> ElbowCurve:
     """The explained-variance curve over ``config.k_range``, cut at the user count."""
+    config = record.config
     lo, hi = config.k_range
     curve = explained_variance_curve(
         features, range(lo, min(hi, features.m) + 1),
         seed=config.seed, restarts=config.restarts,
     )
-    files = [write_elbow_csv(curve, _out_dir(config) / "elbow.csv")]
+    write_elbow_csv(curve, record.path("elbow.csv"))
     fits = [{"K": K, **model.diagnostics()} for K, model in curve.models.items()]
-    return curve, {"knee": curve.knee, "fits": fits}, files
+    record.stages["elbow"] = {"knee": curve.knee, "fits": fits}
+    return curve
 
 
 def stage_cluster(
-    config: PipelineConfig,
-    ruleset: RuleSet,
-    features: FeatureMatrix,
-    traces: TraceSet | None,
-    curve: ElbowCurve,
-) -> tuple[ClusterModel, dict, list[str]]:
+    record: RunRecord, features: FeatureMatrix, traces: TraceSet | None, curve: ElbowCurve,
+) -> ClusterModel:
     """K-means at ``config.k`` (default: the knee); profiles need ``traces``.
 
     The elbow's fit of K is reused; it has the same features, seed and
     restarts. K is fitted here only when the curve holds no fit of it.
     """
+    config = record.config
     K = config.k if config.k is not None else (curve.knee or 1)
     model = curve.models.get(K)
     if model is None:
         model = kmeans_fit(features, K, seed=config.seed, restarts=config.restarts)
     profiles = []
     if traces is not None:
-        profiles = profile_clusters(features, model, traces, ruleset.vocabulary.break_id)
-    files = write_cluster_outputs(features, model, profiles, _out_dir(config))
-    return model, {"K": K, "inertia": model.inertia, **model.diagnostics()}, files
+        profiles = profile_clusters(features, model, traces, record.ruleset.vocabulary.break_id)
+    write_cluster_outputs(features, model, profiles, record)
+    record.stages["cluster"] = {"K": K, "inertia": model.inertia, **model.diagnostics()}
+    return model
 
 
-def stage_pca(
-    config: PipelineConfig, features: FeatureMatrix, assignments: dict[str, int] | None,
-) -> tuple[PcaModel, dict, list[str]]:
+def stage_pca(record: RunRecord, features: FeatureMatrix, assignments: dict[str, int] | None) -> PcaModel:
     """Principal components of the features; ``assignments`` color the coordinates."""
-    pca_model = pca_fit(features.X, min(config.pca_components, features.m, features.n))
+    pca_model = pca_fit(features.X, min(record.config.pca_components, features.m, features.n))
     coords = pca_project(pca_model, features.X)
     clusters = None
     if assignments is not None:
         clusters = np.array([assignments.get(u, -1) for u in features.user_ids])
-    files = write_pca_outputs(features, pca_model, coords, clusters, _out_dir(config))
-    return pca_model, {"components": pca_model.r}, files
+    write_pca_outputs(features, pca_model, coords, clusters, record)
+    record.stages["pca"] = {"components": pca_model.r}
+    return pca_model
 
 
 def stage_compare(
-    config: PipelineConfig,
-    ruleset: RuleSet,
-    traces: TraceSet,
-    assignments: dict[str, int],
-    K: int,
+    record: RunRecord, traces: TraceSet, assignments: dict[str, int], K: int,
     pair: Sequence[str] | None = None,
-) -> tuple[list[ResourceProfile], dict, list[str]]:
+) -> list[ResourceProfile]:
     """Resource profiles, the transition diff of ``pair`` and the resource map.
 
     ``pair`` defaults to the two most visited resources; naming a
@@ -871,7 +888,7 @@ def stage_compare(
     The map is skipped when the top ``config.top_resources`` cut leaves
     fewer than two resources.
     """
-    vocab = ruleset.vocabulary
+    config, vocab = record.config, record.ruleset.vocabulary
     resource_rows = extract_resource_traces(
         traces, threshold_pct=config.threshold_pct, break_label=vocab.break_id,
     )
@@ -893,8 +910,9 @@ def stage_compare(
         )
     except TooFewResources:
         projection = None
-    files = write_compare_outputs(profiles, diff, projection, vocab.names(), _out_dir(config))
-    return profiles, {"resources": len(profiles)}, files
+    write_compare_outputs(profiles, diff, projection, vocab.names(), record)
+    record.stages["compare"] = {"resources": len(profiles)}
+    return profiles
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
@@ -908,40 +926,14 @@ def run_pipeline(config: PipelineConfig) -> dict:
     that does not compile.
     """
     config.validate()
-    ruleset = config.ruleset()
-    out_dir = _out_dir(config)
-    manifest: dict = {
-        "config": config.as_dict(),
-        "versions": {
-            "trailmine": __version__,
-            "numpy": np.__version__,
-        },
-        "stages": {},
-        "outputs": [],
-    }
-
-    def run(stage: str, fn: Callable, *inputs):
-        t0 = time.perf_counter()
-        try:
-            result, entry, files = fn(config, *inputs)
-        except Exception as exc:
-            with open(out_dir / "manifest.partial.json", "w", encoding="utf-8") as fh:
-                json.dump(manifest, fh, indent=1)
-            raise PipelineStageError(stage, exc) from exc
-        manifest["stages"][stage] = {"seconds": round(time.perf_counter() - t0, 3), **entry}
-        manifest["outputs"] += files
-        return result
-
-    batch = run("ingest", stage_ingest, ruleset)
-    traces = run("sessionize", stage_sessionize, ruleset, batch)
-    features = run("features", stage_features, ruleset, traces)
-    curve = run("elbow", stage_elbow, features)
-    model = run("cluster", stage_cluster, ruleset, features, traces, curve)
+    record = RunRecord(config)
+    batch = record.run("ingest", stage_ingest)
+    traces = record.run("sessionize", stage_sessionize, batch)
+    features = record.run("features", stage_features, traces)
+    curve = record.run("elbow", stage_elbow, features)
+    model = record.run("cluster", stage_cluster, features, traces, curve)
     assignments = dict(zip(features.user_ids, (int(c) for c in model.assignments)))
-    run("pca", stage_pca, features, assignments)
-    run("compare", stage_compare, ruleset, traces, assignments, model.K)
-
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
-    manifest["outputs"].append("manifest.json")
-    return manifest
+    record.run("pca", stage_pca, features, assignments)
+    record.run("compare", stage_compare, traces, assignments, model.K)
+    record.save("manifest.json")
+    return record.manifest()

@@ -354,7 +354,7 @@ def generate_synthetic_log(
     below 30 minutes and inter-session gaps above it. Bot lines carry
     blacklisted user agents and make up ``bot_fraction`` of all lines.
     When ``path`` is given the lines are also written there (gzip when
-    the name ends in .gz).
+    the name ends in .gz, with a zero header time so the bytes repeat).
 
     Each line is the one ``logs.format_log_line`` renders for its
     request, built here from cached parts. Per session, the integer
@@ -474,8 +474,9 @@ def generate_synthetic_log(
         if str(path).endswith(".gz"):
             import gzip
 
-            with gzip.open(path, "wt", encoding="utf-8") as fh:
-                fh.write(text)
+            # a zero header time keeps the file a function of seed and path
+            with gzip.GzipFile(path, "wb", mtime=0) as fh:
+                fh.write(text.encode("utf-8"))
         else:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -13,6 +13,8 @@ from trailmine.compare import ATTRIBUTION_NOTE, ResourceProfile, ResourceProject
 from trailmine.markov import FeatureMatrix
 from trailmine.pca import PcaModel
 from trailmine.pipeline import (
+    PipelineConfig,
+    RunRecord,
     write_cluster_outputs,
     write_compare_outputs,
     write_elbow_csv,
@@ -24,6 +26,10 @@ from trailmine.sessions import UsageStats
 
 NAMES = ["BREAK", "search", "browse"]
 ROW = [0.1, 1 / 3, -2.5]
+
+
+def _record(out_dir) -> RunRecord:
+    return RunRecord(PipelineConfig(out_dir=str(out_dir)))
 
 
 def _features(names=NAMES) -> FeatureMatrix:
@@ -57,7 +63,9 @@ def test_usage_stats_text(tmp_path):
         inter_request_seconds={1800: 1, 0: 2}, requests_per_user={2: 1, 3: 1},
         ontologies_per_user={0: 1, 1: 1}, requests_per_session={1: 1, 2: 2},
     )
-    files = write_usage_stats(stats, tmp_path)
+    record = _record(tmp_path)
+    write_usage_stats(stats, record)
+    files = record.outputs
     assert files == [
         "usage_stats.txt", "hist_inter_request_seconds.csv", "hist_requests_per_user.csv",
         "hist_ontologies_per_user.csv", "hist_requests_per_session.csv",
@@ -90,7 +98,9 @@ def test_cluster_outputs_text(tmp_path):
         ClusterProfile(0, 1, 2.0, 2.0, np.array([0, 3, 1]), [(1, 2, 3), (2, 1, 1)]),
         ClusterProfile(1, 1, 2.5, 2.5, np.array([1, 0, 0]), []),
     ]
-    files = write_cluster_outputs(_features(), model, profiles, tmp_path)
+    record = _record(tmp_path)
+    write_cluster_outputs(_features(), model, profiles, record)
+    files = record.outputs
     assert files == [
         "assignments.csv", "centroids.csv", "cluster_profiles.txt",
         "cluster_0_actions.csv", "cluster_1_actions.csv",
@@ -127,7 +137,9 @@ def test_elbow_csv_text(tmp_path):
 
 def test_pca_outputs_text(tmp_path):
     coords = np.array([[0.1, -2.5], [1 / 3, 0.0]])
-    files = write_pca_outputs(_features(), _pca(), coords, np.array([1, 0]), tmp_path)
+    record = _record(tmp_path)
+    write_pca_outputs(_features(), _pca(), coords, np.array([1, 0]), record)
+    files = record.outputs
     assert files == ["pca_loadings.csv", "pca_coordinates.csv", "pca_report.txt"]
     text = {name: (tmp_path / name).read_text(encoding="utf-8") for name in files}
     assert text == {
@@ -146,7 +158,7 @@ def test_pca_outputs_text(tmp_path):
             "PC2: largest search (+0.2500), smallest BREAK (-0.5000)\n"
         ),
     }
-    write_pca_outputs(_features(), _pca(), coords, None, tmp_path)
+    write_pca_outputs(_features(), _pca(), coords, None, _record(tmp_path))
     assert (tmp_path / "pca_coordinates.csv").read_text(encoding="utf-8") == (
         "id,PC1,PC2\nu1,0.1,-2.5\nu2,0.3333333333333333,0.0\n"
     )
@@ -165,7 +177,9 @@ def test_compare_outputs_text(tmp_path):
         np.zeros(2), np.array([[0.1, -2.5]]), np.array([1.0]), np.array([1.0]),
     )
     projection = ResourceProjection(["CPT", "GO"], np.array([[1 / 3], [-2.5]]), cluster_pca)
-    files = write_compare_outputs(profiles, diff, projection, NAMES, tmp_path)
+    record = _record(tmp_path)
+    write_compare_outputs(profiles, diff, projection, NAMES, record)
+    files = record.outputs
     assert files == [
         "resource_profiles.csv", "transition_diff_CPT_vs_GO.json",
         "resource_coordinates.csv", "resource_pca_report.txt",
@@ -185,4 +199,6 @@ def test_compare_outputs_text(tmp_path):
         "PC1: variance ratio 1.0000, cumulative 1.0000\n"
         "PC1: largest cluster_0 (+0.1000), smallest cluster_1 (-2.5000)\n"
     )
-    assert write_compare_outputs([], None, None, NAMES, tmp_path / "none") == []
+    record = _record(tmp_path / "none")
+    write_compare_outputs([], None, None, NAMES, record)
+    assert record.outputs == [] and not (tmp_path / "none").exists()  # the dir is made when needed

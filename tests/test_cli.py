@@ -71,6 +71,20 @@ def test_stagewise_chain(tmp_path, synth_log):
     funnel = {k: v for k, v in manifest["stages"]["ingest"].items() if k != "seconds"}
     funnel["users"] = manifest["stages"]["sessionize"]["users"]
     assert list(stats.items()) == list(funnel.items())
+    # only `run` saves a manifest
+    assert not any((d / "manifest.json").exists() for d in (ingest_dir, cluster_dir, pca_dir, compare_dir))
+
+
+def test_features_writes_only_its_out_file(tmp_path, synth_log, monkeypatch):
+    ingest_dir = tmp_path / "ingest"
+    assert main(["ingest", "--logs", str(synth_log), "--out-dir", str(ingest_dir)]) == 0
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    features = tmp_path / "features.csv"
+    assert main(["features", "--traces", str(ingest_dir / "traces.jsonl"), "--out", str(features)]) == 0
+    assert features.exists()
+    assert list(cwd.iterdir()) == []  # no default out dir was made
 
 
 def test_run_subcommand_with_config(tmp_path, synth_log):

@@ -185,6 +185,26 @@ def test_empty_log_fails_at_ingest(tmp_path):
     assert (tmp_path / "out" / "manifest.partial.json").exists()
 
 
+def test_failure_past_ingest_keeps_a_partial_manifest(tmp_path, corpus, monkeypatch):
+    import trailmine.pipeline
+
+    def fail(*inputs):
+        raise RuntimeError("pca failed")
+
+    monkeypatch.setattr(trailmine.pipeline, "stage_pca", fail)
+    log, _ = corpus
+    out = tmp_path / "out"
+    cfg = PipelineConfig(logs=[str(log)], out_dir=str(out), k=3, k_range=(1, 3))
+    with pytest.raises(PipelineStageError) as exc:
+        run_pipeline(cfg)
+    assert exc.value.stage == "pca"
+    partial = json.loads((out / "manifest.partial.json").read_text())
+    assert list(partial["stages"]) == ["ingest", "sessionize", "features", "elbow", "cluster"]
+    assert all(list(entry)[0] == "seconds" for entry in partial["stages"].values())
+    # the partial manifest lists every file written before it, and only those
+    assert sorted(partial["outputs"] + ["manifest.partial.json"]) == sorted(p.name for p in out.iterdir())
+
+
 def test_manifest_counts(tmp_path, corpus):
     log, truth = corpus
     out = tmp_path / "out"
@@ -194,6 +214,21 @@ def test_manifest_counts(tmp_path, corpus):
     assert ing["events"] <= ing["filtered"] <= ing["parsed"] <= ing["lines"]
     written = json.loads((out / "manifest.json").read_text())
     assert written["stages"]["ingest"]["lines"] == ing["lines"]
+    # outputs: in the order written, each once, and exactly the files in the out dir
+    outputs = manifest["outputs"]
+    diff = next(name for name in outputs if name.startswith("transition_diff_"))
+    assert outputs == [
+        "traces.jsonl", "usage_stats.txt", "hist_inter_request_seconds.csv",
+        "hist_requests_per_user.csv", "hist_ontologies_per_user.csv",
+        "hist_requests_per_session.csv", "features.csv", "elbow.csv",
+        "assignments.csv", "centroids.csv", "cluster_profiles.txt",
+        *(f"cluster_{k}_actions.csv" for k in range(7)),
+        "pca_loadings.csv", "pca_coordinates.csv", "pca_report.txt",
+        "resource_profiles.csv", diff, "resource_coordinates.csv", "resource_pca_report.txt",
+        "manifest.json",
+    ]
+    assert sorted(outputs) == sorted(p.name for p in out.iterdir())
+    assert written["outputs"] == outputs[:-1]
     assert (out / "traces.jsonl").exists() and (out / "features.csv").exists()
     feats = written["stages"]["features"]
     assert feats["lstsq_fallbacks"] == 0

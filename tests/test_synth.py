@@ -277,6 +277,17 @@ def test_generator_matches_reference(tmp_path, specs, users, seed, bots, log_nam
     assert out["new"] == out["ref"]
 
 
+def test_gzip_corpus_is_byte_identical(tmp_path):
+    log = tmp_path / "synth.log.gz"
+    blobs = []
+    for _ in range(2):
+        lines, _ = generate_synthetic_log(default_archetypes(), 3, seed=5, bot_fraction=0.1, path=log)
+        blobs.append(log.read_bytes())
+    assert blobs[0][4:8] == bytes(4)  # the header's modification time
+    assert blobs[0] == blobs[1]
+    assert gzip.decompress(blobs[0]).decode("utf-8") == "".join(line + "\n" for line in lines)
+
+
 def test_lines_are_what_format_log_line_renders():
     archetypes = default_archetypes()[:3] + _escaped_resources(None)[2:4]
     lines, truth = generate_synthetic_log(archetypes, 3, seed=11, bot_fraction=0.3)
