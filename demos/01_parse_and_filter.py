@@ -35,5 +35,8 @@ print("\nfunnel:")
 for step, count in stats.funnel().items():
     print(f"  {step:<18} {count}")
 assert stats.filtered == truth.human_lines, "filters must remove exactly the bot lines"
+# the pool lists every IP ingest saw, bots included: users are the names events use
+users = len({batch.user_pool[code] for code in batch.user_codes.tolist()})
+assert users == len(truth.users), "every human user must have mapped events"
 print(f"\nfilters kept {stats.filtered} of {stats.parsed} requests; "
-      f"{stats.events} mapped events from {len(batch.user_pool)} users")
+      f"{stats.events} mapped events from {users} users")

@@ -25,10 +25,10 @@ with tempfile.TemporaryDirectory() as workdir:
     _, truth = generate_synthetic_log(archetypes, users_per_archetype=120, seed=42,
                                       bot_fraction=0.1, path=log)
     batch, stats = ingest_paths([log], ruleset=ruleset)
-print(f"{stats.lines} lines -> {stats.events} events from {len(batch.user_pool)} users")
 
 # one TraceSet: every user's BREAK-joined trace as a row of flat arrays
 traces, _ = build_traces(batch, vocab.break_id)
+print(f"{stats.lines} lines -> {stats.events} events from {len(traces)} users")
 features = build_feature_matrix(traces, vocab.n, feature_kind="stationary",
                                 label_names=vocab.names())
 

@@ -265,9 +265,12 @@ def explained_variance_curve(
     EV(1) = 0, not monotonicity. All points identical (zero total sum of
     squares) defines EV = 1 for every K, with no fit. The knee suggestion is the largest K whose
     marginal EV gain still exceeds :data:`KNEE_FRACTION` of the K=1 to
-    K=2 gain.
+    K=2 gain. Raises :class:`EmptyMatrix` for a matrix without rows,
+    before any check of ``k_range``.
     """
     X = _feature_rows(features, restarts)
+    if X.shape[0] == 0:
+        raise EmptyMatrix("feature matrix has no rows: no users to cluster")
     ks = sorted(set(int(k) for k in k_range))
     if not ks:
         raise ValueError("empty K range")

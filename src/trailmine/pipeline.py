@@ -10,12 +10,14 @@ be resumed per stage.
 
 Ingest has one pass, :func:`_ingest_lines`, for every route. It takes the
 lines in fixed-size chunks: each line is matched against the grammar, the
-timestamps of a chunk are decoded as arrays, and each distinct request,
-user agent and IP is decided once, not once per line. Parsing and mapping
-are pure per line, so ingestion can fan out over worker processes; the
-parts are merged in path order, and the stable (user, timestamp) sort of
-:func:`~trailmine.sessions.build_traces` keeps that order between a
-user's events of one second.
+timestamps of a chunk are decoded as arrays, and each distinct date,
+request, user agent and IP is decided once, from bounded tables kept
+across chunks, not once per line. Parsing and mapping are pure per line,
+so ingestion can fan out over worker processes; the parts are
+concatenated in path order. :func:`~trailmine.sessions.build_traces` is
+the one place that gives users and ontologies their final codes, by
+name, and its stable (user, timestamp) sort keeps the path order between
+a user's events of one second.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .cluster import (
     ClusterModel,
     ClusterProfile,
     ElbowCurve,
+    KTooLarge,
     explained_variance_curve,
     kmeans_fit,
     profile_clusters,
@@ -143,7 +146,10 @@ class EventBatch:
 
     Users and ontology acronyms are factorized into string pools plus
     code arrays (ontology code -1 means no attribution), which keeps
-    million-event batches cheap to move between worker processes.
+    million-event batches cheap to move between worker processes. A
+    pool may repeat a name and may hold names no event uses: the codes
+    are only an index into it. :func:`~trailmine.sessions.build_traces`
+    gives users and ontologies their final codes, by name.
     """
 
     user_pool: list[str]
@@ -158,38 +164,27 @@ class EventBatch:
 
     @classmethod
     def merge(cls, parts: Sequence["EventBatch"]) -> "EventBatch":
-        """Concatenate parts in order, remapping codes into shared pools."""
-        if len(parts) == 1:
-            return parts[0]
-        user_pool: dict[str, int] = {}
-        onto_pool: dict[str, int] = {}
-        ucodes, ocodes = [], []
+        """Concatenate parts in order, each part's codes shifted past the pools before it."""
+        user_pool, onto_pool, columns = [], [], []
         for part in parts:
-            umap = np.array(
-                [user_pool.setdefault(u, len(user_pool)) for u in part.user_pool],
-                dtype=np.int64,
-            )
-            omap = np.array(
-                [onto_pool.setdefault(o, len(onto_pool)) for o in part.onto_pool],
-                dtype=np.int64,
-            )
-            ucodes.append(umap[part.user_codes])
-            ocodes.append(np.append(omap, -1)[part.onto_codes])  # code -1 stays -1
-        columns = (ucodes, [p.timestamps for p in parts], [p.labels for p in parts], ocodes)
+            onto_codes = np.where(part.onto_codes < 0, -1, part.onto_codes + len(onto_pool))
+            columns.append((part.user_codes + len(user_pool), part.timestamps, part.labels, onto_codes))
+            user_pool += part.user_pool
+            onto_pool += part.onto_pool
         # the trailing empty array makes merge([]) an empty batch
         user_codes, timestamps, labels, onto_codes = (
-            np.concatenate(column + [np.empty(0, dtype=np.int64)]) for column in columns
+            np.concatenate([c[i] for c in columns] + [np.empty(0, dtype=np.int64)]) for i in range(4)
         )
-        return cls(list(user_pool), user_codes, timestamps, labels, list(onto_pool), onto_codes)
+        return cls(user_pool, user_codes, timestamps, labels, onto_pool, onto_codes)
 
 
 # Lines per chunk of the ingest pass. A chunk's fields and columns are alive
 # at once: on the long_traces corpus 1024 lines ran within noise of 2048 and
 # peaked about 1 MB lower in RSS.
 _CHUNK_LINES = 1024
-# Distinct request fields whose verdicts a _Verdicts table keeps; the table
-# is emptied at a chunk start once it holds this many.
-_REQUEST_VERDICTS_MAX = 1 << 18
+# Distinct values whose verdicts each _Verdicts table keeps; a table is
+# emptied at a chunk start once it holds this many.
+_VERDICTS_MAX = 1 << 18
 # request verdicts that are not a label id
 _MALFORMED, _ASSET, _UNMAPPED = -3, -2, -1
 
@@ -202,32 +197,12 @@ def _factorize(values: Sequence[str]) -> tuple[list[str], np.ndarray]:
     return list(index), np.fromiter(map(index.__getitem__, values), np.int64, len(values))
 
 
-def _decode_timestamps(stamps: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Epoch seconds of each timestamp field, and a mask of the valid ones.
-
-    :func:`parse_clf_timestamp` checks each distinct date and offset once,
-    at midnight; the time of day is read from one fixed-width digit
-    matrix under the same rules. A field that is not 26 characters long
-    fails at its date and offset, which then are not 18 characters.
-    """
-    dates, date_codes = _factorize([s[:12] + s[20:] for s in stamps])
-    midnight = np.zeros(len(dates), dtype=np.int64)
-    date_ok = np.zeros(len(dates), dtype=bool)
-    for i, date in enumerate(dates):
-        try:
-            midnight[i] = parse_clf_timestamp(date[:12] + "00:00:00" + date[12:])
-            date_ok[i] = True
-        except InvalidTimestamp:
-            pass
-    chars = np.array(stamps, dtype="U26").view(np.uint32).reshape(len(stamps), 26)
-    digits = chars[:, [12, 13, 15, 16, 18, 19]] - ord("0")  # wraps below "0"
-    hh, mm, ss = (digits[:, i].astype(np.int64) * 10 + digits[:, i + 1] for i in (0, 2, 4))
-    valid = (
-        date_ok[date_codes] & (digits < 10).all(axis=1)
-        & (chars[:, 14] == ord(":")) & (chars[:, 17] == ord(":"))
-        & (hh < 24) & (mm < 60) & (ss < 61)
-    )
-    return midnight[date_codes] + hh * 3600 + mm * 60 + ss, valid
+def _midnight(date: str) -> tuple[int, bool]:
+    """(epoch seconds at midnight, True) of a timestamp's date and offset; (0, False) if invalid."""
+    try:
+        return parse_clf_timestamp(date[:12] + "00:00:00" + date[12:]), True
+    except InvalidTimestamp:
+        return 0, False
 
 
 def _request_verdict(
@@ -248,53 +223,57 @@ def _request_verdict(
     return label, -1 if onto is None else onto_ids.setdefault(onto, len(onto_ids))
 
 
-def _checked(values: Sequence[str], check: Callable[[str], bool]) -> np.ndarray:
-    """``check`` of each value, called once per distinct value."""
-    distinct, codes = _factorize(values)
-    return np.array([check(v) for v in distinct], dtype=bool)[codes]
-
-
 class _Verdicts:
-    """The rules and filter of an ingest, with the verdict of each distinct request.
+    """The rules and filter of an ingest, with a bounded memo of field verdicts.
 
-    One table serves every chunk of every :func:`_ingest_lines` call that
-    shares it: all tasks of one in-process ``ingest_paths`` call, or all
-    tasks one worker process is given. Ontology ids are handed out
-    as requests are decided, so each call renumbers the ones it uses.
+    There is one table per field: timestamp date and offset, request,
+    user agent and IP. One set of tables serves every chunk of every
+    :func:`_ingest_lines` call that shares it: all tasks of one
+    in-process ``ingest_paths`` call, or all tasks one worker process is
+    given. Ontology ids are handed out as requests are decided, so one
+    id keeps its ontology across those calls.
     """
 
     def __init__(self, ruleset: RuleSet, filt: CompiledFilter):
         self.ruleset = ruleset
         self.filt = filt
-        self.requests: dict[str, tuple[int, int]] = {}
         self.onto_ids: dict[str, int] = {}
+        self.tables: dict[str, dict] = {field: {} for field in ("date", "request", "useragent", "ip")}
 
-    def decide(self, requests: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """(label or verdict code, ontology id or -1) arrays of request fields."""
-        if len(self.requests) >= _REQUEST_VERDICTS_MAX:
-            self.requests.clear()
-        distinct, codes = _factorize(requests)
-        for request in distinct:
-            if request not in self.requests:
-                self.requests[request] = _request_verdict(
-                    request, self.ruleset, self.filt, self.onto_ids,
-                )
-        table = np.array([self.requests[r] for r in distinct], dtype=np.int64)
-        return table[codes, 0], table[codes, 1]
+    def decide(self, field: str, values: Sequence[str], verdict: Callable[[str], object]) -> np.ndarray:
+        """The verdict of each value, from ``verdict`` called once per value not in the table.
+
+        Each call decides one chunk's column, so a table that holds
+        ``_VERDICTS_MAX`` verdicts is emptied at a chunk start.
+        """
+        table = self.tables[field]
+        if len(table) >= _VERDICTS_MAX:
+            table.clear()
+        distinct, codes = _factorize(values)
+        for value in distinct:
+            if value not in table:
+                table[value] = verdict(value)
+        return np.array([table[value] for value in distinct])[codes]
 
 
-def _by_first_appearance(codes: np.ndarray, names: list[str]) -> tuple[list[str], np.ndarray]:
-    """Renumber ``codes`` (-1 stays -1) in order of first appearance; the names they use.
+def _decode_timestamps(stamps: Sequence[str], verdicts: _Verdicts) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch seconds of each timestamp field, and a mask of the valid ones.
 
-    Ontology ids are handed out as request verdicts are decided, which
-    includes requests that are later dropped or were seen by an earlier
-    call; the pool keeps the ones mapped here.
+    :func:`_midnight` checks each distinct date and offset once; the time
+    of day is read from one fixed-width digit matrix under the rules of
+    :func:`parse_clf_timestamp`. A field that is not 26 characters long
+    fails at its date and offset, which then are not 18 characters.
     """
-    used, first = np.unique(codes[codes >= 0], return_index=True)
-    order = used[np.argsort(first)]
-    remap = np.full(len(names) + 1, -1, dtype=np.int64)  # the last slot maps -1
-    remap[order] = np.arange(len(order))
-    return [names[i] for i in order.tolist()], remap[codes]
+    midnight, date_ok = verdicts.decide("date", [s[:12] + s[20:] for s in stamps], _midnight).T
+    chars = np.array(stamps, dtype="U26").view(np.uint32).reshape(len(stamps), 26)
+    digits = chars[:, [12, 13, 15, 16, 18, 19]] - ord("0")  # wraps below "0"
+    hh, mm, ss = (digits[:, i].astype(np.int64) * 10 + digits[:, i + 1] for i in (0, 2, 4))
+    valid = (
+        (date_ok == 1) & (digits < 10).all(axis=1)
+        & (chars[:, 14] == ord(":")) & (chars[:, 17] == ord(":"))
+        & (hh < 24) & (mm < 60) & (ss < 61)
+    )
+    return midnight + hh * 3600 + mm * 60 + ss, valid
 
 
 def _ingest_lines(
@@ -304,13 +283,14 @@ def _ingest_lines(
 
     Each chunk is matched line by line against the grammar, keeping only
     the IP, timestamp, request and user-agent fields. Timestamps are
-    decoded as arrays (:func:`_decode_timestamps`). Each distinct request
-    field is split, decoded, asset-checked and matched to a rule once per
-    ``verdicts`` table (see :class:`_Verdicts`), and each distinct user
-    agent and IP is checked once per chunk. The verdicts combine as
-    boolean arrays in the precedence malformed, user agent, IP, asset,
-    unmapped. The user of an event is its IP field. Pools list users and
-    ontologies in order of first appearance among mapped lines.
+    decoded as arrays (:func:`_decode_timestamps`). Each distinct date,
+    request, user agent and IP is decided once per ``verdicts`` (see
+    :class:`_Verdicts`); a request is split, decoded, asset-checked and
+    matched to a rule. The verdicts combine as boolean arrays in the
+    precedence malformed, user agent, IP, asset, unmapped. The user of
+    an event is its IP field: each distinct IP of a chunk gets its code
+    in this call once. The pools hold every IP this call saw and every
+    ontology ``verdicts`` handed an id.
     """
     stats = IngestStats()
     match = line_pattern(log_format).match
@@ -319,6 +299,10 @@ def _ingest_lines(
     filt = verdicts.filt
     user_ids: dict[str, int] = {}
     parts: list[tuple[np.ndarray, ...]] = []
+
+    def request_verdict(request: str) -> tuple[int, int]:
+        return _request_verdict(request, verdicts.ruleset, filt, verdicts.onto_ids)
+
     it = iter(lines)
     while chunk := list(islice(it, _CHUNK_LINES)):
         stats.lines += len(chunk)
@@ -329,14 +313,15 @@ def _ingest_lines(
             continue
         ips, stamps, requests, *uas = (list(map(column, rows)) for column in columns)
         useragents = uas[0] if uas else [""] * len(rows)  # "common" has no user agent
-        epochs, ok = _decode_timestamps(stamps)
-        labels, ontos = verdicts.decide(requests)
+        epochs, ok = _decode_timestamps(stamps, verdicts)
+        labels, ontos = verdicts.decide("request", requests, request_verdict).T
         ok &= labels != _MALFORMED
         stats.malformed += len(rows) - int(ok.sum())
         stats.parsed += int(ok.sum())
+        distinct_ips, ip_codes = _factorize(ips)
         drops = (
-            ("dropped_useragent", _checked(useragents, filt.ua_dropped)),
-            ("dropped_ip", _checked(ips, filt.ip_dropped)),
+            ("dropped_useragent", verdicts.decide("useragent", useragents, filt.ua_dropped)),
+            ("dropped_ip", verdicts.decide("ip", distinct_ips, filt.ip_dropped)[ip_codes]),
             ("dropped_asset", labels == _ASSET),
             ("unmapped", labels == _UNMAPPED),
         )
@@ -344,17 +329,14 @@ def _ingest_lines(
             setattr(stats, counter, getattr(stats, counter) + int((ok & dropped).sum()))
             ok &= ~dropped
         mapped = np.flatnonzero(ok)
-        user_codes = np.fromiter(
-            (user_ids.setdefault(ips[i], len(user_ids)) for i in mapped.tolist()),
-            np.int64, len(mapped),
-        )
-        parts.append((user_codes, epochs[mapped], labels[mapped], ontos[mapped]))
+        users = np.array([user_ids.setdefault(ip, len(user_ids)) for ip in distinct_ips], dtype=np.int64)
+        parts.append((users[ip_codes[mapped]], epochs[mapped], labels[mapped], ontos[mapped]))
     user_codes, timestamps, labels, onto_codes = (
         np.concatenate([p[i] for p in parts] + [np.empty(0, dtype=np.int64)]) for i in range(4)
     )
-    onto_pool, onto_codes = _by_first_appearance(onto_codes, list(verdicts.onto_ids))
     stats.events = len(user_codes)
-    return EventBatch(list(user_ids), user_codes, timestamps, labels, onto_pool, onto_codes), stats
+    batch = EventBatch(list(user_ids), user_codes, timestamps, labels, list(verdicts.onto_ids), onto_codes)
+    return batch, stats
 
 
 def _ingest_task(
@@ -419,8 +401,8 @@ def ingest_paths(
     Each file is one task, read whole through :func:`open_log`; with
     ``jobs > 1`` a plain-text file is split into byte ranges of whole
     lines instead. More than one task with ``jobs > 1`` runs on a pool
-    of ``jobs`` worker processes, each with its own request verdicts;
-    otherwise the tasks run in-process and share one table. Either way
+    of ``jobs`` worker processes, each with its own verdict tables;
+    otherwise the tasks run in-process and share one set. Either way
     each task runs :func:`_ingest_task`, and the parts are merged in
     task order, so events of one user keep the order of the paths.
     Raises ``ValueError`` for an unknown ``log_format``.
@@ -834,6 +816,8 @@ def stage_elbow(record: RunRecord, features: FeatureMatrix) -> ElbowCurve:
     """The explained-variance curve over ``config.k_range``, cut at the user count."""
     config = record.config
     lo, hi = config.k_range
+    if 0 < features.m < lo:  # no users at all raises EmptyMatrix in the curve
+        raise KTooLarge(f"k_range starts at K={lo}, above the {features.m} users")
     curve = explained_variance_curve(
         features, range(lo, min(hi, features.m) + 1),
         seed=config.seed, restarts=config.restarts,

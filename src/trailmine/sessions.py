@@ -5,8 +5,11 @@ gap is below the inactivity threshold (default 30 minutes). A user's
 trace is the concatenation of the session label sequences with one BREAK
 token between consecutive sessions.
 
-:func:`build_traces` is the one place this rule lives. It works on the
-columnar event batch in one array pass: a stable sort by (user,
+:func:`build_traces` is the one place this rule lives, and the one place
+users and ontologies get their final codes: both pools of the event
+batch are ranked by sorted name, so pool entries with one name are one
+user or one resource, whatever order ingest coded them in. It works on
+the columnar event batch in one array pass: a stable sort by (user,
 timestamp), session starts from the user changes and the timestamp
 gaps, and BREAK slots by index arithmetic. It returns one
 :class:`TraceSet`, the flat arrays that features, cluster profiles and
@@ -125,10 +128,16 @@ def _histogram(values: np.ndarray) -> dict[int, int]:
     return dict(zip(keys.tolist(), counts.tolist()))
 
 
+def _by_name(pool: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct names of ``pool`` in sorted order, and each entry's index among them."""
+    names = sorted(set(pool))
+    rank = {name: r for r, name in enumerate(names)}
+    return names, np.array([rank[name] for name in pool], dtype=np.int64)
+
+
 def _split(batch: EventBatch, gap_seconds: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The stable (user id, timestamp) order of the events, and where users and sessions start in it."""
-    rank = {name: r for r, name in enumerate(sorted(set(batch.user_pool)))}
-    users = np.array([rank[name] for name in batch.user_pool], dtype=np.int64)[batch.user_codes]
+    users = _by_name(batch.user_pool)[1][batch.user_codes]
     order = np.lexsort((batch.timestamps, users))  # stable: ties keep input order
     users = users[order]
     user_start = np.ones(len(order), dtype=bool)
@@ -186,9 +195,8 @@ def build_traces(
         return TraceSet.from_rows([]), UsageStats()
     order, user_start, session_start = _split(batch, gap_minutes * 60.0)
     starts = np.flatnonzero(session_start)
-    pool = sorted(set(batch.onto_pool))  # one code per name, as in from_rows
-    rank = {name: c for c, name in enumerate(pool)}
-    events_onto = np.array([rank[name] for name in batch.onto_pool] + [-1])[batch.onto_codes[order]]
+    pool, rank = _by_name(batch.onto_pool)  # one code per name, as in from_rows
+    events_onto = np.append(rank, -1)[batch.onto_codes[order]]
     usage = _usage_stats(batch.timestamps[order], events_onto, len(pool), user_start, starts)
 
     # event i moves right by one slot for every BREAK at or before it

@@ -192,6 +192,15 @@ def test_ingest_without_parseable_lines_is_a_data_error(tmp_path):
     assert not (out / "traces.jsonl").exists()
 
 
+def test_all_bot_corpus_is_a_data_error_naming_no_users(tmp_path, capsys):
+    log = tmp_path / "bot.log"
+    log.write_text('1.2.3.4 - - [14/Mar/2016:09:07:32 -0700] "GET /ontologies/MCCV HTTP/1.1" 200 512 '
+                   '"-" "Googlebot/2.1"\n', encoding="utf-8")
+    assert main(["run", "--logs", str(log), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "stage 'elbow' failed" in err and "no users" in err
+
+
 def test_unknown_log_format_in_config(tmp_path, synth_log, capsys):
     ini = tmp_path / "cfg.ini"
     ini.write_text(

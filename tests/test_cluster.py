@@ -93,6 +93,10 @@ def test_k_bounds_and_empty():
         kmeans_fit(X, 0)
     with pytest.raises(EmptyMatrix):
         kmeans_fit(np.zeros((0, 2)), 1)
+    # the curve checks for rows before any K
+    for ks in (range(1, 3), range(0), range(5, 9)):
+        with pytest.raises(EmptyMatrix):
+            explained_variance_curve(np.zeros((0, 2)), ks)
 
 
 def test_ev_curve_properties():

@@ -2,8 +2,11 @@
 
 Each corpus is generated from a seed, then faults are injected into a
 share of its lines. Every route of ``ingest_paths`` must return the same
-``EventBatch`` (pools, code arrays and dtypes) and ``IngestStats`` as
-``testutil.reference_ingest_paths``.
+``IngestStats`` as ``testutil.reference_ingest_paths``, and an
+``EventBatch`` with the same events: each event's user and ontology name,
+timestamp and label, in int64 code arrays. Pools may list names in any
+order, repeat them or hold unused ones, so they are compared through the
+traces ``build_traces`` makes of them.
 """
 
 import gzip
@@ -15,7 +18,7 @@ import pytest
 from testutil import reference_ingest_paths
 from trailmine import pipeline
 from trailmine.logs import default_filter_config
-from trailmine.pipeline import ingest_paths
+from trailmine.pipeline import build_traces, ingest_paths
 from trailmine.synth import default_archetypes, generate_synthetic_log
 
 _STAMP = re.compile(r"\[[^\]]*\]")
@@ -79,15 +82,24 @@ def _write(path, lines):
     return path
 
 
-def _assert_same(got, want):
+def _names(pool, codes):
+    """The pool name of each code, None for -1."""
+    return [pool[c] if c >= 0 else None for c in codes.tolist()]
+
+
+def _assert_same(got, want, ruleset):
     (batch, stats), (ref_batch, ref_stats) = got, want
     assert stats == ref_stats
-    assert batch.user_pool == ref_batch.user_pool
-    assert batch.onto_pool == ref_batch.onto_pool
     for column in ("user_codes", "timestamps", "labels", "onto_codes"):
         a, b = getattr(batch, column), getattr(ref_batch, column)
         assert a.dtype == b.dtype == np.int64, column
-        assert np.array_equal(a, b), column
+    assert np.array_equal(batch.timestamps, ref_batch.timestamps)
+    assert np.array_equal(batch.labels, ref_batch.labels)
+    assert _names(batch.user_pool, batch.user_codes) == _names(ref_batch.user_pool, ref_batch.user_codes)
+    assert _names(batch.onto_pool, batch.onto_codes) == _names(ref_batch.onto_pool, ref_batch.onto_codes)
+    break_id = ruleset.vocabulary.break_id
+    rows = list(build_traces(batch, break_id)[0].rows())
+    assert rows == list(build_traces(ref_batch, break_id)[0].rows())
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +115,7 @@ def faulty_lines():
         ((".log",), 2),
         ((".log.gz",), 1),
         ((".log.gz",), 2),
-        ((".log", ".log.gz"), 1),  # two files share one table of request verdicts
+        ((".log", ".log.gz"), 1),  # two files share one set of verdict tables
         ((".log.gz", ".log"), 1),  # parts merge in path order, gzip first or not
         ((".log.gz", ".log"), 2),
     ],
@@ -116,7 +128,7 @@ def test_chunked_ingest_matches_reference(tmp_path, ruleset, faulty_lines, suffi
     cfg = _filter_config()
     got = ingest_paths(paths, ruleset=ruleset, filter_config=cfg, jobs=jobs)
     want = reference_ingest_paths(paths, ruleset, cfg)
-    _assert_same(got, want)
+    _assert_same(got, want, ruleset)
     stats = got[1]
     # every fault kind and every drop reason occurs in this corpus
     assert min(stats.malformed, stats.dropped_useragent, stats.dropped_ip,
@@ -129,7 +141,7 @@ def test_chunked_ingest_matches_reference_common_format(tmp_path, ruleset, fault
     path = _write(tmp_path / "common.log", common)
     cfg = _filter_config()
     got = ingest_paths([path], ruleset=ruleset, filter_config=cfg, log_format="common", jobs=jobs)
-    _assert_same(got, reference_ingest_paths([path], ruleset, cfg, log_format="common"))
+    _assert_same(got, reference_ingest_paths([path], ruleset, cfg, log_format="common"), ruleset)
     assert got[1].dropped_useragent == 0 < got[1].events
 
 
@@ -139,15 +151,32 @@ def test_request_verdicts_reset_mid_file(tmp_path, ruleset, monkeypatch):
     assert len(lines) > 4 * pipeline._CHUNK_LINES
     path = _write(tmp_path / "long.log", lines)
     calls = []
-    decide = pipeline._request_verdict
+    request_verdict = pipeline._request_verdict
 
     def counted(request, *args):
         calls.append(request)
-        return decide(request, *args)
+        return request_verdict(request, *args)
 
-    monkeypatch.setattr(pipeline, "_REQUEST_VERDICTS_MAX", 64)
+    # the values each table decided, in order, with repeats
+    decided = {}
+    decide = pipeline._Verdicts.decide
+
+    def spied(self, field, values, verdict):
+        def noted(value):
+            decided.setdefault(field, []).append(value)
+            return verdict(value)
+
+        out = decide(self, field, values, noted)
+        assert len(self.tables[field]) <= 8 + len(set(values))
+        return out
+
+    monkeypatch.setattr(pipeline, "_VERDICTS_MAX", 8)
     monkeypatch.setattr(pipeline, "_request_verdict", counted)
+    monkeypatch.setattr(pipeline._Verdicts, "decide", spied)
     cfg = _filter_config()
     got = ingest_paths([path], ruleset=ruleset, filter_config=cfg)
-    assert len(calls) > len(set(calls))  # the table was emptied and refilled
-    _assert_same(got, reference_ingest_paths([path], ruleset, cfg))
+    assert len(calls) > len(set(calls))  # the request table was emptied and refilled
+    assert sorted(decided) == ["date", "ip", "request", "useragent"]
+    for field, values in decided.items():  # so was every table
+        assert len(values) > len(set(values)), field
+    _assert_same(got, reference_ingest_paths([path], ruleset, cfg), ruleset)

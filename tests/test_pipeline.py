@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from trailmine.cluster import LLOYD_MAX_ITER
+from trailmine.cluster import LLOYD_MAX_ITER, EmptyMatrix, KTooLarge
 from trailmine.markov import build_feature_matrix
 from trailmine.pipeline import (
     EventBatch,
@@ -185,6 +185,31 @@ def test_empty_log_fails_at_ingest(tmp_path):
     assert (tmp_path / "out" / "manifest.partial.json").exists()
 
 
+_LINE = '{ip} - - [14/Mar/2016:09:07:{s:02d} -0700] "GET /ontologies/MCCV HTTP/1.1" 200 512 "-" "{ua}"'
+
+
+def test_all_bot_corpus_fails_at_elbow_without_users(tmp_path):
+    log = tmp_path / "bots.log"
+    log.write_text(_LINE.format(ip="1.2.3.4", s=0, ua="Googlebot/2.1") + "\n", encoding="utf-8")
+    cfg = PipelineConfig(logs=[str(log)], out_dir=str(tmp_path / "out"))
+    with pytest.raises(PipelineStageError) as exc:
+        run_pipeline(cfg)
+    assert exc.value.stage == "elbow"
+    assert isinstance(exc.value.cause, EmptyMatrix) and "no users" in str(exc.value)
+    assert (tmp_path / "out" / "traces.jsonl").read_text() == ""
+
+
+def test_k_range_above_the_user_count_names_both(tmp_path):
+    log = tmp_path / "three.log"
+    log.write_text("".join(_LINE.format(ip=f"1.2.3.{u}", s=u, ua="Mozilla/5.0") + "\n" for u in range(3)),
+                   encoding="utf-8")
+    cfg = PipelineConfig(logs=[str(log)], out_dir=str(tmp_path / "out"), k_range=(5, 25))
+    with pytest.raises(PipelineStageError) as exc:
+        run_pipeline(cfg)
+    assert exc.value.stage == "elbow" and isinstance(exc.value.cause, KTooLarge)
+    assert "K=5" in str(exc.value) and "3 users" in str(exc.value)
+
+
 def test_failure_past_ingest_keeps_a_partial_manifest(tmp_path, corpus, monkeypatch):
     import trailmine.pipeline
 
@@ -332,8 +357,7 @@ def test_event_batch_merge_remaps_pools():
     p4 = EventBatch([], empty, empty, empty, [], empty)
     merged = EventBatch.merge([p1, p3, p4, p2])
     assert [merged.user_pool[c] for c in merged.user_codes] == ["x", "z", "z", "y", "x"]
-    assert merged.onto_pool == ["A", "B"]
-    assert merged.onto_codes.tolist() == [0, -1, -1, 1, 0]
+    assert [merged.onto_pool[c] if c >= 0 else None for c in merged.onto_codes] == ["A", None, None, "B", "A"]
     assert merged.labels.tolist() == [2, 6, 7, 4, 5]
     assert merged.timestamps.tolist() == [1, 4, 5, 2, 3]
     # no parts: an empty batch of empty int64 columns
