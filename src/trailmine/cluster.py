@@ -30,7 +30,14 @@ formulation it replaces, so every iterate is bit for bit the same:
   is exact: restart ``r`` always draws from ``default_rng([seed, r])``,
   the generator serves only the seeding, and draw ``k`` reads only the
   draws before it. So the first K draws for a larger K are the K draws
-  for K itself, from the same random stream.
+  for K itself, from the same random stream;
+- a run ends at the first assignment that repeats the last one with no
+  cluster empty: ``C`` already holds its means, so the update would
+  rebuild ``C`` bit for bit (shift 0.0) and the closing pass would
+  recompute the ``D`` at hand, with the same inertia and iteration count;
+- K=1 runs Lloyd once: every restart's first update is the same
+  ``bincount`` over all rows, so all end at one mean with one inertia.
+  Restart 0 wins that tie, and ``restart_inertias`` repeats its inertia.
 """
 
 from __future__ import annotations
@@ -79,8 +86,6 @@ class ClusterModel:
     seed: int
     restarts: int
     n_iter: int = 0
-    # within-run inertia after each assignment step, for the best restart
-    inertia_history: list[float] = field(default_factory=list)
     # empty clusters re-seeded during the best restart
     reseeded: int = 0
     # final inertia of each restart, in restart order
@@ -155,43 +160,43 @@ def _restart_orders(X: np.ndarray, xx: np.ndarray, K: int, seed: int, restarts: 
 
 def _lloyd(
     X: np.ndarray, xx: np.ndarray, C: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float, int, list[float], int]:
-    """One run from centroids ``C``: (centroids, assignments, inertia, iterations, history, re-seeds)."""
+) -> tuple[np.ndarray, np.ndarray, float, int, int]:
+    """One run from centroids ``C``: (centroids, assignments, inertia, iterations, re-seeds)."""
     m, n = X.shape
     K = C.shape[0]
-    history: list[float] = []
     rows = np.arange(m)
     cols = np.arange(n)
     weights = X.ravel()
     reseeded = 0
+    prev = None  # the last assignment that left no cluster empty, whose means C holds
     it = 0
     for it in range(1, LLOYD_MAX_ITER + 1):
         D = _sqdist(X, C, xx)
         assign = D.argmin(axis=1)          # argmin takes the lowest index on ties
-        dist_own = D[rows, assign]
-        history.append(float(dist_own.sum()))
+        if prev is not None and (assign == prev).all():
+            # a fixed point: C would be rebuilt bit for bit (see the module notes)
+            return C, assign, float(D[rows, assign].sum()), it, reseeded
         cells = (assign[:, None] * n + cols).ravel()
         sums = np.bincount(cells, weights=weights, minlength=K * n).reshape(K, n)
         counts = np.bincount(assign, minlength=K)
         empty = np.flatnonzero(counts == 0)
+        prev = None if empty.size else assign
         if empty.size:
             # re-seed each empty cluster at the point currently farthest
             # from its centroid, farthest first
             reseeded += empty.size
-            order = np.argsort(-dist_own, kind="stable")
+            order = np.argsort(-D[rows, assign], kind="stable")
             for k, idx in zip(empty, order[: empty.size]):
                 sums[k] = X[idx]
                 counts[k] = 1
         newC = sums / counts[:, None]
-        shift = float(np.sqrt(((newC - C) ** 2).sum(axis=1)).max())
+        shift = float(np.sqrt(((newC - C) ** 2).sum(axis=1).max()))
         C = newC
         if shift < LLOYD_TOL:
             break
     D = _sqdist(X, C, xx)
     assign = D.argmin(axis=1)
-    inertia = float(D[rows, assign].sum())
-    history.append(inertia)
-    return C, assign, inertia, it, history, reseeded
+    return C, assign, float(D[rows, assign].sum()), it, reseeded
 
 
 def kmeans_fit(
@@ -224,26 +229,12 @@ def kmeans_fit(
     orders = np.asarray(orders)
     if orders.ndim != 2 or orders.shape[0] != restarts or orders.shape[1] < K:
         raise ValueError(f"orders must be ({restarts}, >= {K}), got shape {orders.shape}")
-    best = None
-    inertias = []
-    for r in range(restarts):
-        run = _lloyd(X, xx, X[orders[r, :K]])
-        inertias.append(run[2])
-        if best is None or run[2] < best[2]:
-            best = run
-    C, assign, inertia, iters, history, reseeded = best
-    return ClusterModel(
-        K=K,
-        centroids=C,
-        assignments=assign,
-        inertia=inertia,
-        seed=seed,
-        restarts=restarts,
-        n_iter=iters,
-        inertia_history=history,
-        reseeded=reseeded,
-        restart_inertias=inertias,
-    )
+    # at K=1 every restart ends at the same mean (see the module notes)
+    runs = [_lloyd(X, xx, X[orders[r, :K]]) for r in range(1 if K == 1 else restarts)]
+    inertias = [run[2] for run in runs] * (restarts if K == 1 else 1)
+    C, assign, inertia, iters, reseeded = min(runs, key=lambda run: run[2])  # the first on ties
+    return ClusterModel(K=K, centroids=C, assignments=assign, inertia=inertia, seed=seed,
+                        restarts=restarts, n_iter=iters, reseeded=reseeded, restart_inertias=inertias)
 
 
 def total_sum_of_squares(X: np.ndarray) -> float:

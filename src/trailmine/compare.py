@@ -75,7 +75,9 @@ def extract_resource_traces(
     denom = traces.action_counts(break_label)[rows]
     keep = (denom > 0) & (hits * 100.0 >= threshold_pct * denom)
     rows, codes = rows[keep], codes[keep]
-    return {traces.onto_pool[code]: rows[codes == code] for code in np.unique(codes).tolist()}
+    # return_counts keeps np.unique on its sort route, which never imports numpy.ma
+    return {traces.onto_pool[code]: rows[codes == code]
+            for code in np.unique(codes, return_counts=True)[0].tolist()}
 
 
 @dataclass(slots=True)

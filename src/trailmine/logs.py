@@ -349,7 +349,12 @@ class CompiledFilter:
         )
 
     def drop_reason(self, useragent: str, ip: str, path: str) -> str | None:
-        """Return "useragent" / "ip" / "asset" for dropped traffic, else None."""
+        """Return "useragent" / "ip" / "asset" for dropped traffic, else None.
+
+        The single-request form of the chunked ingest route's precedence:
+        that route runs the three checks over a chunk's distinct values
+        itself, so nothing in the package calls this method.
+        """
         if self.ua_dropped(useragent):
             return "useragent"
         if self.ip_dropped(ip):

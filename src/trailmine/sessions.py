@@ -156,10 +156,12 @@ def _usage_stats(
     ends = np.append(starts[1:], n_events)
     lengths = ends - starts
     durations = ts[ends - 1] - ts[starts]
-    # distinct ontologies per user, from the distinct (user, ontology) keys
+    # distinct ontologies per user, from the distinct (user, ontology) keys;
+    # return_counts keeps np.unique on its sort route, which never imports numpy.ma
     stride = max(n_onto, 1)
     attributed = onto >= 0
-    keys = np.unique((np.cumsum(user_start) - 1)[attributed] * stride + onto[attributed])
+    keys = np.unique((np.cumsum(user_start) - 1)[attributed] * stride + onto[attributed],
+                     return_counts=True)[0]
     return UsageStats(
         users=len(first),
         total_events=n_events,

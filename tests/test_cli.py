@@ -1,6 +1,10 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +102,21 @@ def test_run_subcommand_with_config(tmp_path, synth_log):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 2  # flag overrides config file
     assert manifest["stages"]["cluster"]["K"] == 7
+
+
+def test_run_does_not_import_numpy_ma(tmp_path, synth_log):
+    # NumPy 2's plain np.unique(x) imports numpy.ma; a run uses only its sort route
+    script = (
+        "import sys\nfrom trailmine.cli import main\n"
+        f"assert main(['run', '--logs', {str(synth_log)!r}, '--out-dir', 'out', '--k', '7', '--k-range', '1:8']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_usage_error_exit_code():

@@ -8,6 +8,7 @@ from testutil import (
     reference_kmeans_fit,
     reference_lloyd,
 )
+from trailmine import cluster
 from trailmine.cluster import (
     LLOYD_MAX_ITER,
     EmptyMatrix,
@@ -19,8 +20,10 @@ from trailmine.cluster import (
     profile_clusters,
     total_sum_of_squares,
 )
-from trailmine.markov import FeatureMatrix, count_transitions
+from trailmine.markov import FeatureMatrix, build_feature_matrix, count_transitions
+from trailmine.pipeline import build_traces, ingest_paths
 from trailmine.sessions import TraceSet
+from trailmine.synth import default_archetypes, generate_synthetic_log
 
 
 def _blobs(rng, centers, per_blob=30, spread=0.05):
@@ -78,8 +81,9 @@ def test_assignments_satisfy_argmin_property():
 def test_inertia_non_increasing_within_run():
     rng = np.random.default_rng(21)
     X = rng.normal(size=(120, 6))
-    model = kmeans_fit(X, 6, seed=5, restarts=1)
-    hist = model.inertia_history
+    # the history lives in the reference loop only; the fit ends where the reference run does
+    hist = reference_lloyd(X, 6, np.random.default_rng([5, 0]))[4]
+    assert kmeans_fit(X, 6, seed=5, restarts=1).inertia == hist[-1]
     assert len(hist) >= 2
     for a, b in zip(hist, hist[1:]):
         assert b <= a + 1e-9 * max(1.0, a)
@@ -154,12 +158,12 @@ def _assert_same_fit(X, K, seed, restarts, model=None):
     """``model`` (by default a fresh kmeans_fit) is the reference loop's, bit for bit, restart by restart."""
     if model is None:
         model = kmeans_fit(X, K, seed=seed, restarts=restarts)
-    C, assign, inertia, n_iter, history = reference_kmeans_fit(X, K, seed, restarts)
+    C, assign, inertia, n_iter, _, reseeded = reference_kmeans_fit(X, K, seed, restarts)
     assert np.array_equal(model.centroids, C)
     assert np.array_equal(model.assignments, assign)
     assert model.inertia == inertia
     assert model.n_iter == n_iter
-    assert model.inertia_history == history
+    assert model.reseeded == reseeded
     assert model.restart_inertias == [
         reference_lloyd(X, K, np.random.default_rng([seed, r]))[2] for r in range(restarts)
     ]
@@ -201,6 +205,22 @@ def test_lloyd_matches_reference_at_k_one_and_k_m():
     _assert_same_fit(X, 1, seed=0, restarts=3)
     model = _assert_same_fit(X, 17, seed=2, restarts=3)
     assert model.inertia < 1e-12  # one point per cluster, up to the rounding of the expanded distance
+
+
+def test_k_one_fits_one_run(monkeypatch):
+    # row 24 sits at the mean, so a restart drawn there stops on LLOYD_TOL after one iteration:
+    # restart 0 starts there at seed 39, and only a later restart does at seeds 0 and 3
+    A = np.random.default_rng(13).normal(size=(12, 4))
+    X = np.vstack([A, -A, np.zeros((1, 4))])
+    real, calls = cluster._lloyd, []
+    monkeypatch.setattr(cluster, "_lloyd", lambda *a: calls.append(a) or real(*a))
+    for seed in (0, 3, 4, 39):
+        calls.clear()
+        model = _assert_same_fit(X, 1, seed, restarts=5)
+        assert len(calls) == 1
+        assert model.n_iter == (1 if seed == 39 else 2)
+        assert model.restart_inertias == [model.inertia] * 5
+        assert model.diagnostics()["inertia_spread"] == 0.0
 
 
 def _assert_same_curve(X, ks, seed, restarts):
@@ -246,6 +266,17 @@ def test_ev_curve_matches_reference_through_empty_cluster_reseeding():
         curve = _assert_same_curve(X, (8, 11, 13), seed, restarts=2)
         reseeded += sum(model.reseeded for model in curve.models.values())
     assert reseeded > 0
+
+
+def test_ev_curve_matches_reference_on_stationary_features(tmp_path, ruleset):
+    # rows that sum to 1 with near-ties, from synthetic traffic: most runs end on a repeated assignment
+    log = tmp_path / "synth.log"
+    generate_synthetic_log(default_archetypes(ruleset.vocabulary), 5, seed=23, path=log, ruleset=ruleset)
+    batch, _ = ingest_paths([log], ruleset)
+    traces, _ = build_traces(batch, ruleset.vocabulary.break_id)
+    X = build_feature_matrix(traces, ruleset.vocabulary.n).X
+    assert np.allclose(X.sum(1), 1.0)
+    _assert_same_curve(X, range(1, min(25, len(X)) + 1), seed=7, restarts=10)
 
 
 def test_kmeanspp_order_prefix_is_the_smaller_draw():

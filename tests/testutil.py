@@ -199,10 +199,11 @@ def _ref_kmeanspp_init(X, K, rng):
 
 
 def reference_lloyd(X, K, rng, tol=1e-6, max_iter=300):
-    """(centroids, assignments, inertia, n_iter, inertia history) of one run."""
+    """(centroids, assignments, inertia, n_iter, inertia history, re-seeds) of one run."""
     m, n = X.shape
     C = _ref_kmeanspp_init(X, K, rng)
     history = []
+    reseeded = 0
     it = 0
     for it in range(1, max_iter + 1):
         D = _ref_sqdist(X, C)
@@ -213,6 +214,7 @@ def reference_lloyd(X, K, rng, tol=1e-6, max_iter=300):
         counts = np.bincount(assign, minlength=K)
         empty = np.flatnonzero(counts == 0)
         if empty.size:
+            reseeded += empty.size
             dist_own = D[np.arange(m), assign]
             order = np.argsort(-dist_own, kind="stable")
             for k, idx in zip(empty, order[: empty.size]):
@@ -227,7 +229,7 @@ def reference_lloyd(X, K, rng, tol=1e-6, max_iter=300):
     assign = D.argmin(axis=1)
     inertia = float(D[np.arange(m), assign].sum())
     history.append(inertia)
-    return C, assign, inertia, it, history
+    return C, assign, inertia, it, history, reseeded
 
 
 def reference_kmeans_fit(X, K, seed=0, restarts=10):
