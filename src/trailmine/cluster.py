@@ -38,6 +38,7 @@ formulation it replaces, so every iterate is bit for bit the same:
 - K=1 runs Lloyd once: every restart's first update is the same
   ``bincount`` over all rows, so all end at one mean with one inertia.
   Restart 0 wins that tie, and ``restart_inertias`` repeats its inertia.
+  Without ``orders`` passed in, only restart 0's order is drawn.
 """
 
 from __future__ import annotations
@@ -83,8 +84,6 @@ class ClusterModel:
     centroids: np.ndarray
     assignments: np.ndarray
     inertia: float
-    seed: int
-    restarts: int
     n_iter: int = 0
     # empty clusters re-seeded during the best restart
     reseeded: int = 0
@@ -224,17 +223,19 @@ def kmeans_fit(
     if not 1 <= K <= X.shape[0]:
         raise KTooLarge(f"K={K} not in [1, {X.shape[0]}]")
     xx = (X * X).sum(1)
-    if orders is None:
-        orders = _restart_orders(X, xx, K, seed, restarts)
-    orders = np.asarray(orders)
-    if orders.ndim != 2 or orders.shape[0] != restarts or orders.shape[1] < K:
-        raise ValueError(f"orders must be ({restarts}, >= {K}), got shape {orders.shape}")
     # at K=1 every restart ends at the same mean (see the module notes)
-    runs = [_lloyd(X, xx, X[orders[r, :K]]) for r in range(1 if K == 1 else restarts)]
+    n_runs = 1 if K == 1 else restarts
+    if orders is None:
+        orders = _restart_orders(X, xx, K, seed, n_runs)
+    else:
+        orders = np.asarray(orders)
+        if orders.ndim != 2 or orders.shape[0] != restarts or orders.shape[1] < K:
+            raise ValueError(f"orders must be ({restarts}, >= {K}), got shape {orders.shape}")
+    runs = [_lloyd(X, xx, X[orders[r, :K]]) for r in range(n_runs)]
     inertias = [run[2] for run in runs] * (restarts if K == 1 else 1)
     C, assign, inertia, iters, reseeded = min(runs, key=lambda run: run[2])  # the first on ties
-    return ClusterModel(K=K, centroids=C, assignments=assign, inertia=inertia, seed=seed,
-                        restarts=restarts, n_iter=iters, reseeded=reseeded, restart_inertias=inertias)
+    return ClusterModel(K=K, centroids=C, assignments=assign, inertia=inertia, n_iter=iters,
+                        reseeded=reseeded, restart_inertias=inertias)
 
 
 def total_sum_of_squares(X: np.ndarray) -> float:

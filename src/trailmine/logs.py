@@ -71,11 +71,6 @@ _MONTHS = {
 _MONTH_NAMES = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
                 "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
-# (year, month) -> (epoch seconds of the first of that month, days in the
-# month); log files span few distinct months so this cache makes timestamp
-# parsing a dict lookup.
-_MONTH_EPOCH: dict[tuple[int, int], tuple[int, int]] = {}
-
 
 _STAMP_RE = re.compile(
     r"([0-9]{2})/([A-Z][a-z]{2})/([0-9]{4})"  # 14/Mar/2016
@@ -102,15 +97,10 @@ def parse_clf_timestamp(ts: str) -> int:
     off = int(m.group(8)) * 3600 + int(m.group(9)) * 60
     if m.group(7) == "-":
         off = -off
-    key = (year, mon)
-    month = _MONTH_EPOCH.get(key)
-    if month is None:
-        try:
-            month = (timegm((year, mon, 1, 0, 0, 0)), monthrange(year, mon)[1])
-        except ValueError as exc:  # a year outside 1..9999
-            raise InvalidTimestamp(f"bad timestamp field: {ts!r}") from exc
-        _MONTH_EPOCH[key] = month
-    base, days = month
+    try:
+        base, days = timegm((year, mon, 1, 0, 0, 0)), monthrange(year, mon)[1]
+    except ValueError as exc:  # a year outside 1..9999
+        raise InvalidTimestamp(f"bad timestamp field: {ts!r}") from exc
     if day > days:
         raise InvalidTimestamp(f"day {day} does not exist in {ts[3:11]}: {ts!r}")
     return base + (day - 1) * 86400 + hh * 3600 + mm * 60 + ss - off
@@ -290,7 +280,6 @@ class CompiledFilter:
     """
 
     def __init__(self, cfg: FilterConfig):
-        self.config = cfg
         self._ua_needles = tuple(s.lower() for s in cfg.useragent_blacklist)
         exact = set()
         nets = []

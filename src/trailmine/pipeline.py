@@ -698,6 +698,12 @@ class PipelineConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.pca_components < 1:
             raise ValueError(f"pca_components must be >= 1, got {self.pca_components}")
+        if not 0 <= self.threshold_pct <= 100:
+            raise ValueError(f"threshold_pct must lie in [0, 100], got {self.threshold_pct}")
+        if self.top_actions < 1:
+            raise ValueError(f"top_actions must be >= 1, got {self.top_actions}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
     def as_dict(self) -> dict:
         d = asdict(self)

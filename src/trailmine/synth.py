@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from urllib.parse import quote
@@ -78,56 +78,25 @@ class UserTruth:
 
 @dataclass
 class GroundTruth:
+    """Everything one generator call emitted; ``truth.json`` holds these fields in this order."""
+
     archetype_names: list[str]
-    users: dict[str, UserTruth]
-    per_resource: dict[str, int]
+    seed: int
     human_lines: int
     bot_lines: int
-    seed: int
+    per_resource: dict[str, int]
+    users: dict[str, UserTruth]
 
     def save(self, path: str | Path) -> None:
-        payload = {
-            "archetype_names": self.archetype_names,
-            "seed": self.seed,
-            "human_lines": self.human_lines,
-            "bot_lines": self.bot_lines,
-            "per_resource": self.per_resource,
-            "users": {
-                ip: {
-                    "archetype": t.archetype,
-                    "sequence": t.sequence,
-                    "session_lengths": t.session_lengths,
-                    "action_count": t.action_count,
-                    "resources": t.resources,
-                }
-                for ip, t in self.users.items()
-            },
-        }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+            json.dump(asdict(self), fh)
 
     @classmethod
     def load(cls, path: str | Path) -> "GroundTruth":
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        users = {
-            ip: UserTruth(
-                archetype=u["archetype"],
-                sequence=u["sequence"],
-                session_lengths=u["session_lengths"],
-                action_count=u["action_count"],
-                resources=u["resources"],
-            )
-            for ip, u in payload["users"].items()
-        }
-        return cls(
-            archetype_names=payload["archetype_names"],
-            users=users,
-            per_resource=payload["per_resource"],
-            human_lines=payload["human_lines"],
-            bot_lines=payload["bot_lines"],
-            seed=payload["seed"],
-        )
+        payload["users"] = {ip: UserTruth(**u) for ip, u in payload["users"].items()}
+        return cls(**payload)
 
 
 HUMAN_USERAGENTS = (
@@ -483,29 +452,123 @@ def generate_synthetic_log(
     return lines, truth
 
 
-def _chain(vocab: ActionVocabulary, rows: dict[str, dict[str, float]]) -> np.ndarray:
+_CLASS_PAGES = ["Ontology Summary", "Browse Ontology Classes", "Browse Ontology Class"]
+_CLASS_SITES = {"CPT": 0.5, "SNOMEDCT": 0.3, "RXNORM": 0.2}
+
+# the built-in archetypes, as items of the load_archetypes_json schema
+_BUILT_IN = [
+    {
+        "name": "Main Page Visitors",
+        "rows": {
+            "Browse Main Page": {"Browse Main Page": 0.6, "Browse Ontologies": 0.25, "Browse Help": 0.15},
+            "Browse Ontologies": {"Browse Main Page": 0.7, "Browse Ontologies": 0.3},
+            "Browse Help": {"Browse Main Page": 0.8, "Browse Help": 0.2},
+        },
+        "start": "Browse Main Page",
+        "session_length": ["geometric", 6.0],
+    },
+    {
+        "name": "Ontology Overview Visitors",
+        "rows": {
+            "Browse Ontologies": {"Ontology Summary": 0.8, "Browse Ontologies": 0.2},
+            "Ontology Summary": {"Ontology Summary": 0.5, "Browse Ontologies": 0.3, "Ontology Analytics": 0.2},
+            "Ontology Analytics": {"Ontology Summary": 0.6, "Browse Ontologies": 0.4},
+        },
+        "start": "Browse Ontologies",
+        "session_length": ["geometric", 9.0],
+        "resource_affinity": {"NCIT": 0.4, "GO": 0.3, "MESH": 0.3},
+    },
+    {
+        "name": "Class Explorers",
+        "template": _CLASS_PAGES * 12,
+        "session_length": ["constant", 36],
+        "sessions_per_user": ["constant", 1],
+        "resource_affinity": _CLASS_SITES,
+    },
+    {
+        "name": "Specific Class Browsers",
+        "template": [label for label in _CLASS_PAGES for _ in range(12)],
+        "session_length": ["constant", 36],
+        "sessions_per_user": ["constant", 1],
+        "resource_affinity": _CLASS_SITES,
+    },
+    {
+        "name": "Ontology Tree Explorers",
+        "rows": {
+            "Ontology Summary": {"Browse Ontology Class Tree": 0.7, "Browse Ontology Classes": 0.3},
+            "Browse Ontology Class Tree": {"Browse Ontology Class Tree": 0.6, "Browse Ontology Class": 0.3, "Ontology Summary": 0.1},
+            "Browse Ontology Class": {"Browse Ontology Class Tree": 0.7, "Browse Ontology Class": 0.3},
+            "Browse Ontology Classes": {"Browse Ontology Class Tree": 0.8, "Browse Ontology Classes": 0.2},
+        },
+        "start": "Ontology Summary",
+        "session_length": ["geometric", 20.0],
+        "resource_affinity": {"CPT": 0.6, "GO": 0.4},
+    },
+    {
+        "name": "Search Explorers",
+        "rows": {
+            "Browse Search": {"Browse Search": 0.45, "Browse Ontology Class": 0.55},
+            "Browse Ontology Class": {"Browse Search": 0.75, "Browse Ontology Class": 0.25},
+        },
+        "start": "Browse Search",
+        "session_length": ["geometric", 15.0],
+        "sessions_per_user": ["constant", 3],
+        "resource_affinity": {"RXNORM": 0.6, "MEDDRA": 0.4},
+    },
+    {
+        "name": "BioPortal Experts",
+        "rows": {
+            "Browse Annotator": {"Browse Annotator": 0.5, "Browse Recommender": 0.3, "Browse Mappings": 0.2},
+            "Browse Recommender": {"Browse Annotator": 0.4, "Browse Recommender": 0.3, "Browse Ontology Mappings": 0.3},
+            "Browse Mappings": {"Browse Mappings": 0.4, "Browse Annotator": 0.4, "Browse Search": 0.2},
+            "Browse Ontology Mappings": {"Browse Ontology Mappings": 0.5, "Browse Mappings": 0.5},
+            "Browse Search": {"Browse Annotator": 0.6, "Browse Search": 0.4},
+        },
+        "start": "Browse Annotator",
+        "session_length": ["geometric", 12.0],
+        "resource_affinity": {"LOINC": 0.5, "NDFRT": 0.5},
+    },
+]
+
+
+def _spec(vocab: ActionVocabulary, item: dict) -> ArchetypeSpec:
+    """One archetype from its schema item (see :func:`load_archetypes_json`)."""
+    name = item["name"]
+
+    def label_id(label: str) -> int:
+        if label not in vocab:
+            raise VocabularyMismatch(f"archetype {name!r}: unknown label {label!r}")
+        return vocab.id_of(label)
+
     profile = np.zeros((vocab.n, vocab.n))
-    for src, targets in rows.items():
-        i = vocab.id_of(src)
-        for dst, w in targets.items():
-            profile[i, vocab.id_of(dst)] = w
-        profile[i] /= profile[i].sum()
-    return profile
-
-
-def _template_profile(vocab: ActionVocabulary, template: list[int]) -> np.ndarray:
-    profile = np.zeros((vocab.n, vocab.n))
-    for a, b in zip(template[:-1], template[1:]):
-        profile[a, b] += 1.0
-    rowsums = profile.sum(axis=1, keepdims=True)
-    np.divide(profile, rowsums, out=profile, where=rowsums > 0)
-    return profile
-
-
-def _start(vocab: ActionVocabulary, name: str) -> np.ndarray:
-    p = np.zeros(vocab.n)
-    p[vocab.id_of(name)] = 1.0
-    return p
+    template = None
+    if "template" in item:
+        template = [label_id(label) for label in item["template"]]
+        for a, b in zip(template[:-1], template[1:]):
+            profile[a, b] += 1.0
+        rowsums = profile.sum(axis=1, keepdims=True)
+        np.divide(profile, rowsums, out=profile, where=rowsums > 0)
+    elif "rows" in item:
+        for src, targets in item["rows"].items():
+            i = label_id(src)
+            for dst, w in targets.items():
+                profile[i, label_id(dst)] = w
+            profile[i] /= profile[i].sum()
+    else:
+        raise VocabularyMismatch(f"archetype {name!r}: needs 'rows' or 'template'")
+    start = None
+    if "start" in item:
+        start = np.zeros(vocab.n)
+        start[label_id(item["start"])] = 1.0
+    return ArchetypeSpec(
+        name=name,
+        transition_profile=profile,
+        session_length=tuple(item.get("session_length", ArchetypeSpec.session_length)),
+        sessions_per_user=tuple(item.get("sessions_per_user", ArchetypeSpec.sessions_per_user)),
+        resource_affinity=dict(item.get("resource_affinity", {})),
+        start_distribution=start,
+        session_template=template,
+    )
 
 
 def default_archetypes(vocabulary: ActionVocabulary | None = None) -> list[ArchetypeSpec]:
@@ -516,127 +579,19 @@ def default_archetypes(vocabulary: ActionVocabulary | None = None) -> list[Arche
     one in blocks, making them the order-only-distinct pair.
     """
     vocab = vocabulary or default_ruleset().vocabulary
-    cyc = [
-        vocab.id_of("Ontology Summary"),
-        vocab.id_of("Browse Ontology Classes"),
-        vocab.id_of("Browse Ontology Class"),
-    ] * 12
-    blk = (
-        [vocab.id_of("Ontology Summary")] * 12
-        + [vocab.id_of("Browse Ontology Classes")] * 12
-        + [vocab.id_of("Browse Ontology Class")] * 12
-    )
-    return [
-        ArchetypeSpec(
-            name="Main Page Visitors",
-            transition_profile=_chain(vocab, {
-                "Browse Main Page": {"Browse Main Page": 0.6, "Browse Ontologies": 0.25, "Browse Help": 0.15},
-                "Browse Ontologies": {"Browse Main Page": 0.7, "Browse Ontologies": 0.3},
-                "Browse Help": {"Browse Main Page": 0.8, "Browse Help": 0.2},
-            }),
-            session_length=("geometric", 6.0),
-            sessions_per_user=("constant", 2),
-            resource_affinity={},
-            start_distribution=_start(vocab, "Browse Main Page"),
-        ),
-        ArchetypeSpec(
-            name="Ontology Overview Visitors",
-            transition_profile=_chain(vocab, {
-                "Browse Ontologies": {"Ontology Summary": 0.8, "Browse Ontologies": 0.2},
-                "Ontology Summary": {"Ontology Summary": 0.5, "Browse Ontologies": 0.3, "Ontology Analytics": 0.2},
-                "Ontology Analytics": {"Ontology Summary": 0.6, "Browse Ontologies": 0.4},
-            }),
-            session_length=("geometric", 9.0),
-            sessions_per_user=("constant", 2),
-            resource_affinity={"NCIT": 0.4, "GO": 0.3, "MESH": 0.3},
-            start_distribution=_start(vocab, "Browse Ontologies"),
-        ),
-        ArchetypeSpec(
-            name="Class Explorers",
-            transition_profile=_template_profile(vocab, cyc),
-            session_length=("constant", len(cyc)),
-            sessions_per_user=("constant", 1),
-            resource_affinity={"CPT": 0.5, "SNOMEDCT": 0.3, "RXNORM": 0.2},
-            session_template=cyc,
-        ),
-        ArchetypeSpec(
-            name="Specific Class Browsers",
-            transition_profile=_template_profile(vocab, blk),
-            session_length=("constant", len(blk)),
-            sessions_per_user=("constant", 1),
-            resource_affinity={"CPT": 0.5, "SNOMEDCT": 0.3, "RXNORM": 0.2},
-            session_template=blk,
-        ),
-        ArchetypeSpec(
-            name="Ontology Tree Explorers",
-            transition_profile=_chain(vocab, {
-                "Ontology Summary": {"Browse Ontology Class Tree": 0.7, "Browse Ontology Classes": 0.3},
-                "Browse Ontology Class Tree": {"Browse Ontology Class Tree": 0.6, "Browse Ontology Class": 0.3, "Ontology Summary": 0.1},
-                "Browse Ontology Class": {"Browse Ontology Class Tree": 0.7, "Browse Ontology Class": 0.3},
-                "Browse Ontology Classes": {"Browse Ontology Class Tree": 0.8, "Browse Ontology Classes": 0.2},
-            }),
-            session_length=("geometric", 20.0),
-            sessions_per_user=("constant", 2),
-            resource_affinity={"CPT": 0.6, "GO": 0.4},
-            start_distribution=_start(vocab, "Ontology Summary"),
-        ),
-        ArchetypeSpec(
-            name="Search Explorers",
-            transition_profile=_chain(vocab, {
-                "Browse Search": {"Browse Search": 0.45, "Browse Ontology Class": 0.55},
-                "Browse Ontology Class": {"Browse Search": 0.75, "Browse Ontology Class": 0.25},
-            }),
-            session_length=("geometric", 15.0),
-            sessions_per_user=("constant", 3),
-            resource_affinity={"RXNORM": 0.6, "MEDDRA": 0.4},
-            start_distribution=_start(vocab, "Browse Search"),
-        ),
-        ArchetypeSpec(
-            name="BioPortal Experts",
-            transition_profile=_chain(vocab, {
-                "Browse Annotator": {"Browse Annotator": 0.5, "Browse Recommender": 0.3, "Browse Mappings": 0.2},
-                "Browse Recommender": {"Browse Annotator": 0.4, "Browse Recommender": 0.3, "Browse Ontology Mappings": 0.3},
-                "Browse Mappings": {"Browse Mappings": 0.4, "Browse Annotator": 0.4, "Browse Search": 0.2},
-                "Browse Ontology Mappings": {"Browse Ontology Mappings": 0.5, "Browse Mappings": 0.5},
-                "Browse Search": {"Browse Annotator": 0.6, "Browse Search": 0.4},
-            }),
-            session_length=("geometric", 12.0),
-            sessions_per_user=("constant", 2),
-            resource_affinity={"LOINC": 0.5, "NDFRT": 0.5},
-            start_distribution=_start(vocab, "Browse Annotator"),
-        ),
-    ]
+    return [_spec(vocab, item) for item in _BUILT_IN]
 
 
 def load_archetypes_json(path: str | Path, vocabulary: ActionVocabulary | None = None) -> list[ArchetypeSpec]:
-    """Load archetypes from a JSON config.
+    """Load archetypes from a JSON config; the built-in archetypes are written in this schema.
 
     Schema per archetype: name, rows (label -> {label: weight}) or
     template (list of label names), session_length, sessions_per_user
     (distribution arrays like ["geometric", 10]), resource_affinity,
-    optional start label name.
+    optional start label name. A label outside the vocabulary, or an
+    item with neither rows nor template, raises
+    :class:`VocabularyMismatch` naming the archetype.
     """
     vocab = vocabulary or default_ruleset().vocabulary
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    specs = []
-    for item in payload:
-        template = None
-        if "template" in item:
-            template = [vocab.id_of(name) for name in item["template"]]
-            profile = _template_profile(vocab, template)
-        else:
-            profile = _chain(vocab, item["rows"])
-        start = _start(vocab, item["start"]) if "start" in item else None
-        specs.append(
-            ArchetypeSpec(
-                name=item["name"],
-                transition_profile=profile,
-                session_length=tuple(item.get("session_length", ("geometric", 10.0))),
-                sessions_per_user=tuple(item.get("sessions_per_user", ("constant", 2))),
-                resource_affinity=dict(item.get("resource_affinity", {})),
-                start_distribution=start,
-                session_template=template,
-            )
-        )
-    return specs
+        return [_spec(vocab, item) for item in json.load(fh)]

@@ -92,7 +92,7 @@ def test_usage_stats_text(tmp_path):
 def test_cluster_outputs_text(tmp_path):
     model = ClusterModel(
         K=2, centroids=np.array([ROW, [1.0, 0.0, 0.5]]), assignments=np.array([1, 0]),
-        inertia=1 / 3, seed=0, restarts=1,
+        inertia=1 / 3,
     )
     profiles = [
         ClusterProfile(0, 1, 2.0, 2.0, np.array([0, 3, 1]), [(1, 2, 3), (2, 1, 1)]),

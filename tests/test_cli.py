@@ -250,6 +250,23 @@ def test_synth_rejects_negative_users(tmp_path, capsys):
     assert not log.exists()
 
 
+@pytest.mark.parametrize("item, message", [
+    ({"name": "x", "rows": {"Browse Foo": {"Browse Search": 1.0}}}, "archetype 'x': unknown label 'Browse Foo'"),
+    ({"name": "x", "rows": {"Browse Search": {"Browse Foo": 1.0}}}, "archetype 'x': unknown label 'Browse Foo'"),
+    ({"name": "x", "session_length": ["geometric", 5]}, "archetype 'x': needs 'rows' or 'template'"),
+    ({"name": "x", "template": ["Browse Search", "Nope"]}, "archetype 'x': unknown label 'Nope'"),
+    ({"name": "x", "rows": {"Browse Search": {"Browse Search": 1.0}}, "start": "Nope"},
+     "archetype 'x': unknown label 'Nope'"),
+])
+def test_synth_names_the_archetype_of_a_bad_json_item(tmp_path, capsys, item, message):
+    archetypes = tmp_path / "archetypes.json"
+    archetypes.write_text(json.dumps([item]), encoding="utf-8")
+    log = tmp_path / "synth.log"
+    assert main(["synth", "--out", str(log), "--archetypes", str(archetypes)]) == 2
+    assert f"trailmine synth: error: {message}" in capsys.readouterr().err
+    assert not log.exists()
+
+
 @pytest.mark.parametrize("route", ["flag", "ini", "cluster"])
 def test_restarts_below_one_is_a_data_error_before_any_stage(tmp_path, synth_log, capsys, route):
     out = tmp_path / "o"

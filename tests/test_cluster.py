@@ -214,10 +214,14 @@ def test_k_one_fits_one_run(monkeypatch):
     X = np.vstack([A, -A, np.zeros((1, 4))])
     real, calls = cluster._lloyd, []
     monkeypatch.setattr(cluster, "_lloyd", lambda *a: calls.append(a) or real(*a))
+    real_order, draws = cluster._kmeanspp_order, []
+    monkeypatch.setattr(cluster, "_kmeanspp_order", lambda *a: draws.append(a) or real_order(*a))
     for seed in (0, 3, 4, 39):
         calls.clear()
-        model = _assert_same_fit(X, 1, seed, restarts=5)
-        assert len(calls) == 1
+        draws.clear()
+        model = kmeans_fit(X, 1, seed=seed, restarts=5)
+        assert len(calls) == 1 and len(draws) == 1  # one run, from the one order it drew
+        _assert_same_fit(X, 1, seed, 5, model)
         assert model.n_iter == (1 if seed == 39 else 2)
         assert model.restart_inertias == [model.inertia] * 5
         assert model.diagnostics()["inertia_spread"] == 0.0

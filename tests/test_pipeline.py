@@ -286,6 +286,12 @@ def test_run_pipeline_rejects_restarts_before_any_stage(tmp_path, corpus):
         ("alpha = nan", "alpha must be >= 0"),
         ("gap_minutes = 0", "gap_minutes must be > 0"),
         ("gap_minutes = -5", "gap_minutes must be > 0"),
+        ("threshold_pct = 150", r"threshold_pct must lie in \[0, 100\]"),
+        ("threshold_pct = -1", r"threshold_pct must lie in \[0, 100\]"),
+        ("threshold_pct = nan", r"threshold_pct must lie in \[0, 100\]"),
+        ("top_actions = 0", "top_actions must be >= 1"),
+        ("jobs = 0", "jobs must be >= 1"),
+        ("jobs = -3", "jobs must be >= 1"),
     ):
         ini.write_text(f"[pipeline]\nlogs = {log}\nout_dir = {out}\n{setting}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=message):

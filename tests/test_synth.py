@@ -1,5 +1,6 @@
 import dataclasses
 import gzip
+import hashlib
 import json
 import re
 
@@ -13,6 +14,7 @@ from trailmine.pipeline import ingest_paths
 from trailmine.synth import (
     ArchetypeSpec,
     GroundTruth,
+    UserTruth,
     VocabularyMismatch,
     default_archetypes,
     generate_synthetic_log,
@@ -203,6 +205,50 @@ def test_ground_truth_roundtrip(tmp_path):
     assert loaded.human_lines == truth.human_lines
     some_user = next(iter(truth.users))
     assert loaded.users[some_user].sequence == truth.users[some_user].sequence
+
+
+def test_ground_truth_save_writes_its_fields_in_order(tmp_path):
+    truth = GroundTruth(
+        archetype_names=["a", "b"], seed=3, human_lines=5, bot_lines=1, per_resource={"GO": 2},
+        users={"10.2.0.1": UserTruth(archetype=1, sequence=[4, 0, 5], session_lengths=[1, 1],
+                                     action_count=2, resources={"GO": 2})},
+    )
+    path = tmp_path / "truth.json"
+    truth.save(path)
+    assert path.read_text(encoding="utf-8") == (
+        '{"archetype_names": ["a", "b"], "seed": 3, "human_lines": 5, "bot_lines": 1, '
+        '"per_resource": {"GO": 2}, "users": {"10.2.0.1": {"archetype": 1, "sequence": [4, 0, 5], '
+        '"session_lengths": [1, 1], "action_count": 2, "resources": {"GO": 2}}}}'
+    )
+    assert GroundTruth.load(path) == truth
+
+
+# Each built-in archetype's SHA-256 over every ArchetypeSpec field. The byte-identity
+# tests hand the same specs to the generator and to the reference one, so only this
+# catches a change to the specs themselves.
+_DEFAULT_SPEC_SHA256 = [
+    ("Main Page Visitors", "491d1988e63ccfdd3893f566be6686683780fd02d42ff13b9776c64d22036528"),
+    ("Ontology Overview Visitors", "56d58bbd6e94cf2bb40257a859f8b747a1ca1ef104121d94321450b61fd65e34"),
+    ("Class Explorers", "4ae656a8b92b4f861f2b22afb27241c59c433e084f024861846c462e116791b8"),
+    ("Specific Class Browsers", "26aa6a4fb57e5772f7f9f7ac6af5b071f4d2b0af92ae2f19d31a7dd533bfe36b"),
+    ("Ontology Tree Explorers", "a366113ba4732d93dd8b005adda7817a3dc52c8a60a8055cbeb8589229c68161"),
+    ("Search Explorers", "201ac009c69cdab7758d8b5247d87056f7714146eaffad76e42820123377e898"),
+    ("BioPortal Experts", "a5d0bee7713896e147f621b0f84b92a76207d60baba7d4e79392629417552056"),
+]
+
+
+def _spec_sha256(spec):
+    h = hashlib.sha256(repr((spec.name, spec.session_length, spec.sessions_per_user,
+                             spec.resource_affinity, spec.session_template)).encode())
+    for array in (spec.transition_profile, spec.start_distribution):
+        if array is not None:
+            h.update(array.dtype.str.encode())
+            h.update(array.tobytes())
+    return h.hexdigest()
+
+
+def test_default_archetypes_are_pinned():
+    assert [(s.name, _spec_sha256(s)) for s in default_archetypes()] == _DEFAULT_SPEC_SHA256
 
 
 def _json_archetypes(tmp_path):
