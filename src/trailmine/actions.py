@@ -159,8 +159,9 @@ class MappingRule:
 
 # A pattern is bucketable when it can only match paths whose first
 # segment equals a fixed literal: "^/seg$", "^/seg/...", "^/seg/?$",
-# or "^/seg(?:/...". Everything else goes to the generic list.
-_SEGMENT_RE = re.compile(r"^\^/([A-Za-z0-9_.\-~]+)(?:\$$|/|\(\?:/)")
+# or "^/seg(?:/...". The literal holds no regex metacharacter ("." would
+# match any character). Everything else goes to the generic list.
+_SEGMENT_RE = re.compile(r"^\^/([A-Za-z0-9_\-~]+)(?:\$$|/|\(\?:/)")
 
 
 def _literal_segment(pattern_source: str) -> str | None:
@@ -199,7 +200,8 @@ class RuleSet:
     def match(self, method: str, path: str) -> tuple[int, str | None] | None:
         """Return (label_id, ontology_acronym) of the first matching rule."""
         cut = path.find("/", 1)
-        seg = path[1:cut] if cut > 0 else path[1:]
+        # "$" also matches before a final newline, so "/seg\n" is tried on seg's bucket
+        seg = path[1:cut] if cut > 0 else path[1:].removesuffix("\n")
         for rule in self._buckets.get(seg, self._generic):
             if rule.method is not None and rule.method != method:
                 continue

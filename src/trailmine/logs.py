@@ -3,8 +3,11 @@
 Defines the Apache "combined" (default) and "common" line grammars, the
 timestamp and request-field checks, and :class:`CompiledFilter`, whose
 ``drop_reason`` names the user-agent / IP blacklist or static-asset
-pattern that marks a request as non-human traffic. Bulk ingestion of
-files goes through :func:`trailmine.pipeline.ingest_paths`;
+pattern that marks a request as non-human traffic. A run reads its list
+files and compiles its filter once, when its
+:class:`trailmine.pipeline.RunRecord` is made, so a missing list file or
+a pattern that does not compile fails before anything is written. Bulk
+ingestion of files goes through :func:`trailmine.pipeline.ingest_paths`;
 :func:`parse_log_line` turns a single line into a :class:`RequestRecord`.
 """
 
@@ -221,7 +224,6 @@ class FilterConfig:
 
 
 _GLOBAL_FLAGS = re.compile(r"\(\?([aiLmsux]+)\)")
-_VERBOSE_GROUP = re.compile(r"\(\?[a-zA-Z-]*x")
 
 
 def _scoped(pat: str) -> str:
@@ -239,44 +241,15 @@ def _scoped(pat: str) -> str:
     return f"(?{letters}:{pat[pos:]}{end}"
 
 
-def _start_anchored(pat: str, compiled: re.Pattern) -> bool:
-    """``pat`` can match only at the start of a string, so ``match`` decides it as ``search`` does.
-
-    It starts with ``^``, compiles without MULTILINE and has no ``|`` at
-    depth 0 (escapes, ``[...]`` classes and groups skipped). Where the
-    scan is unsure (a verbose group, whose comments it cannot read, or
-    unbalanced parentheses) the answer is False.
-    """
-    if not pat.startswith("^") or compiled.flags & re.MULTILINE or _VERBOSE_GROUP.search(pat):
-        return False
-    depth, i = 0, 0
-    while i < len(pat):
-        c = pat[i]
-        if c == "\\":
-            i += 1
-        elif c == "[":  # a "]" right after "[" or "[^" is a literal
-            i += 2 if pat.startswith("[^", i) else 1
-            if pat.startswith("]", i):
-                i += 1
-            while i < len(pat) and pat[i] != "]":
-                i += 2 if pat[i] == "\\" else 1
-        elif c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        elif c == "|" and depth == 0:
-            return False
-        i += 1
-    return depth == 0
-
-
 class CompiledFilter:
     """Compiled form of :class:`FilterConfig`, shareable across workers.
 
     One check per field: :meth:`ua_dropped`, :meth:`ip_dropped` and
     :meth:`asset_dropped`. They keep no memo; the chunked ingest pass
     calls each once per distinct value, and :meth:`drop_reason` combines
-    them in precedence order for a single request.
+    them in precedence order for a single request. Every asset pattern
+    is decided by ``re.search``. The filter pickles, so an ingest pool
+    hands each worker the one a run compiled.
     """
 
     def __init__(self, cfg: FilterConfig):
@@ -293,11 +266,13 @@ class CompiledFilter:
                 exact.add(entry)
         self._ip_exact = frozenset(exact)
         self._ip_nets = tuple(nets)
-        # patterns that can only match at the start of the path are tried
-        # with one anchored ``match``, every other one with one ``search``;
-        # a pattern with groups is searched on its own, since group numbers
-        # and names would collide in an alternation
-        anchored, anywhere, grouped = [], [], []
+        # a groupless pattern joins one of two searched alternations, by
+        # whether it starts with "^": re lifts the "^" that every member of
+        # the first shares, so its search tries only the start of the path.
+        # Both are searched, so the split is for speed alone. A pattern with
+        # groups is searched on its own, since group numbers and names
+        # would collide in an alternation.
+        caret, other, grouped = [], [], []
         for pat in cfg.drop_asset_patterns:
             try:
                 compiled = re.compile(pat)
@@ -306,10 +281,9 @@ class CompiledFilter:
             if compiled.groups:
                 grouped.append(compiled.search)
             else:
-                (anchored if _start_anchored(pat, compiled) else anywhere).append(_scoped(pat))
-        self._asset_match = re.compile("|".join(anchored)).match if anchored else None
-        self._asset_search = re.compile("|".join(anywhere)).search if anywhere else None
-        self._asset_grouped = grouped or None
+                (caret if pat.startswith("^") else other).append(_scoped(pat))
+        joined = [re.compile("|".join(alts)).search for alts in (caret, other) if alts]
+        self._asset_searches = tuple(joined + grouped)
 
     def ua_dropped(self, useragent: str) -> bool:
         """The user agent holds a blacklisted substring, case-insensitively."""
@@ -330,12 +304,10 @@ class CompiledFilter:
 
     def asset_dropped(self, path: str) -> bool:
         """The decoded path matches an asset pattern (``re.search`` semantics)."""
-        return (
-            (self._asset_match is not None and self._asset_match(path) is not None)
-            or (self._asset_search is not None and self._asset_search(path) is not None)
-            or (self._asset_grouped is not None
-                and any(search(path) is not None for search in self._asset_grouped))
-        )
+        for search in self._asset_searches:
+            if search(path) is not None:
+                return True
+        return False
 
     def drop_reason(self, useragent: str, ip: str, path: str) -> str | None:
         """Return "useragent" / "ip" / "asset" for dropped traffic, else None.

@@ -359,8 +359,8 @@ def _ingest_task(
 _WORKER: dict = {}
 
 
-def _worker_init(ruleset: RuleSet, filter_cfg: FilterConfig, log_format: str) -> None:
-    _WORKER["verdicts"] = _Verdicts(ruleset, filter_cfg.compile())
+def _worker_init(ruleset: RuleSet, filt: CompiledFilter, log_format: str) -> None:
+    _WORKER["verdicts"] = _Verdicts(ruleset, filt)
     _WORKER["format"] = log_format
 
 
@@ -392,7 +392,7 @@ def _chunk_file(path: str, jobs: int) -> list[tuple[str, int, int]]:
 def ingest_paths(
     paths: Sequence[str | Path],
     ruleset: RuleSet | None = None,
-    filter_config: FilterConfig | None = None,
+    filt: CompiledFilter | None = None,
     log_format: str = "combined",
     jobs: int = 1,
 ) -> tuple[EventBatch, IngestStats]:
@@ -405,11 +405,12 @@ def ingest_paths(
     otherwise the tasks run in-process and share one set. Either way
     each task runs :func:`_ingest_task`, and the parts are merged in
     task order, so events of one user keep the order of the paths.
-    Raises ``ValueError`` for an unknown ``log_format``.
+    ``filt`` defaults to the shipped lists compiled; the workers get the
+    one given. Raises ``ValueError`` for an unknown ``log_format``.
     """
     line_pattern(log_format)  # reject an unknown format even when no line is read
     ruleset = ruleset or default_ruleset()
-    cfg = filter_config or default_filter_config()
+    filt = filt or default_filter_config().compile()
     tasks: list[tuple[str, int, int | None]] = []
     for path in map(str, paths):
         if jobs > 1 and not path.endswith(".gz"):
@@ -417,10 +418,10 @@ def ingest_paths(
         else:
             tasks.append((path, 0, None))
     if jobs > 1 and len(tasks) > 1:
-        with Pool(jobs, initializer=_worker_init, initargs=(ruleset, cfg, log_format)) as pool:
+        with Pool(jobs, initializer=_worker_init, initargs=(ruleset, filt, log_format)) as pool:
             results = pool.map(_worker_ingest, tasks)
     else:
-        verdicts = _Verdicts(ruleset, cfg.compile())
+        verdicts = _Verdicts(ruleset, filt)
         results = [_ingest_task(task, verdicts, log_format) for task in tasks]
     stats = IngestStats()
     for _, part_stats in results:
@@ -702,6 +703,8 @@ class PipelineConfig:
             raise ValueError(f"threshold_pct must lie in [0, 100], got {self.threshold_pct}")
         if self.top_actions < 1:
             raise ValueError(f"top_actions must be >= 1, got {self.top_actions}")
+        if self.top_resources < 1:
+            raise ValueError(f"top_resources must be >= 1, got {self.top_resources}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
@@ -711,6 +714,7 @@ class PipelineConfig:
         return d
 
     def filter_config(self) -> FilterConfig:
+        """The shipped lists, each replaced by the list file set for it."""
         base = default_filter_config()
         if self.ua_blacklist is not None:
             base.useragent_blacklist = load_list_file(self.ua_blacklist)
@@ -726,9 +730,10 @@ class PipelineConfig:
 
 
 class RunRecord:
-    """What one run did: its config, its rules, each stage's entry and the files written.
+    """What one run did: its config, rules and filter, each stage's entry and the files written.
 
-    The rules are compiled once, here. Stages set their entry in
+    The rules and the filter are compiled once, here, so a bad rules or
+    list file fails before any file is written. Stages set their entry in
     ``stages``, and writers name each file they write in the out dir
     through :meth:`path`, so ``outputs`` lists the files in the order
     they were written. The out dir is made when the first file needs it.
@@ -737,6 +742,7 @@ class RunRecord:
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.ruleset = config.ruleset()
+        self.filt = config.filter_config().compile()
         self.stages: dict[str, dict] = {}
         self.outputs: list[str] = []
 
@@ -785,7 +791,7 @@ def stage_ingest(record: RunRecord) -> EventBatch:
     """Parse, filter and map ``config.logs``; the entry is the funnel."""
     config = record.config
     batch, stats = ingest_paths(
-        config.logs, ruleset=record.ruleset, filter_config=config.filter_config(),
+        config.logs, ruleset=record.ruleset, filt=record.filt,
         log_format=config.log_format, jobs=config.jobs,
     )
     if stats.parsed == 0:
@@ -912,8 +918,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
     :class:`PipelineStageError`; outputs of completed stages stay on
     disk, and the manifest written so far is preserved as
     ``manifest.partial.json``. An invalid config raises ``ValueError``
-    before any stage runs or any file is written; so does a rules file
-    that does not compile.
+    before any stage runs or any file is written; so does a rules or
+    list file that does not compile, and a missing one raises ``OSError``
+    there.
     """
     config.validate()
     record = RunRecord(config)

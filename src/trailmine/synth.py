@@ -553,7 +553,12 @@ def _spec(vocab: ActionVocabulary, item: dict) -> ArchetypeSpec:
             i = label_id(src)
             for dst, w in targets.items():
                 profile[i, label_id(dst)] = w
-            profile[i] /= profile[i].sum()
+            total = profile[i].sum()
+            if not (np.isfinite(total) and total > 0 and (profile[i] >= 0).all()):
+                raise VocabularyMismatch(
+                    f"archetype {name!r}: row {src!r} needs finite weights >= 0 with a positive sum"
+                )
+            profile[i] /= total
     else:
         raise VocabularyMismatch(f"archetype {name!r}: needs 'rows' or 'template'")
     start = None
@@ -588,9 +593,10 @@ def load_archetypes_json(path: str | Path, vocabulary: ActionVocabulary | None =
     Schema per archetype: name, rows (label -> {label: weight}) or
     template (list of label names), session_length, sessions_per_user
     (distribution arrays like ["geometric", 10]), resource_affinity,
-    optional start label name. A label outside the vocabulary, or an
-    item with neither rows nor template, raises
-    :class:`VocabularyMismatch` naming the archetype.
+    optional start label name. A label outside the vocabulary, an item
+    with neither rows nor template, or a rows entry whose weights are not
+    finite, are negative or sum to 0 raises :class:`VocabularyMismatch`
+    naming the archetype.
     """
     vocab = vocabulary or default_ruleset().vocabulary
     with open(path, encoding="utf-8") as fh:

@@ -82,8 +82,8 @@ def test_worked_example_mappings(ruleset):
 def test_first_match_equals_brute_force(ruleset):
     """The segment-bucketed lookup must agree with a naive priority scan."""
 
-    def naive(method, path):
-        for rule in ruleset.rules:
+    def naive(rules, method, path):
+        for rule in rules.rules:
             if rule.method is not None and rule.method != method:
                 continue
             m = rule.pattern.match(path)
@@ -107,9 +107,23 @@ def test_first_match_equals_brute_force(ruleset):
         ("POST", "/feedback"),
         ("GET", "/ontologies/MCCV/properties/tree/deep"),
         ("GET", "/ontologies/MCCV/notes/"),
+        ("GET", "/search\n"),  # "$" matches before a final newline
+        ("GET", "/\n"),
+        ("GET", "/search\n\n"),
     ]
-    for method, path in probes:
-        assert ruleset.match(method, path) == naive(method, path), (method, path)
+    # a "." in a first segment is a regex wildcard, so those rules cannot be bucketed
+    dotted = compile_rules([
+        "GET ^/sitemap.xml$ => Browse Help",
+        "GET ^/search.json(?:/.*)?$ => Browse Search",
+        "GET ^/sitemapXxml$ => Login",
+        "GET ^/search/ => Browse Ontologies",
+        "* ^/.+$ => Feedback",
+    ])
+    dotted_probes = [("GET", p) for p in ("/sitemap.xml", "/sitemapXxml", "/sitemapXxml\n", "/search.json",
+                                          "/searchXjson/a", "/search/x", "/other", "/sitemap.xmlx")]
+    for rules, cases in ((ruleset, probes), (dotted, dotted_probes)):
+        for method, path in cases:
+            assert rules.match(method, path) == naive(rules, method, path), (method, path)
 
 
 def test_method_constraint(ruleset):

@@ -257,6 +257,10 @@ def test_synth_rejects_negative_users(tmp_path, capsys):
     ({"name": "x", "template": ["Browse Search", "Nope"]}, "archetype 'x': unknown label 'Nope'"),
     ({"name": "x", "rows": {"Browse Search": {"Browse Search": 1.0}}, "start": "Nope"},
      "archetype 'x': unknown label 'Nope'"),
+    *(({"name": "x", "rows": {"Browse Search": {"Browse Search": 1.0}, "Browse Help": row}},
+       "archetype 'x': row 'Browse Help' needs finite weights >= 0 with a positive sum")
+      for row in ({"Browse Search": 0}, {}, {"Browse Search": -1, "Login": 2},
+                  {"Browse Search": float("nan")}, {"Browse Search": float("inf")})),
 ])
 def test_synth_names_the_archetype_of_a_bad_json_item(tmp_path, capsys, item, message):
     archetypes = tmp_path / "archetypes.json"
@@ -283,6 +287,24 @@ def test_restarts_below_one_is_a_data_error_before_any_stage(tmp_path, synth_log
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "restarts must be >= 1" in err and "stage" not in err
+    assert not out.exists()  # nothing ran, nothing was written
+
+
+@pytest.mark.parametrize("command", ["ingest", "run"])
+@pytest.mark.parametrize("flag, text, message", [
+    ("--asset-patterns", "([\n", "asset pattern '([' does not compile"),
+    ("--ua-blacklist", None, "No such file or directory"),
+])
+def test_bad_list_file_is_a_data_error_before_any_file(
+    tmp_path, synth_log, capsys, command, flag, text, message,
+):
+    listed = tmp_path / "list.txt"
+    if text is not None:
+        listed.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    assert main([command, "--logs", str(synth_log), "--out-dir", str(out), flag, str(listed)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "stage" not in err
     assert not out.exists()  # nothing ran, nothing was written
 
 

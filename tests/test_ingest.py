@@ -65,11 +65,11 @@ def _with_faults(lines, seed):
     return out
 
 
-def _filter_config():
-    """The shipped blacklists plus an exact human IP and CIDR blocks of human and bot IPs."""
+def _filter():
+    """The shipped blacklists plus an exact human IP and CIDR blocks of human and bot IPs, compiled."""
     cfg = default_filter_config()
     cfg.ip_blacklist = ["10.3.0.5", "10.2.0.0/29", "192.0.2.0/26"]
-    return cfg
+    return cfg.compile()
 
 
 def _write(path, lines):
@@ -125,9 +125,9 @@ def test_chunked_ingest_matches_reference(tmp_path, ruleset, faulty_lines, suffi
         _write(tmp_path / f"faulty{i}{suffix}", faulty_lines[i::2] if i else faulty_lines)
         for i, suffix in enumerate(suffixes)
     ]
-    cfg = _filter_config()
-    got = ingest_paths(paths, ruleset=ruleset, filter_config=cfg, jobs=jobs)
-    want = reference_ingest_paths(paths, ruleset, cfg)
+    filt = _filter()
+    got = ingest_paths(paths, ruleset=ruleset, filt=filt, jobs=jobs)
+    want = reference_ingest_paths(paths, ruleset, filt)
     _assert_same(got, want, ruleset)
     stats = got[1]
     # every fault kind and every drop reason occurs in this corpus
@@ -139,9 +139,9 @@ def test_chunked_ingest_matches_reference(tmp_path, ruleset, faulty_lines, suffi
 def test_chunked_ingest_matches_reference_common_format(tmp_path, ruleset, faulty_lines, jobs):
     common = [re.sub(r' "[^"]*" "[^"]*"\s*$', "", line) for line in faulty_lines]
     path = _write(tmp_path / "common.log", common)
-    cfg = _filter_config()
-    got = ingest_paths([path], ruleset=ruleset, filter_config=cfg, log_format="common", jobs=jobs)
-    _assert_same(got, reference_ingest_paths([path], ruleset, cfg, log_format="common"), ruleset)
+    filt = _filter()
+    got = ingest_paths([path], ruleset=ruleset, filt=filt, log_format="common", jobs=jobs)
+    _assert_same(got, reference_ingest_paths([path], ruleset, filt, log_format="common"), ruleset)
     assert got[1].dropped_useragent == 0 < got[1].events
 
 
@@ -173,10 +173,10 @@ def test_request_verdicts_reset_mid_file(tmp_path, ruleset, monkeypatch):
     monkeypatch.setattr(pipeline, "_VERDICTS_MAX", 8)
     monkeypatch.setattr(pipeline, "_request_verdict", counted)
     monkeypatch.setattr(pipeline._Verdicts, "decide", spied)
-    cfg = _filter_config()
-    got = ingest_paths([path], ruleset=ruleset, filter_config=cfg)
+    filt = _filter()
+    got = ingest_paths([path], ruleset=ruleset, filt=filt)
     assert len(calls) > len(set(calls))  # the request table was emptied and refilled
     assert sorted(decided) == ["date", "ip", "request", "useragent"]
     for field, values in decided.items():  # so was every table
         assert len(values) > len(set(values)), field
-    _assert_same(got, reference_ingest_paths([path], ruleset, cfg), ruleset)
+    _assert_same(got, reference_ingest_paths([path], ruleset, filt), ruleset)

@@ -9,10 +9,13 @@ are metamorphic relations (Chen et al., 1998; Segura et al., IEEE TSE
 
 import gzip
 import hashlib
+import re
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
+from trailmine.logs import parse_clf_timestamp
 from trailmine.pipeline import PipelineConfig, read_assignments_csv, read_feature_csv, run_pipeline
 from trailmine.synth import HUMAN_USERAGENTS, default_archetypes, generate_synthetic_log
 
@@ -26,6 +29,8 @@ _NOISE = {
                                      path="/ontologies/MCCV", ua=HUMAN_USERAGENTS[0]), "malformed"),
     "asset": (_LINE.format(ip="198.51.100.1", stamp=_STAMP, path="/assets/app.js",
                            ua=HUMAN_USERAGENTS[0]), "dropped_asset"),
+    "encoded_asset": (_LINE.format(ip="198.51.100.1", stamp=_STAMP, path="/%61ssets/app.js",
+                                   ua=HUMAN_USERAGENTS[0]), "dropped_asset"),
     "unmapped": (_LINE.format(ip="198.51.100.1", stamp=_STAMP, path="/no/such/page",
                               ua=HUMAN_USERAGENTS[0]), "unmapped"),
     "bot_ua": (_LINE.format(ip="198.51.100.1", stamp=_STAMP, path="/ontologies/MCCV",
@@ -110,3 +115,32 @@ def test_order_preserving_renaming(workdir, corpus, base):
     assert np.array_equal(after.X, before.X)
     before, after = (read_assignments_csv(workdir / name / "assignments.csv") for name in ("base", "renamed"))
     assert list(after.values()) == list(before.values())
+
+
+_MONTH_NAMES = "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
+
+
+def _restamp(match, offset):
+    """The timestamp field of ``match`` as the same instant written in ``offset`` (``+HHMM``)."""
+    sign = -1 if offset[0] == "-" else 1
+    tz = timezone(sign * timedelta(hours=int(offset[1:3]), minutes=int(offset[3:])))
+    t = datetime.fromtimestamp(parse_clf_timestamp(match[1]), tz=tz)
+    return f"[{t.day:02d}/{_MONTH_NAMES[t.month - 1]}/{t.year}:{t:%H:%M:%S} {offset}]"
+
+
+@pytest.mark.parametrize("offset", ["+0530", "-1130"])
+def test_timezone_rewrite(workdir, corpus, base, offset):
+    stamp = re.compile(r"\[([^\]]+)\]")
+    lines = [stamp.sub(lambda m: _restamp(m, offset), line, count=1) for line in corpus]
+    assert all(f" {offset}] " in line for line in lines)
+    assert _run(workdir, f"tz{offset}", [(".log", lines)]) == base
+
+
+def test_percent_encoded_path(workdir, corpus, base):
+    lines = [line.replace(" /ontologies/", " /%6Fntologies/", 1) for line in corpus]
+    assert sum("/%6Fntologies/" in line for line in lines) > len(lines) // 4
+    assert _run(workdir, "encoded", [(".log", lines)]) == base
+
+
+def test_crlf_line_endings(workdir, corpus, base):
+    assert _run(workdir, "crlf", [(".log", [line + "\r" for line in corpus])]) == base

@@ -290,12 +290,31 @@ def test_run_pipeline_rejects_restarts_before_any_stage(tmp_path, corpus):
         ("threshold_pct = -1", r"threshold_pct must lie in \[0, 100\]"),
         ("threshold_pct = nan", r"threshold_pct must lie in \[0, 100\]"),
         ("top_actions = 0", "top_actions must be >= 1"),
+        ("top_resources = 0", "top_resources must be >= 1"),
+        ("top_resources = -1", "top_resources must be >= 1"),
         ("jobs = 0", "jobs must be >= 1"),
         ("jobs = -3", "jobs must be >= 1"),
     ):
         ini.write_text(f"[pipeline]\nlogs = {log}\nout_dir = {out}\n{setting}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=message):
             run_pipeline(PipelineConfig.from_ini(ini))
+        assert not out.exists(), setting
+
+
+def test_run_pipeline_rejects_bad_list_files_before_any_file(tmp_path, corpus):
+    """The run record compiles the filter, so a bad or missing list file fails before the out dir is made."""
+    log, _ = corpus
+    assets, ips = tmp_path / "assets.txt", tmp_path / "ips.txt"
+    assets.write_text("\\.css$\n([\n", encoding="utf-8")
+    ips.write_text("10.0.0.0/99\n", encoding="utf-8")
+    out = tmp_path / "out"
+    for setting, error, message in (
+        ({"asset_patterns": str(assets)}, ValueError, r"asset pattern '\(\[' does not compile"),
+        ({"ip_blacklist": str(ips)}, ValueError, "bad IP blacklist entry '10.0.0.0/99'"),
+        ({"ua_blacklist": str(tmp_path / "missing.txt")}, FileNotFoundError, "missing.txt"),
+    ):
+        with pytest.raises(error, match=message):
+            run_pipeline(PipelineConfig(logs=[str(log)], out_dir=str(out), **setting))
         assert not out.exists(), setting
 
 

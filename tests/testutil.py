@@ -313,12 +313,11 @@ def reference_ingest_lines(lines, ruleset, filt, log_format="combined"):
     return batch, stats
 
 
-def reference_ingest_paths(paths, ruleset, filter_config, log_format="combined"):
+def reference_ingest_paths(paths, ruleset, filt, log_format="combined"):
     """The reference loop over each file in turn, merged as ``ingest_paths`` merges."""
     from trailmine.logs import open_log
     from trailmine.pipeline import EventBatch, IngestStats
 
-    filt = filter_config.compile()
     parts, stats = [], IngestStats()
     for path in paths:
         with open_log(path) as fh:
