@@ -38,16 +38,23 @@ formulation it replaces, so every iterate is bit for bit the same:
 - K=1 runs Lloyd once: every restart's first update is the same
   ``bincount`` over all rows, so all end at one mean with one inertia.
   Restart 0 wins that tie, and ``restart_inertias`` repeats its inertia.
-  Without ``orders`` passed in, only restart 0's order is drawn.
+  Without ``orders`` passed in, only restart 0's order is drawn;
+- with ``jobs`` processes the elbow deals its restarts out by ``r mod
+  step``, ``step = min(jobs, restarts)``: helper process ``i`` makes the
+  ``_lloyd`` runs of restarts ``i, i + step, ...`` of every K > 1 from
+  the same ``orders``, each run one process makes alone, and the fit of
+  K puts them back by restart index. So ``min`` still keeps the first
+  restart on ties and ``restart_inertias`` keeps restart order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from .helpers import receive, start_helpers
 from .markov import FeatureMatrix, count_transitions_by_group
 from .sessions import TraceSet
 
@@ -104,6 +111,8 @@ class ElbowCurve:
     knee: int | None = None
     # the best-of-restarts fit of each K that needed one, by K
     models: dict[int, ClusterModel] = field(default_factory=dict)
+    # this process plus the helper processes that shared the restarts
+    processes: int = 1
 
 
 def _feature_rows(features: FeatureMatrix | np.ndarray, restarts: int) -> np.ndarray:
@@ -198,6 +207,14 @@ def _lloyd(
     return C, assign, float(D[rows, assign].sum()), it, reseeded
 
 
+def _send_restarts(send, X: np.ndarray, orders: np.ndarray, ks: Sequence[int], first: int, step: int) -> None:
+    """A helper's share of an elbow: for each K > 1 of ``ks``, the runs of restarts ``first, first + step, ...``."""
+    xx = (X * X).sum(1)
+    for K in ks:
+        if K > 1:
+            send([_lloyd(X, xx, X[orders[r, :K]]) for r in range(first, len(orders), step)])
+
+
 def kmeans_fit(
     features: FeatureMatrix | np.ndarray,
     K: int,
@@ -205,6 +222,7 @@ def kmeans_fit(
     restarts: int = 10,
     *,
     orders: np.ndarray | None = None,
+    helpers: Sequence = (),
 ) -> ClusterModel:
     """Best-of-restarts Lloyd's K-means.
 
@@ -215,7 +233,12 @@ def kmeans_fit(
     starts from rows ``orders[r, :K]`` (see the module notes). Raises
     :class:`EmptyMatrix` and :class:`KTooLarge` on degenerate inputs, and
     ``ValueError`` for ``restarts < 1``, a NaN or infinite feature, or
-    ``orders`` of the wrong shape.
+    ``orders`` of the wrong shape. ``helpers`` are the pipes of the helper
+    processes that :func:`explained_variance_curve` started on these
+    ``orders``. With ``step = len(helpers) + 1`` this process runs
+    restarts ``0, step, ...``, and the helper behind ``helpers[i - 1]``
+    sends the runs of restarts ``i, i + step, ...`` (see the module
+    notes); at K=1 none sends anything.
     """
     X = _feature_rows(features, restarts)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -231,7 +254,11 @@ def kmeans_fit(
         orders = np.asarray(orders)
         if orders.ndim != 2 or orders.shape[0] != restarts or orders.shape[1] < K:
             raise ValueError(f"orders must be ({restarts}, >= {K}), got shape {orders.shape}")
-    runs = [_lloyd(X, xx, X[orders[r, :K]]) for r in range(n_runs)]
+    step = len(helpers) + 1 if n_runs > 1 else 1
+    runs: list = [None] * n_runs
+    runs[::step] = [_lloyd(X, xx, X[orders[r, :K]]) for r in range(0, n_runs, step)]
+    for i, conn in enumerate(helpers[: step - 1], 1):
+        runs[i::step] = receive(conn)
     inertias = [run[2] for run in runs] * (restarts if K == 1 else 1)
     C, assign, inertia, iters, reseeded = min(runs, key=lambda run: run[2])  # the first on ties
     return ClusterModel(K=K, centroids=C, assignments=assign, inertia=inertia, n_iter=iters,
@@ -247,15 +274,19 @@ def explained_variance_curve(
     k_range: Iterable[int] = range(1, 26),
     seed: int = 0,
     restarts: int = 10,
+    jobs: int = 1,
 ) -> ElbowCurve:
     """Explained variance for each K in ``k_range``, from independent fits.
 
     Each K gets its own :func:`kmeans_fit`, kept in ``models``; the
     restarts' k-means++ orders are drawn once, for the largest K, and
     each K starts from their first K rows, so every fit equals the one
-    ``kmeans_fit`` makes alone. The curve only guarantees EV(K) >=
-    EV(1) = 0, not monotonicity. All points identical (zero total sum of
-    squares) defines EV = 1 for every K, with no fit. The knee suggestion is the largest K whose
+    ``kmeans_fit`` makes alone. With ``jobs > 1``, ``min(jobs,
+    restarts) - 1`` helper processes run a share of every K's restarts
+    (see the module notes); ``processes`` counts them plus this one. The
+    curve only guarantees EV(K) >= EV(1) = 0, not monotonicity. All
+    points identical (zero total sum of squares) defines EV = 1 for
+    every K, with no fit and no helper. The knee suggestion is the largest K whose
     marginal EV gain still exceeds :data:`KNEE_FRACTION` of the K=1 to
     K=2 gain. Raises :class:`EmptyMatrix` for a matrix without rows,
     before any check of ``k_range``.
@@ -271,13 +302,19 @@ def explained_variance_curve(
     total_ss = total_sum_of_squares(X)
     points: list[tuple[int, float]] = []
     models: dict[int, ClusterModel] = {}
+    step = 1
     if total_ss == 0.0:
         points = [(K, 1.0) for K in ks]
     else:
         orders = _restart_orders(X, (X * X).sum(1), ks[-1], seed, restarts)
-        for K in ks:
-            model = models[K] = kmeans_fit(X, K, seed=seed, restarts=restarts, orders=orders)
-            points.append((K, min(1.0, max(0.0, 1.0 - model.inertia / total_ss))))
+        step = min(jobs, restarts) if ks[-1] > 1 else 1  # K=1 is one run
+        shares = [(X, orders, ks, i, step) for i in range(1, step)]
+        with start_helpers(_send_restarts, shares) as helpers:
+            for K in ks:
+                # one kmeans_fit call per K in this process, whichever process made its runs
+                model = models[K] = kmeans_fit(X, K, seed=seed, restarts=restarts, orders=orders,
+                                               helpers=helpers)
+                points.append((K, min(1.0, max(0.0, 1.0 - model.inertia / total_ss))))
     knee = None
     gains = {
         k1: ev1 - ev0
@@ -288,7 +325,7 @@ def explained_variance_curve(
         threshold = KNEE_FRACTION * gains[2]
         passing = [k for k, g in gains.items() if g > threshold]
         knee = max(passing) if passing else ks[0]
-    return ElbowCurve(points=points, knee=knee, models=models)
+    return ElbowCurve(points=points, knee=knee, models=models, processes=step)
 
 
 @dataclass(slots=True)

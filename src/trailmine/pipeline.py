@@ -13,8 +13,11 @@ lines in fixed-size chunks: each line is matched against the grammar, the
 timestamps of a chunk are decoded as arrays, and each distinct date,
 request, user agent and IP is decided once, from bounded tables kept
 across chunks, not once per line. Parsing and mapping are pure per line,
-so ingestion can fan out over worker processes; the parts are
-concatenated in path order. :func:`~trailmine.sessions.build_traces` is
+so with ``jobs`` processes each plain file is read as ``jobs`` byte
+ranges: this process ingests the first share of the ranges and forked
+helper processes the others (:mod:`trailmine.helpers`), and the parts
+are concatenated in path order. The elbow shares each K's restarts with
+helpers likewise (see :mod:`trailmine.cluster`). :func:`~trailmine.sessions.build_traces` is
 the one place that gives users and ontologies their final codes, by
 name, and its stable (user, timestamp) sort keeps the path order between
 a user's events of one second.
@@ -29,7 +32,6 @@ import time
 from dataclasses import Field, asdict, dataclass, field, fields
 from configparser import ConfigParser
 from itertools import islice
-from multiprocessing import Pool
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -57,6 +59,7 @@ from .compare import (
     project_resources,
     transition_diff,
 )
+from .helpers import receive, start_helpers
 from .logs import (
     CompiledFilter,
     FilterConfig,
@@ -228,10 +231,9 @@ class _Verdicts:
 
     There is one table per field: timestamp date and offset, request,
     user agent and IP. One set of tables serves every chunk of every
-    :func:`_ingest_lines` call that shares it: all tasks of one
-    in-process ``ingest_paths`` call, or all tasks one worker process is
-    given. Ontology ids are handed out as requests are decided, so one
-    id keeps its ontology across those calls.
+    :func:`_ingest_lines` call that shares it: all tasks of one process's
+    share of an ``ingest_paths`` call. Ontology ids are handed out as
+    requests are decided, so one id keeps its ontology across those calls.
     """
 
     def __init__(self, ruleset: RuleSet, filt: CompiledFilter):
@@ -355,18 +357,17 @@ def _ingest_task(
         return _ingest_lines(lines, verdicts, log_format)
 
 
-# worker-process state for parallel ingestion, set up once per worker
-_WORKER: dict = {}
+def _ingest_share(
+    tasks: Sequence[tuple[str, int, int | None]], ruleset: RuleSet, filt: CompiledFilter, log_format: str,
+) -> list[tuple[EventBatch, IngestStats]]:
+    """Each task's part, in order, from one set of verdict tables."""
+    verdicts = _Verdicts(ruleset, filt)
+    return [_ingest_task(task, verdicts, log_format) for task in tasks]
 
 
-def _worker_init(ruleset: RuleSet, filt: CompiledFilter, log_format: str) -> None:
-    _WORKER["verdicts"] = _Verdicts(ruleset, filt)
-    _WORKER["format"] = log_format
-
-
-def _worker_ingest(task: tuple[str, int, int | None]) -> tuple[EventBatch, IngestStats]:
-    # the batch is already factorized: it pickles as small string pools plus index arrays
-    return _ingest_task(task, _WORKER["verdicts"], _WORKER["format"])
+def _send_share(send: Callable, *share) -> None:
+    # a helper's parts; each batch is factorized, so it pickles as small string pools plus index arrays
+    send(_ingest_share(*share))
 
 
 def _chunk_file(path: str, jobs: int) -> list[tuple[str, int, int]]:
@@ -399,14 +400,15 @@ def ingest_paths(
     """Parse, filter and map log files into an event batch, in the order given.
 
     Each file is one task, read whole through :func:`open_log`; with
-    ``jobs > 1`` a plain-text file is split into byte ranges of whole
-    lines instead. More than one task with ``jobs > 1`` runs on a pool
-    of ``jobs`` worker processes, each with its own verdict tables;
-    otherwise the tasks run in-process and share one set. Either way
-    each task runs :func:`_ingest_task`, and the parts are merged in
-    task order, so events of one user keep the order of the paths.
-    ``filt`` defaults to the shipped lists compiled; the workers get the
-    one given. Raises ``ValueError`` for an unknown ``log_format``.
+    ``jobs > 1`` a plain-text file is split into ``jobs`` byte ranges of
+    whole lines instead, and a gzip file stays whole. The tasks are cut
+    into ``min(jobs, tasks)`` contiguous shares in path order: this
+    process ingests the first, and one helper process each of the others
+    (:func:`~trailmine.helpers.start_helpers`). Each process decides with
+    its own verdict tables. The parts are merged in task order, so events
+    of one user keep the order of the paths. A helper's error is raised
+    here with its own type. ``filt`` defaults to the shipped lists
+    compiled. Raises ``ValueError`` for an unknown ``log_format``.
     """
     line_pattern(log_format)  # reject an unknown format even when no line is read
     ruleset = ruleset or default_ruleset()
@@ -414,15 +416,16 @@ def ingest_paths(
     tasks: list[tuple[str, int, int | None]] = []
     for path in map(str, paths):
         if jobs > 1 and not path.endswith(".gz"):
-            tasks += _chunk_file(path, jobs * 4)  # fine chunks even out load
+            tasks += _chunk_file(path, jobs)
         else:
             tasks.append((path, 0, None))
-    if jobs > 1 and len(tasks) > 1:
-        with Pool(jobs, initializer=_worker_init, initargs=(ruleset, filt, log_format)) as pool:
-            results = pool.map(_worker_ingest, tasks)
-    else:
-        verdicts = _Verdicts(ruleset, filt)
-        results = [_ingest_task(task, verdicts, log_format) for task in tasks]
+    n = max(1, min(jobs, len(tasks)))
+    shares = [(tasks[len(tasks) * i // n : len(tasks) * (i + 1) // n], ruleset, filt, log_format)
+              for i in range(n)]
+    with start_helpers(_send_share, shares[1:]) as conns:
+        results = _ingest_share(*shares[0])
+        for conn in conns:
+            results += receive(conn)
     stats = IngestStats()
     for _, part_stats in results:
         stats.merge(part_stats)
@@ -732,17 +735,19 @@ class PipelineConfig:
 class RunRecord:
     """What one run did: its config, rules and filter, each stage's entry and the files written.
 
-    The rules and the filter are compiled once, here, so a bad rules or
-    list file fails before any file is written. Stages set their entry in
-    ``stages``, and writers name each file they write in the out dir
-    through :meth:`path`, so ``outputs`` lists the files in the order
-    they were written. The out dir is made when the first file needs it.
+    The rules are compiled once, here, and so is the filter when the
+    config has logs to ingest (:func:`stage_ingest` is its only reader),
+    so a bad rules or list file fails before any file is written. Stages
+    set their entry in ``stages``, and writers name each file they write
+    in the out dir through :meth:`path`, so ``outputs`` lists the files
+    in the order they were written. The out dir is made when the first
+    file needs it.
     """
 
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.ruleset = config.ruleset()
-        self.filt = config.filter_config().compile()
+        self.filt: CompiledFilter | None = config.filter_config().compile() if config.logs else None
         self.stages: dict[str, dict] = {}
         self.outputs: list[str] = []
 
@@ -825,18 +830,23 @@ def stage_features(record: RunRecord, traces: TraceSet, path: Path | None = None
 
 
 def stage_elbow(record: RunRecord, features: FeatureMatrix) -> ElbowCurve:
-    """The explained-variance curve over ``config.k_range``, cut at the user count."""
+    """The explained-variance curve over ``config.k_range``, cut at the user count.
+
+    ``config.jobs`` processes share the restarts. The entry names the
+    range used after the cut and the processes that ran.
+    """
     config = record.config
-    lo, hi = config.k_range
+    lo, hi = config.k_range[0], min(config.k_range[1], features.m)
     if 0 < features.m < lo:  # no users at all raises EmptyMatrix in the curve
         raise KTooLarge(f"k_range starts at K={lo}, above the {features.m} users")
     curve = explained_variance_curve(
-        features, range(lo, min(hi, features.m) + 1),
-        seed=config.seed, restarts=config.restarts,
+        features, range(lo, hi + 1), seed=config.seed, restarts=config.restarts, jobs=config.jobs,
     )
     write_elbow_csv(curve, record.path("elbow.csv"))
     fits = [{"K": K, **model.diagnostics()} for K, model in curve.models.items()]
-    record.stages["elbow"] = {"knee": curve.knee, "fits": fits}
+    record.stages["elbow"] = {
+        "knee": curve.knee, "k_range_used": [lo, hi], "processes": curve.processes, "fits": fits,
+    }
     return curve
 
 

@@ -104,19 +104,30 @@ def test_run_subcommand_with_config(tmp_path, synth_log):
     assert manifest["stages"]["cluster"]["K"] == 7
 
 
-def test_run_does_not_import_numpy_ma(tmp_path, synth_log):
-    # NumPy 2's plain np.unique(x) imports numpy.ma; a run uses only its sort route
+def _imported_by_run(tmp_path, synth_log, module, *flags):
+    """Whether a fresh process that runs ``trailmine run ... flags`` has imported ``module``."""
+    argv = ["run", "--logs", str(synth_log), "--out-dir", "out", "--k", "7", "--k-range", "1:8", *flags]
     script = (
         "import sys\nfrom trailmine.cli import main\n"
-        f"assert main(['run', '--logs', {str(synth_log)!r}, '--out-dir', 'out', '--k', '7', '--k-range', '1:8']) == 0\n"
-        "print('numpy.ma' in sys.modules)\n"
+        f"assert main({argv!r}) == 0\n"
+        f"print({module!r} in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
            "PYTHONDONTWRITEBYTECODE": "1"}
     done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.splitlines()[-1] == "False"
+    return done.stdout.splitlines()[-1] == "True"
+
+
+def test_run_does_not_import_numpy_ma(tmp_path, synth_log):
+    # NumPy 2's plain np.unique(x) imports numpy.ma; a run uses only its sort route
+    assert not _imported_by_run(tmp_path, synth_log, "numpy.ma")
+
+
+def test_one_process_run_does_not_import_multiprocessing(tmp_path, synth_log):
+    # it costs 7-12 ms (with socket and selectors), paid only where helper processes start
+    assert not _imported_by_run(tmp_path, synth_log, "multiprocessing", "--jobs", "1")
 
 
 def test_usage_error_exit_code():

@@ -228,14 +228,19 @@ def test_k_one_fits_one_run(monkeypatch):
 
 
 def _assert_same_curve(X, ks, seed, restarts):
-    """The elbow's points, knee and every per-K model are the reference ones."""
-    curve = explained_variance_curve(X, k_range=ks, seed=seed, restarts=restarts)
+    """The elbow's points, knee and every per-K model are the reference ones, on one to three processes.
+
+    Helper processes run the restarts r with r mod min(jobs, restarts) != 0.
+    """
     points, knee = reference_ev_curve(X, sorted(ks), seed=seed, restarts=restarts)
-    assert curve.points == points
-    assert curve.knee == knee
-    assert list(curve.models) == sorted(ks)
-    for K, model in curve.models.items():
-        _assert_same_fit(X, K, seed, restarts, model)
+    for jobs in (1, 2, 3):
+        curve = explained_variance_curve(X, k_range=ks, seed=seed, restarts=restarts, jobs=jobs)
+        assert curve.processes == min(jobs, restarts)
+        assert curve.points == points
+        assert curve.knee == knee
+        assert list(curve.models) == sorted(ks)
+        for K, model in curve.models.items():
+            _assert_same_fit(X, K, seed, restarts, model)
     return curve
 
 

@@ -1,18 +1,21 @@
 import json
 
+import numpy as np
 import pytest
 
 from trailmine.cluster import LLOYD_MAX_ITER, EmptyMatrix, KTooLarge
-from trailmine.markov import build_feature_matrix
+from trailmine.markov import FeatureMatrix, build_feature_matrix
 from trailmine.pipeline import (
     EventBatch,
     PipelineConfig,
     PipelineStageError,
+    RunRecord,
     build_traces,
     ingest_paths,
     read_feature_csv,
     read_traces_jsonl,
     run_pipeline,
+    stage_elbow,
     write_feature_csv,
     write_traces_jsonl,
 )
@@ -210,6 +213,18 @@ def test_k_range_above_the_user_count_names_both(tmp_path):
     assert "K=5" in str(exc.value) and "3 users" in str(exc.value)
 
 
+def test_elbow_entry_names_the_range_used_and_its_processes(tmp_path):
+    features = FeatureMatrix([f"u{i}" for i in range(6)], np.random.default_rng(8).normal(size=(6, 3)),
+                             "stationary")
+    for jobs, processes in ((1, 1), (2, 2), (5, 3)):  # at most one process per restart
+        record = RunRecord(PipelineConfig(out_dir=str(tmp_path), k_range=(2, 25), restarts=3, jobs=jobs))
+        stage_elbow(record, features)
+        entry = record.stages["elbow"]
+        assert entry["k_range_used"] == [2, 6]  # cut at the 6 users
+        assert entry["processes"] == processes
+        assert [fit["K"] for fit in entry["fits"]] == [2, 3, 4, 5, 6]
+
+
 def test_failure_past_ingest_keeps_a_partial_manifest(tmp_path, corpus, monkeypatch):
     import trailmine.pipeline
 
@@ -260,6 +275,7 @@ def test_manifest_counts(tmp_path, corpus):
     assert 0.0 <= feats["max_residual"] <= 1e-10
     elbow, cluster = written["stages"]["elbow"], written["stages"]["cluster"]
     assert [fit["K"] for fit in elbow["fits"]] == list(range(1, 9))
+    assert elbow["k_range_used"] == [1, 8] and elbow["processes"] == 1
     for diag in elbow["fits"] + [cluster]:
         assert 1 <= diag["n_iter"] <= LLOYD_MAX_ITER
         assert diag["reseeded"] >= 0
@@ -316,6 +332,16 @@ def test_run_pipeline_rejects_bad_list_files_before_any_file(tmp_path, corpus):
         with pytest.raises(error, match=message):
             run_pipeline(PipelineConfig(logs=[str(log)], out_dir=str(out), **setting))
         assert not out.exists(), setting
+
+
+def test_record_without_logs_compiles_no_filter(tmp_path):
+    """Only ingest reads the filter, so a config without logs does not read the list files."""
+    missing = str(tmp_path / "missing.txt")
+    record = RunRecord(PipelineConfig(ua_blacklist=missing, out_dir=str(tmp_path / "out")))
+    assert record.filt is None
+    with pytest.raises(FileNotFoundError, match="missing.txt"):
+        RunRecord(PipelineConfig(logs=["a.log"], ua_blacklist=missing))
+
 
 
 def test_config_ini_roundtrip(tmp_path):
