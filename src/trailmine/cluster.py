@@ -16,7 +16,8 @@ formulation it replaces, so every iterate is bit for bit the same:
 - centroid sums are one ``np.bincount`` over the flat cell index
   ``assign * n + column`` weighted by ``X.ravel()``. It adds the rows of
   each cell in row order starting from 0.0, as ``np.add.at(sums, assign,
-  X)`` does;
+  X)`` does. ``assign * n`` is taken once per row, not once per cell,
+  and the re-seeding branch is entered only when some count is 0;
 - the squared row norms ``(X * X).sum(1)`` are computed once per fit and
   passed to every distance computation;
 - a k-means++ draw searches the normalized cumulative sum of the
@@ -26,11 +27,12 @@ formulation it replaces, so every iterate is bit for bit the same:
   Those checks used to be the only guard against a NaN in the features,
   so the fits now reject non-finite input on entry;
 - the elbow draws each restart's k-means++ order once, for its largest
-  K, and every K starts Lloyd from the first K rows of that order. This
-  is exact: restart ``r`` always draws from ``default_rng([seed, r])``,
-  the generator serves only the seeding, and draw ``k`` reads only the
-  draws before it. So the first K draws for a larger K are the K draws
-  for K itself, from the same random stream;
+  K, in the process that runs that restart, and every K starts Lloyd
+  from the first K rows of that order. This is exact: restart ``r``
+  always draws from ``default_rng([seed, r])``, the generator serves
+  only the seeding, and draw ``k`` reads only the draws before it. So
+  the first K draws for a larger K are the K draws for K itself, from
+  the same random stream, whichever process draws them;
 - a run ends at the first assignment that repeats the last one with no
   cluster empty: ``C`` already holds its means, so the update would
   rebuild ``C`` bit for bit (shift 0.0) and the closing pass would
@@ -40,11 +42,13 @@ formulation it replaces, so every iterate is bit for bit the same:
   Restart 0 wins that tie, and ``restart_inertias`` repeats its inertia.
   Without ``orders`` passed in, only restart 0's order is drawn;
 - with ``jobs`` processes the elbow deals its restarts out by ``r mod
-  step``, ``step = min(jobs, restarts)``: helper process ``i`` makes the
-  ``_lloyd`` runs of restarts ``i, i + step, ...`` of every K > 1 from
-  the same ``orders``, each run one process makes alone, and the fit of
-  K puts them back by restart index. So ``min`` still keeps the first
-  restart on ties and ``restart_inertias`` keeps restart order.
+  step``, ``step = min(jobs, restarts)``. The helpers are forked before
+  any order is drawn: helper process ``i`` draws the orders of restarts
+  ``i, i + step, ...`` and makes their ``_lloyd`` runs for every K > 1,
+  each run one process makes alone, while this process draws and runs
+  restarts ``0, step, ...``. The fit of K puts the runs back by restart
+  index, so ``min`` still keeps the first restart on ties and
+  ``restart_inertias`` keeps restart order.
 """
 
 from __future__ import annotations
@@ -159,10 +163,10 @@ def _kmeanspp_order(
     return order
 
 
-def _restart_orders(X: np.ndarray, xx: np.ndarray, K: int, seed: int, restarts: int) -> np.ndarray:
-    """``(restarts, K)`` draw orders, restart ``r`` drawn from ``default_rng([seed, r])``."""
+def _restart_orders(X: np.ndarray, xx: np.ndarray, K: int, seed: int, restarts: range) -> np.ndarray:
+    """``(len(restarts), K)`` draw orders, restart ``r`` drawn from ``default_rng([seed, r])``."""
     return np.array([
-        _kmeanspp_order(X, xx, K, np.random.default_rng([seed, r])) for r in range(restarts)
+        _kmeanspp_order(X, xx, K, np.random.default_rng([seed, r])) for r in restarts
     ])
 
 
@@ -184,14 +188,15 @@ def _lloyd(
         if prev is not None and (assign == prev).all():
             # a fixed point: C would be rebuilt bit for bit (see the module notes)
             return C, assign, float(D[rows, assign].sum()), it, reseeded
-        cells = (assign[:, None] * n + cols).ravel()
+        cells = ((assign * n)[:, None] + cols).ravel()
         sums = np.bincount(cells, weights=weights, minlength=K * n).reshape(K, n)
         counts = np.bincount(assign, minlength=K)
-        empty = np.flatnonzero(counts == 0)
-        prev = None if empty.size else assign
-        if empty.size:
+        prev = assign
+        if not counts.all():
             # re-seed each empty cluster at the point currently farthest
             # from its centroid, farthest first
+            prev = None
+            empty = np.flatnonzero(counts == 0)
             reseeded += empty.size
             order = np.argsort(-D[rows, assign], kind="stable")
             for k, idx in zip(empty, order[: empty.size]):
@@ -207,12 +212,17 @@ def _lloyd(
     return C, assign, float(D[rows, assign].sum()), it, reseeded
 
 
-def _send_restarts(send, X: np.ndarray, orders: np.ndarray, ks: Sequence[int], first: int, step: int) -> None:
-    """A helper's share of an elbow: for each K > 1 of ``ks``, the runs of restarts ``first, first + step, ...``."""
+def _send_restarts(send, X: np.ndarray, ks: Sequence[int], seed: int, restarts: int, first: int,
+                   step: int) -> None:
+    """A helper's share of an elbow: the runs of restarts ``first, first + step, ...`` for each K > 1.
+
+    The helper draws those restarts' orders itself, for the largest K of ``ks``.
+    """
     xx = (X * X).sum(1)
+    orders = _restart_orders(X, xx, ks[-1], seed, range(first, restarts, step))
     for K in ks:
         if K > 1:
-            send([_lloyd(X, xx, X[orders[r, :K]]) for r in range(first, len(orders), step)])
+            send([_lloyd(X, xx, X[order[:K]]) for order in orders])
 
 
 def kmeans_fit(
@@ -234,11 +244,11 @@ def kmeans_fit(
     :class:`EmptyMatrix` and :class:`KTooLarge` on degenerate inputs, and
     ``ValueError`` for ``restarts < 1``, a NaN or infinite feature, or
     ``orders`` of the wrong shape. ``helpers`` are the pipes of the helper
-    processes that :func:`explained_variance_curve` started on these
-    ``orders``. With ``step = len(helpers) + 1`` this process runs
-    restarts ``0, step, ...``, and the helper behind ``helpers[i - 1]``
-    sends the runs of restarts ``i, i + step, ...`` (see the module
-    notes); at K=1 none sends anything.
+    processes that :func:`explained_variance_curve` started. With ``step
+    = len(helpers) + 1`` this process runs restarts ``0, step, ...``, and
+    reads only those rows of ``orders``; the helper behind ``helpers[i -
+    1]`` draws and sends the runs of restarts ``i, i + step, ...`` (see
+    the module notes). At K=1 none sends anything.
     """
     X = _feature_rows(features, restarts)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -249,7 +259,7 @@ def kmeans_fit(
     # at K=1 every restart ends at the same mean (see the module notes)
     n_runs = 1 if K == 1 else restarts
     if orders is None:
-        orders = _restart_orders(X, xx, K, seed, n_runs)
+        orders = _restart_orders(X, xx, K, seed, range(n_runs))
     else:
         orders = np.asarray(orders)
         if orders.ndim != 2 or orders.shape[0] != restarts or orders.shape[1] < K:
@@ -278,18 +288,19 @@ def explained_variance_curve(
 ) -> ElbowCurve:
     """Explained variance for each K in ``k_range``, from independent fits.
 
-    Each K gets its own :func:`kmeans_fit`, kept in ``models``; the
-    restarts' k-means++ orders are drawn once, for the largest K, and
-    each K starts from their first K rows, so every fit equals the one
+    Each K gets its own :func:`kmeans_fit`, kept in ``models``; each
+    restart's k-means++ order is drawn once, for the largest K, and each
+    K starts from its first K rows, so every fit equals the one
     ``kmeans_fit`` makes alone. With ``jobs > 1``, ``min(jobs,
-    restarts) - 1`` helper processes run a share of every K's restarts
-    (see the module notes); ``processes`` counts them plus this one. The
-    curve only guarantees EV(K) >= EV(1) = 0, not monotonicity. All
-    points identical (zero total sum of squares) defines EV = 1 for
-    every K, with no fit and no helper. The knee suggestion is the largest K whose
-    marginal EV gain still exceeds :data:`KNEE_FRACTION` of the K=1 to
-    K=2 gain. Raises :class:`EmptyMatrix` for a matrix without rows,
-    before any check of ``k_range``.
+    restarts) - 1`` forked helper processes draw and run a share of
+    every K's restarts (see the module notes); ``processes`` counts them
+    plus this one. The curve only guarantees EV(K) >= EV(1) = 0, not
+    monotonicity. All points identical (zero total sum of squares)
+    defines EV = 1 for every K, with no fit and no helper. The knee
+    suggestion is the largest K whose marginal EV gain still exceeds
+    :data:`KNEE_FRACTION` of the K=1 to K=2 gain. Raises
+    :class:`EmptyMatrix` for a matrix without rows, before any check of
+    ``k_range``.
     """
     X = _feature_rows(features, restarts)
     if X.shape[0] == 0:
@@ -306,10 +317,12 @@ def explained_variance_curve(
     if total_ss == 0.0:
         points = [(K, 1.0) for K in ks]
     else:
-        orders = _restart_orders(X, (X * X).sum(1), ks[-1], seed, restarts)
         step = min(jobs, restarts) if ks[-1] > 1 else 1  # K=1 is one run
-        shares = [(X, orders, ks, i, step) for i in range(1, step)]
+        shares = [(X, ks, seed, restarts, i, step) for i in range(1, step)]
         with start_helpers(_send_restarts, shares) as helpers:
+            # this process's own orders; the rows of the restarts the helpers run stay unread
+            orders = np.zeros((restarts, ks[-1]), dtype=np.intp)
+            orders[::step] = _restart_orders(X, (X * X).sum(1), ks[-1], seed, range(0, restarts, step))
             for K in ks:
                 # one kmeans_fit call per K in this process, whichever process made its runs
                 model = models[K] = kmeans_fit(X, K, seed=seed, restarts=restarts, orders=orders,

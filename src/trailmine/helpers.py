@@ -3,25 +3,29 @@
 A call given ``jobs`` processes does the first share of its work itself
 and starts ``jobs - 1`` helpers for the rest (:func:`start_helpers`).
 Each helper runs ``work(send, *share)`` and sends its results through
-its own one-way pipe; the caller reads them with :func:`receive` when it
-needs them, in the order it needs them. A helper whose work raises sends
-the exception in place of a result and ends quietly, and :func:`receive`
-raises it in the caller with its own type.
+its own one-way pipe, one pickle per message; the caller reads them with
+:func:`receive` when it needs them, in the order it needs them. A helper
+whose work raises sends the exception in place of a result and ends
+quietly, and :func:`receive` raises it in the caller with its own type.
 
-Helpers start from :mod:`multiprocessing`'s default context, on Linux a
-fork: a helper begins with the caller's imports and inputs in place, so
-a helper costs about one fork, not a fresh interpreter. trailmine starts
-no thread of its own that a fork could cut off mid-work.
-``multiprocessing`` (with ``socket`` and ``selectors``) is imported only
-when a helper starts, so a one-process run never loads it.
+A helper is an ``os.fork`` child: it begins with the caller's imports
+and inputs in place, so it costs one fork, and its share is never
+pickled. It ends through ``os._exit``, so it never unwinds the caller's
+stack, runs no exit handler and flushes none of the caller's buffers.
+trailmine starts no thread of its own that a fork could cut off
+mid-work. Nothing here imports more than ``import trailmine`` already
+has; ``signal`` is imported only to stop the helpers of a failing call.
+A platform without ``os.fork`` runs ``jobs=1`` only (:func:`check_jobs`).
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 from contextlib import contextmanager
-from typing import Callable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterator, NoReturn, Sequence
 
-__all__ = ["start_helpers", "receive"]
+__all__ = ["check_jobs", "start_helpers", "receive"]
 
 
 class _Failure:
@@ -31,63 +35,85 @@ class _Failure:
         self.exc = exc
 
 
-def _serve(reader, conn, work: Callable, share: tuple) -> None:
-    """A helper's whole life: ``work(conn.send, *share)``, a failure sent rather than printed."""
-    # the caller's end, inherited: were it left open, a send to a caller gone would block forever
-    reader.close()
+def check_jobs(jobs: int) -> None:
+    """Reject ``jobs > 1`` on a platform without ``os.fork``, where no helper can start."""
+    if jobs > 1 and not hasattr(os, "fork"):
+        raise ValueError(f"jobs must be 1 on a platform without os.fork, got {jobs}")
+
+
+def _serve(work: Callable, share: tuple, readers: list[BinaryIO], fd: int) -> NoReturn:
+    """A helper's whole life: ``work(send, *share)``, a failure sent rather than printed."""
+    code = 1
     try:
-        work(conn.send, *share)
-    except Exception as exc:  # raised again by the caller's receive()
-        try:
-            conn.send(_Failure(exc))
-        except Exception:  # the exception does not pickle: send its text
-            conn.send(_Failure(RuntimeError(f"helper process failed: {exc!r}")))
+        # the caller's ends, inherited: were one left open, a send to a caller gone would block forever
+        for reader in readers:
+            reader.close()
+        with os.fdopen(fd, "wb") as pipe:
+            def send(message) -> None:
+                # pickled whole before any byte is written, so a message that fails to pickle sends nothing
+                pipe.write(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+                pipe.flush()
+
+            try:
+                work(send, *share)
+                code = 0
+            except Exception as exc:  # raised again by the caller's receive()
+                failure = _Failure(exc)
+                try:
+                    pickle.loads(pickle.dumps(failure))
+                except Exception:  # the exception does not survive pickling: send its text
+                    failure = _Failure(RuntimeError(f"helper process failed: {exc!r}"))
+                send(failure)
     finally:
-        conn.close()
+        os._exit(code)
 
 
 @contextmanager
-def start_helpers(work: Callable, shares: Sequence[tuple]) -> Iterator[list]:
-    """One helper process per item of ``shares``, running ``work(send, *share)``.
+def start_helpers(work: Callable, shares: Sequence[tuple]) -> Iterator[list[BinaryIO]]:
+    """One forked helper process per item of ``shares``, running ``work(send, *share)``.
 
-    Yields the receiving end of each helper's pipe, in ``shares`` order.
-    Every helper is joined before the ``with`` block is left; when the
-    block raises, the helpers are terminated first, so none outlives it.
-    An empty ``shares`` starts no process and imports nothing.
+    Yields the read end of each helper's pipe, in ``shares`` order.
+    Every helper is reaped before the ``with`` block is left; when the
+    block raises, each is sent SIGTERM first, so none outlives it. An
+    empty ``shares`` starts no process. Raises :func:`check_jobs`'s
+    ``ValueError`` on a platform without ``os.fork``.
     """
     if not shares:
         yield []
         return
-    import multiprocessing
-
-    procs, conns = [], []
+    check_jobs(len(shares) + 1)
+    pids: list[int] = []
+    readers: list[BinaryIO] = []
     try:
         for share in shares:
-            conn, send = multiprocessing.Pipe(duplex=False)
-            conns.append(conn)
+            r, w = os.pipe()
+            readers.append(os.fdopen(r, "rb"))
             try:
-                proc = multiprocessing.Process(target=_serve, args=(conn, send, work, share), daemon=True)
-                proc.start()
+                pid = os.fork()
+                if pid == 0:
+                    _serve(work, share, readers, w)
             finally:
-                send.close()  # only the helper holds it now, so its end shows as EOF
-            procs.append(proc)
-        yield conns
+                os.close(w)  # only the helper holds it now, so its end shows as EOF
+            pids.append(pid)
+        yield readers
     except BaseException:
-        for proc in procs:
-            proc.terminate()
+        import signal
+
+        for pid in pids:
+            os.kill(pid, signal.SIGTERM)  # not yet reaped, so the pid is still this helper's
         raise
     finally:
-        for conn in conns:
-            conn.close()
-        for proc in procs:
-            proc.join()
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
-def receive(conn):
+def receive(conn: BinaryIO):
     """The next result a helper sent; a helper's exception is raised here."""
     try:
-        message = conn.recv()
-    except EOFError:
+        message = pickle.load(conn)
+    except (EOFError, pickle.UnpicklingError):  # no message, or one cut short
         raise RuntimeError("a helper process ended without sending its result") from None
     if isinstance(message, _Failure):
         raise message.exc

@@ -14,10 +14,12 @@ timestamps of a chunk are decoded as arrays, and each distinct date,
 request, user agent and IP is decided once, from bounded tables kept
 across chunks, not once per line. Parsing and mapping are pure per line,
 so with ``jobs`` processes each plain file is read as ``jobs`` byte
-ranges: this process ingests the first share of the ranges and forked
-helper processes the others (:mod:`trailmine.helpers`), and the parts
-are concatenated in path order. The elbow shares each K's restarts with
-helpers likewise (see :mod:`trailmine.cluster`). :func:`~trailmine.sessions.build_traces` is
+ranges: this process ingests the first share of the ranges and helper
+processes forked with ``os.fork`` the others (:mod:`trailmine.helpers`),
+and the parts are concatenated in path order. The elbow shares each K's
+restarts with helpers likewise (see :mod:`trailmine.cluster`). Where
+there is no ``os.fork``, :meth:`PipelineConfig.validate` rejects ``jobs
+> 1`` before any stage runs. :func:`~trailmine.sessions.build_traces` is
 the one place that gives users and ontologies their final codes, by
 name, and its stable (user, timestamp) sort keeps the path order between
 a user's events of one second.
@@ -59,7 +61,7 @@ from .compare import (
     project_resources,
     transition_diff,
 )
-from .helpers import receive, start_helpers
+from .helpers import check_jobs, receive, start_helpers
 from .logs import (
     CompiledFilter,
     FilterConfig,
@@ -710,6 +712,7 @@ class PipelineConfig:
             raise ValueError(f"top_resources must be >= 1, got {self.top_resources}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        check_jobs(self.jobs)
 
     def as_dict(self) -> dict:
         d = asdict(self)

@@ -125,9 +125,33 @@ def test_run_does_not_import_numpy_ma(tmp_path, synth_log):
     assert not _imported_by_run(tmp_path, synth_log, "numpy.ma")
 
 
-def test_one_process_run_does_not_import_multiprocessing(tmp_path, synth_log):
-    # it costs 7-12 ms (with socket and selectors), paid only where helper processes start
-    assert not _imported_by_run(tmp_path, synth_log, "multiprocessing", "--jobs", "1")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_does_not_import_multiprocessing(tmp_path, synth_log, jobs):
+    # it costs 9-16 ms (with socket, selectors and subprocess); helpers are plain os.fork children
+    assert not _imported_by_run(tmp_path, synth_log, "multiprocessing", "--jobs", jobs)
+
+
+# the modules outside the package that trailmine's modules import as the package loads; one
+# more (or one that these start to pull in) is start-up time that every run and benchmark set-up pays
+TOP_LEVEL_IMPORTS = (
+    "numpy", "__future__", "bisect", "calendar", "configparser", "contextlib", "dataclasses",
+    "datetime", "gzip", "io", "ipaddress", "itertools", "json", "operator", "os", "pathlib", "pickle",
+    "re", "sys", "time", "typing", "urllib.parse", "warnings",
+)
+
+
+def test_import_loads_no_module_beyond_its_list():
+    script = (
+        f"import {', '.join(TOP_LEVEL_IMPORTS)}\nbefore = set(sys.modules)\nimport trailmine\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    loaded = set(done.stdout.split())
+    assert "trailmine.helpers" in loaded
+    assert all(m == "trailmine" or m.startswith("trailmine.") for m in loaded), sorted(loaded)
 
 
 def test_usage_error_exit_code():

@@ -2,12 +2,11 @@
 
 Ingest and the elbow share their work with helper processes when given
 more than one job. A helper's exception is raised by the caller with its
-own type and no helper traceback on stderr, and every helper is joined
-(terminated first when the call fails) before the call returns.
+own type and no helper traceback on stderr, and every helper is reaped
+(sent SIGTERM first when the call fails) before the call returns.
 """
 
 import gzip
-import multiprocessing
 import os
 
 import numpy as np
@@ -15,8 +14,9 @@ import pytest
 
 from trailmine import cluster
 from trailmine.cluster import explained_variance_curve
+from trailmine.cli import main
 from trailmine.helpers import receive, start_helpers
-from trailmine.pipeline import ingest_paths
+from trailmine.pipeline import PipelineConfig, ingest_paths
 from trailmine.synth import default_archetypes, generate_synthetic_log
 
 
@@ -34,8 +34,10 @@ def _blobs():
     return np.vstack([c + rng.normal(scale=0.2, size=(10, 3)) for c in rng.normal(scale=3.0, size=(4, 3))])
 
 
-# a helper inherits a monkeypatched _lloyd only when it is forked
-forked = pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="helpers are not forked")
+def _no_child_left():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _fail_at(pid_test, K_fail):
@@ -56,28 +58,26 @@ def test_ingest_raises_a_helper_error_with_its_type(logs, capfd, jobs):
     with pytest.raises(gzip.BadGzipFile):  # jobs=2: the gzip file is the helper's share
         ingest_paths([plain, corrupt], jobs=jobs)
     assert "Traceback" not in capfd.readouterr().err
-    assert multiprocessing.active_children() == []
+    _no_child_left()
 
 
 def test_ingest_joins_its_helpers(logs):
     plain, _ = logs
     one = ingest_paths([plain, plain], jobs=1)
     three = ingest_paths([plain, plain], jobs=3)
-    assert multiprocessing.active_children() == []
+    _no_child_left()
     assert one[1] == three[1] and len(one[0]) == len(three[0])
 
 
-@forked
 def test_elbow_raises_a_helper_error_with_its_type(monkeypatch, capfd):
     parent = os.getpid()
     monkeypatch.setattr(cluster, "_lloyd", _fail_at(lambda pid: pid != parent, 3))
     with pytest.raises(FloatingPointError, match="failed at K=3"):
         explained_variance_curve(_blobs(), range(1, 8), restarts=4, jobs=2)
     assert "Traceback" not in capfd.readouterr().err
-    assert multiprocessing.active_children() == []
+    _no_child_left()
 
 
-@forked
 def test_elbow_terminates_its_helpers_when_it_fails(monkeypatch, capfd):
     # the helpers' runs fill their pipes, so here they are still busy or blocked on them; one
     # left running would fail on its closed pipe and print that
@@ -86,14 +86,14 @@ def test_elbow_terminates_its_helpers_when_it_fails(monkeypatch, capfd):
     with pytest.raises(FloatingPointError, match="failed at K=2"):
         explained_variance_curve(np.random.default_rng(4).normal(size=(400, 20)), range(1, 26),
                                  restarts=6, jobs=3)
-    assert multiprocessing.active_children() == []
+    _no_child_left()
     assert "Traceback" not in capfd.readouterr().err
 
 
 def test_elbow_joins_its_helpers():
     curve = explained_variance_curve(_blobs(), range(1, 8), restarts=4, jobs=2)
     assert curve.processes == 2
-    assert multiprocessing.active_children() == []
+    _no_child_left()
 
 
 def _die(send):
@@ -104,4 +104,38 @@ def test_a_helper_that_dies_is_an_error():
     with pytest.raises(RuntimeError, match="ended without sending"):
         with start_helpers(_die, [()]) as conns:
             receive(conns[0])
-    assert multiprocessing.active_children() == []
+    _no_child_left()
+
+
+def test_without_fork_jobs_above_one_is_rejected(logs, tmp_path, monkeypatch):
+    plain, _ = logs
+    monkeypatch.delattr(os, "fork")
+    PipelineConfig(jobs=1).validate()
+    with pytest.raises(ValueError, match="jobs must be 1 on a platform without os.fork, got 2"):
+        PipelineConfig(jobs=2).validate()
+    out = tmp_path / "out"
+    assert main(["run", "--logs", str(plain), "--out-dir", str(out), "--jobs", "2"]) == 2
+    assert not out.exists()
+    with pytest.raises(ValueError, match="jobs must be 1 on a platform without os.fork, got 2"):
+        with start_helpers(_die, [()]):
+            pass
+    assert ingest_paths([plain], jobs=1)[1].lines > 0  # one process needs no fork
+
+
+class _TwoArgs(Exception):
+    """Pickles, but does not unpickle: ``args`` holds one item."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def _raise_two_args(send):
+    raise _TwoArgs("odd", "even")
+
+
+def test_a_helper_error_that_does_not_unpickle_arrives_as_its_text(capfd):
+    with pytest.raises(RuntimeError, match="helper process failed: .*odd and even"):
+        with start_helpers(_raise_two_args, [()]) as conns:
+            receive(conns[0])
+    assert "Traceback" not in capfd.readouterr().err
+    _no_child_left()
