@@ -20,6 +20,14 @@ formulation it replaces, so every iterate is bit for bit the same:
   and the re-seeding branch is entered only when some count is 0;
 - the squared row norms ``(X * X).sum(1)`` are computed once per fit and
   passed to every distance computation;
+- restart ``r`` draws its k-means++ seeding from :class:`_Pcg64Stream`
+  ``(seed, r)``, which gives the draws of ``np.random.default_rng([seed,
+  r])`` for the two calls the seeding makes, ``integers(high)`` and
+  ``random()``. It is NumPy's SeedSequence pool and PCG64 XSL-RR stream
+  (O'Neill, HMC-CS-2014-0905) with Lemire's bounded draw (ACM TOMACS
+  2019), carried in Python ints, so no fit imports ``numpy.random``
+  (19 modules) for the ~25 draws of a restart. The tests check it draw
+  for draw against NumPy's generator;
 - a k-means++ draw searches the normalized cumulative sum of the
   distances with one ``rng.random()``. That is how
   ``Generator.choice(m, p=...)`` draws, so it takes the same index from
@@ -29,10 +37,10 @@ formulation it replaces, so every iterate is bit for bit the same:
 - the elbow draws each restart's k-means++ order once, for its largest
   K, in the process that runs that restart, and every K starts Lloyd
   from the first K rows of that order. This is exact: restart ``r``
-  always draws from ``default_rng([seed, r])``, the generator serves
-  only the seeding, and draw ``k`` reads only the draws before it. So
-  the first K draws for a larger K are the K draws for K itself, from
-  the same random stream, whichever process draws them;
+  always draws from the stream of ``(seed, r)``, the stream serves only
+  the seeding, and draw ``k`` reads only the draws before it. So the
+  first K draws for a larger K are the K draws for K itself, from the
+  same random stream, whichever process draws them;
 - a run ends at the first assignment that repeats the last one with no
   cluster empty: ``C`` already holds its means, so the update would
   rebuild ``C`` bit for bit (shift 0.0) and the closing pass would
@@ -53,6 +61,7 @@ formulation it replaces, so every iterate is bit for bit the same:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -119,8 +128,10 @@ class ElbowCurve:
     processes: int = 1
 
 
-def _feature_rows(features: FeatureMatrix | np.ndarray, restarts: int) -> np.ndarray:
-    """The matrix to cluster; rejects ``restarts < 1`` and non-finite values."""
+def _feature_rows(features: FeatureMatrix | np.ndarray, seed: int, restarts: int) -> np.ndarray:
+    """The matrix to cluster; rejects a ``seed`` that is not an integer >= 0, ``restarts < 1`` and NaN or inf."""
+    if operator.index(seed) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     X = features.X if isinstance(features, FeatureMatrix) else np.asarray(features, dtype=np.float64)
@@ -136,15 +147,103 @@ def _sqdist(X: np.ndarray, C: np.ndarray, xx: np.ndarray) -> np.ndarray:
     return np.maximum(d, 0.0)
 
 
-def _weighted_draw(w: np.ndarray, total: float, rng: np.random.Generator) -> int:
-    """``rng.choice(len(w), p=w / total)``, drawn the way ``choice`` draws it."""
+# NumPy's SeedSequence hash constants (bit_generator.pyx) and PCG64's 128-bit multiplier (pcg64.h)
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(*entropy: int) -> list[int]:
+    """``SeedSequence(list(entropy)).generate_state(8)``: NumPy's 4-word pool, then 8 output words."""
+    words = [n >> s & _MASK32 for n in map(operator.index, entropy)
+             for s in range(0, max(n.bit_length(), 1), 32)]
+    h = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal h
+        value = (value ^ h) * (h := h * _MULT_A & _MASK32) & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        x = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return x ^ x >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:  # entropy beyond the pool is mixed into every pool word
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out, h = [], _INIT_B
+    for i in range(8):
+        value = (pool[i % 4] ^ h) * (h := h * _MULT_B & _MASK32) & _MASK32
+        out.append(value ^ value >> 16)
+    return out
+
+
+class _Pcg64Stream:
+    """The draws of ``np.random.default_rng(list(entropy))`` for ``integers(high)`` and ``random()``.
+
+    ``integers`` holds for ``1 <= high <= 2**32`` only; ``high == 1``
+    consumes nothing, as in NumPy. A 32-bit draw takes the low half of
+    a 64-bit output and keeps the high half for the next one, which
+    ``random()`` leaves in place.
+    """
+
+    __slots__ = ("state", "inc", "spare")
+
+    def __init__(self, *entropy: int):
+        # NumPy reads the 8 words as 4 little-endian uint64s: (state high, low, increment high, low)
+        w = _seed_words(*entropy)
+        initstate = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+        self.inc = (w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 & _MASK128 | 1
+        # PCG's srandom: step from 0, add the initial state, step again
+        self.state = ((self.inc + initstate) * _PCG_MULT + self.inc) & _MASK128
+        self.spare: int | None = None
+
+    def next64(self) -> int:
+        """PCG64 XSL-RR: step the 128-bit LCG, then rotate the xor of its halves."""
+        s = self.state = (self.state * _PCG_MULT + self.inc) & _MASK128
+        x, rot = (s >> 64 ^ s) & _MASK64, s >> 122
+        return (x >> rot | x << (64 - rot)) & _MASK64
+
+    def next32(self) -> int:
+        if self.spare is not None:
+            x, self.spare = self.spare, None
+            return x
+        x = self.next64()
+        self.spare = x >> 32
+        return x & _MASK32
+
+    def integers(self, high: int) -> int:
+        """A draw from ``range(high)`` by Lemire's multiply-and-reject."""
+        if high == 1:
+            return 0
+        # at high == 2**32 the threshold is 0 and this returns next32(), as NumPy's own branch does
+        m, threshold = self.next32() * high, (1 << 32) % high
+        while m & _MASK32 < threshold:
+            m = self.next32() * high
+        return m >> 32
+
+    def random(self) -> float:
+        return (self.next64() >> 11) * 2.0**-53
+
+
+def _weighted_draw(w: np.ndarray, total: float, rng: _Pcg64Stream) -> int:
+    """The index ``Generator.choice(len(w), p=w / total)`` draws: one ``rng.random()`` searched in the CDF.
+
+    ``rng`` is a :class:`_Pcg64Stream` or a NumPy ``Generator``; both take the same draw.
+    """
     cdf = (w / total).cumsum()
     cdf /= cdf[-1]
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _kmeanspp_order(
-    X: np.ndarray, xx: np.ndarray, K: int, rng: np.random.Generator,
+    X: np.ndarray, xx: np.ndarray, K: int, rng: _Pcg64Stream,
 ) -> np.ndarray:
     """The row indices of ``K`` k-means++ draws from ``rng``, in draw order."""
     m = X.shape[0]
@@ -164,10 +263,11 @@ def _kmeanspp_order(
 
 
 def _restart_orders(X: np.ndarray, xx: np.ndarray, K: int, seed: int, restarts: range) -> np.ndarray:
-    """``(len(restarts), K)`` draw orders, restart ``r`` drawn from ``default_rng([seed, r])``."""
-    return np.array([
-        _kmeanspp_order(X, xx, K, np.random.default_rng([seed, r])) for r in restarts
-    ])
+    """``(len(restarts), K)`` draw orders, restart ``r`` drawn from ``_Pcg64Stream(seed, r)``.
+
+    That stream is ``np.random.default_rng([seed, r])``'s, without the import.
+    """
+    return np.array([_kmeanspp_order(X, xx, K, _Pcg64Stream(seed, r)) for r in restarts])
 
 
 def _lloyd(
@@ -236,21 +336,22 @@ def kmeans_fit(
 ) -> ClusterModel:
     """Best-of-restarts Lloyd's K-means.
 
-    Each restart draws its own k-means++ initialization from a child
-    generator of ``seed``; the restart with the lowest inertia wins
-    (first one on exact ties). ``orders`` passes in draw orders already
-    drawn for at least ``K`` centres, one row per restart: restart ``r``
-    starts from rows ``orders[r, :K]`` (see the module notes). Raises
-    :class:`EmptyMatrix` and :class:`KTooLarge` on degenerate inputs, and
-    ``ValueError`` for ``restarts < 1``, a NaN or infinite feature, or
-    ``orders`` of the wrong shape. ``helpers`` are the pipes of the helper
+    Restart ``r`` draws its k-means++ initialization from the stream of
+    ``(seed, r)``; the restart with the lowest inertia wins (first one
+    on exact ties). ``orders`` passes in draw orders already drawn for
+    at least ``K`` centres, one row per restart: restart ``r`` starts
+    from rows ``orders[r, :K]`` (see the module notes). Raises
+    :class:`EmptyMatrix` and :class:`KTooLarge` on degenerate inputs,
+    and ``ValueError`` for a negative ``seed``, ``restarts < 1``, a NaN
+    or infinite feature, or ``orders`` of the wrong shape. ``helpers``
+    are the pipes of the helper
     processes that :func:`explained_variance_curve` started. With ``step
     = len(helpers) + 1`` this process runs restarts ``0, step, ...``, and
     reads only those rows of ``orders``; the helper behind ``helpers[i -
     1]`` draws and sends the runs of restarts ``i, i + step, ...`` (see
     the module notes). At K=1 none sends anything.
     """
-    X = _feature_rows(features, restarts)
+    X = _feature_rows(features, seed, restarts)
     if X.ndim != 2 or X.shape[0] == 0:
         raise EmptyMatrix("feature matrix has no rows")
     if not 1 <= K <= X.shape[0]:
@@ -300,9 +401,10 @@ def explained_variance_curve(
     suggestion is the largest K whose marginal EV gain still exceeds
     :data:`KNEE_FRACTION` of the K=1 to K=2 gain. Raises
     :class:`EmptyMatrix` for a matrix without rows, before any check of
-    ``k_range``.
+    ``k_range``, and ``ValueError`` for a negative ``seed`` even where
+    no fit draws from it.
     """
-    X = _feature_rows(features, restarts)
+    X = _feature_rows(features, seed, restarts)
     if X.shape[0] == 0:
         raise EmptyMatrix("feature matrix has no rows: no users to cluster")
     ks = sorted(set(int(k) for k in k_range))

@@ -695,6 +695,8 @@ class PipelineConfig:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if not self.gap_minutes > 0:
             raise ValueError(f"gap_minutes must be > 0, got {self.gap_minutes}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         lo, hi = self.k_range

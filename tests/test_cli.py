@@ -105,12 +105,16 @@ def test_run_subcommand_with_config(tmp_path, synth_log):
 
 
 def _imported_by_run(tmp_path, synth_log, module, *flags):
-    """Whether a fresh process that runs ``trailmine run ... flags`` has imported ``module``."""
+    """Whether a fresh process that runs ``trailmine run ... flags`` has imported ``module``.
+
+    A module that ``import numpy`` loads by itself, as NumPy 1.x does ``numpy.random`` and
+    ``numpy.ma``, is not the run's import.
+    """
     argv = ["run", "--logs", str(synth_log), "--out-dir", "out", "--k", "7", "--k-range", "1:8", *flags]
     script = (
-        "import sys\nfrom trailmine.cli import main\n"
+        f"import sys\nimport numpy\nbefore = {module!r} in sys.modules\nfrom trailmine.cli import main\n"
         f"assert main({argv!r}) == 0\n"
-        f"print({module!r} in sys.modules)\n"
+        f"print({module!r} in sys.modules and not before)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
            "PYTHONDONTWRITEBYTECODE": "1"}
@@ -129,6 +133,12 @@ def test_run_does_not_import_numpy_ma(tmp_path, synth_log):
 def test_run_does_not_import_multiprocessing(tmp_path, synth_log, jobs):
     # it costs 9-16 ms (with socket, selectors and subprocess); helpers are plain os.fork children
     assert not _imported_by_run(tmp_path, synth_log, "multiprocessing", "--jobs", jobs)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_does_not_import_numpy_random(tmp_path, synth_log, jobs):
+    # 19 modules, 11-16 ms, for about 25 draws per restart; the k-means++ seeding draws NumPy's stream itself
+    assert not _imported_by_run(tmp_path, synth_log, "numpy.random", "--jobs", jobs)
 
 
 # the modules outside the package that trailmine's modules import as the package loads; one
@@ -322,6 +332,16 @@ def test_restarts_below_one_is_a_data_error_before_any_stage(tmp_path, synth_log
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "restarts must be >= 1" in err and "stage" not in err
+    assert not out.exists()  # nothing ran, nothing was written
+
+
+@pytest.mark.parametrize("command", ["run", "cluster"])
+def test_negative_seed_is_a_data_error_before_any_file(tmp_path, synth_log, capsys, command):
+    out = tmp_path / "o"
+    source = ["--logs", str(synth_log)] if command == "run" else ["--features", str(tmp_path / "f.csv")]
+    assert main([command, *source, "--out-dir", str(out), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be >= 0, got -1" in err and "stage" not in err
     assert not out.exists()  # nothing ran, nothing was written
 
 

@@ -14,6 +14,7 @@ from trailmine.cluster import (
     EmptyMatrix,
     KTooLarge,
     _kmeanspp_order,
+    _Pcg64Stream,
     _weighted_draw,
     explained_variance_curve,
     kmeans_fit,
@@ -139,6 +140,37 @@ def test_restarts_below_one_rejected(restarts):
         explained_variance_curve(X, k_range=range(1, 4), restarts=restarts)
     with pytest.raises(ValueError, match="restarts"):  # even where no K needs a fit
         explained_variance_curve(np.ones((5, 2)), k_range=range(1, 4), restarts=restarts)
+
+
+def test_seed_must_be_a_non_negative_integer():
+    X = np.random.default_rng(0).normal(size=(10, 2))
+    model = kmeans_fit(X, 3, seed=np.int64(4), restarts=3)
+    assert model.restart_inertias == kmeans_fit(X, 3, seed=4, restarts=3).restart_inertias
+    with pytest.raises(TypeError):
+        kmeans_fit(X, 2, seed=1.5)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        kmeans_fit(X, 2, seed=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        explained_variance_curve(X, k_range=range(1, 4), seed=-1, jobs=2)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):  # even where nothing is drawn
+        explained_variance_curve(np.ones((5, 2)), k_range=range(1, 4), seed=-1)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 - 1, 2**100])
+def test_pcg64_stream_draws_what_default_rng_draws(seed):
+    # numpy.random is the reference; 2**100 is five entropy words with r, one more than the pool holds
+    for r in (0, 1, 9):
+        ours, ref = _Pcg64Stream(seed, r), np.random.default_rng([seed, r])
+        for i in range(200):
+            # 2**31 + 11 rejects about half its draws; high=1 draws nothing; a spare 32-bit half waits
+            # across the random() calls in between whenever an odd number of halves came before
+            for high in (1, 2, 3, 210, 2**31 + 11, 2**32):
+                assert ours.integers(high) == ref.integers(high)
+            if i % 3:
+                assert ours.random() == ref.random()
+        state = ref.bit_generator.state
+        assert (ours.state, ours.inc) == (state["state"]["state"], state["state"]["inc"])
+        assert ours.spare == (state["uinteger"] if state["has_uint32"] else None)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -292,6 +292,7 @@ def test_run_pipeline_rejects_restarts_before_any_stage(tmp_path, corpus):
     out = tmp_path / "out"
     for setting, message in (
         ("restarts = 0", "restarts must be >= 1"),
+        ("seed = -1", "seed must be >= 0, got -1"),
         ("k_range = 5:3", "k_range must be LO:HI"),
         ("k_range = 0:4", "k_range must be LO:HI"),
         ("k = 0", "k must be >= 1"),
