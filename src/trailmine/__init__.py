@@ -30,10 +30,6 @@ from .actions import (
 from .sessions import TraceSet, UsageStats, build_traces
 from .markov import (
     FeatureMatrix,
-    PageViewVector,
-    StationaryDistribution,
-    TransitionCounts,
-    TransitionModel,
     build_feature_matrix,
     build_transition_model,
     count_transitions,

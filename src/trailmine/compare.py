@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .markov import TransitionCounts, build_transition_model, count_transitions_by_group
+from .markov import build_transition_model, count_transitions_by_group
 from .pca import PcaModel, pca_fit, pca_project
 from .sessions import TraceSet
 
@@ -85,11 +85,11 @@ class ResourceProfile:
     """Aggregated behavior of the users attributed to one resource."""
 
     resource: str
-    visits: int                      # total actions of attributed users
+    visits: int                        # total actions of attributed users
     user_count: int
     cluster_action_counts: np.ndarray  # length K
-    counts: TransitionCounts           # summed whole-trace transition counts
-    label_counts: np.ndarray            # per-label frequencies, length n
+    counts: np.ndarray                 # summed whole-trace transition counts, n x n
+    label_counts: np.ndarray           # per-label frequencies, length n
 
     def cluster_ranks(self) -> np.ndarray:
         """Rank per cluster by action count (1 = largest; ties by cluster id)."""
@@ -138,7 +138,7 @@ def aggregate_cluster_actions(
             visits=int(cluster_counts[r].sum()),
             user_count=len(parts[r]),
             cluster_action_counts=cluster_counts[r],
-            counts=TransitionCounts(n, counts[r]),
+            counts=counts[r],
             label_counts=label_counts[r],
         )
         for r, resource in enumerate(resources)
@@ -172,14 +172,14 @@ def transition_diff(
     top_t: int = 10,
 ) -> TransitionDiff:
     """Fit a smoothed chain per resource and diff them over top labels."""
-    if profile_a.counts.n != profile_b.counts.n:
+    n = len(profile_a.counts)
+    if len(profile_b.counts) != n:
         raise ValueError("profiles cover different vocabularies")
-    n = profile_a.counts.n
     combined = profile_a.label_counts + profile_b.label_counts
     order = np.argsort(-combined, kind="stable")
     shown = [int(i) for i in order[: min(top_t, n)]]
-    P_a = build_transition_model(profile_a.counts, alpha).P
-    P_b = build_transition_model(profile_b.counts, alpha).P
+    P_a = build_transition_model(profile_a.counts, alpha)
+    P_b = build_transition_model(profile_b.counts, alpha)
     ix = np.ix_(shown, shown)
     return TransitionDiff(
         resource_a=profile_a.resource,

@@ -35,10 +35,6 @@ if TYPE_CHECKING:
 __all__ = [
     "LabelOutOfRange",
     "ZeroRowWithoutTeleport",
-    "TransitionCounts",
-    "TransitionModel",
-    "StationaryDistribution",
-    "PageViewVector",
     "FeatureMatrix",
     "count_transitions",
     "count_transitions_by_group",
@@ -68,45 +64,6 @@ class LabelOutOfRange(ValueError):
 
 class ZeroRowWithoutTeleport(ValueError):
     """alpha = 0 cannot normalize a row with no observed transitions."""
-
-
-@dataclass(slots=True)
-class TransitionCounts:
-    """n x n matrix of observed i -> j transition counts."""
-
-    n: int
-    counts: np.ndarray
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.shape != (self.n, self.n):
-            raise ValueError(f"counts must be {self.n}x{self.n}")
-        if (self.counts < 0).any():
-            raise ValueError("counts must be non-negative")
-
-
-@dataclass(slots=True)
-class TransitionModel:
-    """Row-stochastic transition matrix with teleport weight alpha."""
-
-    n: int
-    alpha: float
-    P: np.ndarray
-
-
-@dataclass(slots=True)
-class StationaryDistribution:
-    """Probability vector pi with pi^T = pi^T P, and its l1 residual ||pi P - pi||_1."""
-
-    pi: np.ndarray
-    residual: float
-
-
-@dataclass(slots=True)
-class PageViewVector:
-    """Order-blind occurrence counts of each label in a trace."""
-
-    views: np.ndarray
 
 
 def _check_labels(arr: np.ndarray, n: int) -> np.ndarray:
@@ -203,11 +160,10 @@ def count_transitions_by_group(
     return counts.reshape(n_groups, n, n), label_counts.reshape(n_groups, n)
 
 
-def count_transitions(trace: Sequence[int] | np.ndarray, n: int) -> TransitionCounts:
-    """Count adjacent label pairs of a trace into an n x n matrix."""
+def count_transitions(trace: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
+    """Count adjacent label pairs of a trace into an n x n int64 matrix."""
     arr = _as_label_array(trace, n)
-    counts, _ = count_transitions_by_group(arr, np.array([0, len(arr)]), [0], [0], 1, n)
-    return TransitionCounts(n, counts[0])
+    return count_transitions_by_group(arr, np.array([0, len(arr)]), [0], [0], 1, n)[0][0]
 
 
 def _smooth(counts: np.ndarray, alpha: float) -> np.ndarray:
@@ -223,20 +179,19 @@ def _smooth(counts: np.ndarray, alpha: float) -> np.ndarray:
     return P
 
 
-def build_transition_model(
-    counts: TransitionCounts | np.ndarray,
-    alpha: float = DEFAULT_ALPHA,
-) -> TransitionModel:
-    """Smooth counts with alpha/n per cell and row-normalize.
+def build_transition_model(counts: np.ndarray, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
+    """The row-stochastic P of n x n counts, smoothed with alpha/n per cell.
 
-    P[i, j] = (counts[i, j] + alpha/n) / (rowsum_i + alpha). With
-    alpha = 0 every row must have at least one observed transition, else
-    :class:`ZeroRowWithoutTeleport` is raised.
+    P[i, j] = (counts[i, j] + alpha/n) / (rowsum_i + alpha). Counts must
+    be non-negative. With alpha = 0 every row must have at least one
+    observed transition, else :class:`ZeroRowWithoutTeleport` is raised.
     """
-    A = counts.counts if isinstance(counts, TransitionCounts) else np.asarray(counts)
+    A = np.asarray(counts)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("counts must be a square matrix")
-    return TransitionModel(n=A.shape[0], alpha=float(alpha), P=_smooth(A, alpha))
+    if (A < 0).any():
+        raise ValueError("counts must be non-negative")
+    return _smooth(A, alpha)
 
 
 def _stationary_direct(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -269,20 +224,19 @@ def _stationary_direct(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return pi, np.abs(r).sum(axis=1), fallbacks
 
 
-def stationary_distribution(model: TransitionModel) -> StationaryDistribution:
-    """Left principal eigenvector of P for its eigenvalue 1.
+def stationary_distribution(P: np.ndarray) -> tuple[np.ndarray, float]:
+    """Left principal eigenvector pi of P for its eigenvalue 1, and ||pi P - pi||_1.
 
     Solves the linear system of one chain, as :func:`build_feature_matrix`
     does for each block of users.
     """
-    pi, residual, _ = _stationary_direct(model.P[None].copy())
-    return StationaryDistribution(pi[0], float(residual[0]))
+    pi, residual, _ = _stationary_direct(np.array(P, dtype=np.float64)[None])
+    return pi[0], float(residual[0])
 
 
-def page_view_vector(trace: Sequence[int] | np.ndarray, n: int) -> PageViewVector:
-    """Multiplicity of each label in the trace; unaffected by ordering."""
-    arr = _as_label_array(trace, n)
-    return PageViewVector(np.bincount(arr, minlength=n).astype(np.int64))
+def page_view_vector(trace: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
+    """Multiplicity of each label in the trace as int64; unaffected by ordering."""
+    return np.bincount(_as_label_array(trace, n), minlength=n).astype(np.int64)
 
 
 @dataclass(slots=True)

@@ -151,7 +151,7 @@ class EventBatch:
 
     Users and ontology acronyms are factorized into string pools plus
     code arrays (ontology code -1 means no attribution), which keeps
-    million-event batches cheap to move between worker processes. A
+    million-event batches cheap to move between helper processes. A
     pool may repeat a name and may hold names no event uses: the codes
     are only an index into it. :func:`~trailmine.sessions.build_traces`
     gives users and ontologies their final codes, by name.
@@ -475,26 +475,38 @@ def write_feature_csv(features: FeatureMatrix, path: str | Path) -> None:
 
 
 def read_feature_csv(path: str | Path) -> FeatureMatrix:
+    """The features ``write_feature_csv`` wrote; a bad line raises ``ValueError`` naming it."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
         names = header[1:]
         user_ids, rows = [], []
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             parts = line.rstrip("\n").split(",")
+            try:
+                if len(parts) != len(header):
+                    raise ValueError(f"{len(parts)} cells, the header has {len(header)}")
+                rows.append([float(v) for v in parts[1:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
             user_ids.append(parts[0])
-            rows.append([float(v) for v in parts[1:]])
     X = np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, len(names)))
     return FeatureMatrix(user_ids, X, "unknown", names)
 
 
 def read_assignments_csv(path: str | Path) -> dict[str, int]:
-    """User to cluster, as ``write_cluster_outputs`` wrote ``assignments.csv``."""
+    """User to cluster, as ``write_cluster_outputs`` wrote ``assignments.csv``.
+
+    A line that is not ``user,cluster`` raises ``ValueError`` naming it.
+    """
     out = {}
     with open(path, encoding="utf-8") as fh:
         fh.readline()
-        for line in fh:
-            user, cluster = line.rstrip("\n").rsplit(",", 1)
-            out[user] = int(cluster)
+        for lineno, line in enumerate(fh, 2):
+            try:
+                user, cluster = line.rstrip("\n").rsplit(",", 1)
+                out[user] = int(cluster)
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
     return out
 
 

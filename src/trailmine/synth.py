@@ -334,6 +334,8 @@ def generate_synthetic_log(
     """
     if users_per_archetype < 0:
         raise ValueError(f"users_per_archetype must be >= 0, got {users_per_archetype}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not 0.0 <= bot_fraction < 1.0:
         raise ValueError("bot_fraction must lie in [0, 1)")
     rs = ruleset or default_ruleset()

@@ -34,12 +34,12 @@ AABBCC = [0, 0, 1, 1, 2, 2]
 
 def test_criterion_1_worked_example_reproduction():
     t0 = time.perf_counter()
-    assert count_transitions(ABCABC, 3).counts.tolist() == [[0, 2, 0], [0, 0, 2], [1, 0, 0]]
-    assert count_transitions(AABBCC, 3).counts.tolist() == [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
-    model = build_transition_model(count_transitions(AABBCC, 3), alpha=0.0)
-    assert np.allclose(model.P, [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
-    assert page_view_vector(ABCABC, 3).views.tolist() == [2, 2, 2]
-    assert page_view_vector(AABBCC, 3).views.tolist() == [2, 2, 2]
+    assert count_transitions(ABCABC, 3).tolist() == [[0, 2, 0], [0, 0, 2], [1, 0, 0]]
+    assert count_transitions(AABBCC, 3).tolist() == [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
+    P = build_transition_model(count_transitions(AABBCC, 3), alpha=0.0)
+    assert np.allclose(P, [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
+    assert page_view_vector(ABCABC, 3).tolist() == [2, 2, 2]
+    assert page_view_vector(AABBCC, 3).tolist() == [2, 2, 2]
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     print(f"\nPASS criterion 1: worked-example matrices exact ({elapsed:.3f}s < 1s)")
@@ -52,33 +52,33 @@ def test_criterion_2_stationary_correctness():
     for _ in range(100):
         n = int(rng.integers(2, 11))
         counts = rng.integers(0, 25, size=(n, n))
-        model = build_transition_model(counts, alpha=0.15)
-        power = power_iteration(model.P)
-        direct = stationary_distribution(model).pi
+        P = build_transition_model(counts, alpha=0.15)
+        power = power_iteration(P)
+        direct = stationary_distribution(P)[0]
         gap = float(np.abs(power - direct).sum())
         worst = max(worst, gap)
         assert gap < 1e-8
         for pi in (power, direct):
             assert (pi >= 0).all()
             assert abs(pi.sum() - 1.0) < 1e-12
-            assert np.abs(pi @ model.P - pi).sum() <= 1e-9
+            assert np.abs(pi @ P - pi).sum() <= 1e-9
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     print(f"\nPASS criterion 2: 100 chains, power vs direct max l1 {worst:.2e} < 1e-8 ({elapsed:.2f}s < 5s)")
 
 
 def test_criterion_3_order_sensitivity_witness():
-    pv1 = page_view_vector(ABCABC, 3).views
-    pv2 = page_view_vector(AABBCC, 3).views
+    pv1 = page_view_vector(ABCABC, 3)
+    pv2 = page_view_vector(AABBCC, 3)
     assert (pv1 == pv2).all()
-    pi1 = stationary_distribution(build_transition_model(count_transitions(ABCABC, 3), 0.15)).pi
-    pi2 = stationary_distribution(build_transition_model(count_transitions(AABBCC, 3), 0.15)).pi
+    pi1 = stationary_distribution(build_transition_model(count_transitions(ABCABC, 3), 0.15))[0]
+    pi2 = stationary_distribution(build_transition_model(count_transitions(AABBCC, 3), 0.15))[0]
     l1 = float(np.abs(pi1 - pi2).sum())
     assert l1 > 0.1
     oracle = np.array([0.3261, 0.3335, 0.3404])  # frozen from the independent linear solve
     dev = float(np.abs(pi1 - oracle).max())
     assert dev < 5e-4
-    cross = stationary_oracle(count_transitions(ABCABC, 3).counts, 0.15)
+    cross = stationary_oracle(count_transitions(ABCABC, 3), 0.15)
     assert np.abs(pi1 - cross).max() < 1e-9
     print(f"\nPASS criterion 3: equal page views, stationary l1 gap {l1:.3f} > 0.1, oracle dev {dev:.1e} < 5e-4")
 

@@ -295,6 +295,38 @@ def test_synth_rejects_negative_users(tmp_path, capsys):
     assert not log.exists()
 
 
+def test_synth_rejects_negative_seed_by_name(tmp_path, capsys):
+    log = tmp_path / "synth.log"
+    assert main(["synth", "--out", str(log), "--seed", "-1"]) == 2
+    assert "trailmine synth: error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not log.exists()
+
+
+@pytest.mark.parametrize("command", ["cluster", "pca"])
+def test_ragged_features_csv_is_a_data_error_before_any_file(tmp_path, capsys, command):
+    # each row has one cell more than the header
+    features = tmp_path / "features.csv"
+    features.write_text("user,a,b\nu1,0.5,0.5,0.0\nu2,0.25,0.75,0.0\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main([command, "--features", str(features), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"trailmine {command}: error: {features}, line 2: 4 cells, the header has 3" in err
+    assert not out.exists()  # nothing ran, nothing was written
+
+
+@pytest.mark.parametrize("command", ["pca", "compare"])
+def test_bad_assignments_csv_is_a_data_error_before_any_file(tmp_path, capsys, command):
+    assignments = tmp_path / "assignments.csv"
+    assignments.write_text("user,cluster\nu1,0\nu2\n", encoding="utf-8")
+    source = "--features" if command == "pca" else "--traces"
+    out = tmp_path / "o"
+    argv = [command, source, str(tmp_path / "missing"), "--assignments", str(assignments),
+            "--out-dir", str(out)]
+    assert main(argv) == 2
+    assert f"trailmine {command}: error: {assignments}, line 3: " in capsys.readouterr().err
+    assert not out.exists()  # nothing ran, nothing was written
+
+
 @pytest.mark.parametrize("item, message", [
     ({"name": "x", "rows": {"Browse Foo": {"Browse Search": 1.0}}}, "archetype 'x': unknown label 'Browse Foo'"),
     ({"name": "x", "rows": {"Browse Search": {"Browse Foo": 1.0}}}, "archetype 'x': unknown label 'Browse Foo'"),

@@ -416,7 +416,7 @@ def test_profiles_equal_sums_of_per_trace_counts():
                                 top_transitions=n * n)
     for k, prof in enumerate(profiles):
         members = [t for t, a in zip(traces, model.assignments) if a == k]
-        counts = sum((count_transitions(t["sequence"], n).counts for t in members),
+        counts = sum((count_transitions(t["sequence"], n) for t in members),
                      np.zeros((n, n), dtype=np.int64))
         flat = counts.ravel()
         order = np.argsort(-flat, kind="stable")

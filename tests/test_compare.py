@@ -136,7 +136,7 @@ def test_aggregate_single_user():
     assert p.cluster_action_counts.tolist() == [0, 0, 17, 0, 0]
     assert p.visits == 17 and p.user_count == 1
     assert p.cluster_ranks()[2] == 1
-    assert p.counts.counts[12, 12] == 16
+    assert p.counts[12, 12] == 16
 
 
 def test_aggregate_counts_equal_sums_of_per_trace_counts():
@@ -154,9 +154,9 @@ def test_aggregate_counts_equal_sums_of_per_trace_counts():
     assert sorted(p.resource for p in profiles) == sorted(by_resource)
     for p in profiles:
         members = [traces[i] for i in by_resource[p.resource]]
-        want = sum((count_transitions(t["sequence"], N).counts for t in members),
+        want = sum((count_transitions(t["sequence"], N) for t in members),
                    np.zeros((N, N), dtype=np.int64))
-        assert (p.counts.counts == want).all()
+        assert (p.counts == want).all()
         assert p.label_counts.tolist() == np.bincount(
             np.concatenate([t["sequence"] for t in members]), minlength=N).tolist()
         clusters = np.zeros(3, dtype=np.int64)
@@ -195,6 +195,16 @@ def test_diff_antisymmetry_exact():
     assert (d_ab.diff == -d_ba.diff).all()
     assert d_ab.labels_shown == d_ba.labels_shown
     assert np.abs(d_ab.diff).max() <= 1.0
+
+
+def test_diff_rejects_profiles_of_different_vocabularies():
+    a = _profile_from({"a": [(2, None), (12, "R")] * 4}, "R", {"a": 0})
+    b = _profile_from({"b": [(2, None), (12, "R")] * 4}, "R", {"b": 0})
+    b.counts = b.counts[:-1, :-1]
+    with pytest.raises(ValueError, match="different vocabularies"):
+        transition_diff(a, b)
+    with pytest.raises(ValueError, match="different vocabularies"):
+        transition_diff(b, a)
 
 
 def test_diff_top_labels_by_combined_frequency():

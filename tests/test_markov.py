@@ -5,7 +5,6 @@ from testutil import power_iteration, stationary_oracle
 from trailmine import markov
 from trailmine.markov import (
     LabelOutOfRange,
-    TransitionModel,
     ZeroRowWithoutTeleport,
     build_feature_matrix,
     build_transition_model,
@@ -21,19 +20,19 @@ AABBCC = [0, 0, 1, 1, 2, 2]
 
 
 def test_count_transitions_worked_examples():
-    assert count_transitions(ABCABC, 3).counts.tolist() == [[0, 2, 0], [0, 0, 2], [1, 0, 0]]
-    assert count_transitions(AABBCC, 3).counts.tolist() == [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
+    assert count_transitions(ABCABC, 3).tolist() == [[0, 2, 0], [0, 0, 2], [1, 0, 0]]
+    assert count_transitions(AABBCC, 3).tolist() == [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
 
 
 def test_count_transitions_single_element():
-    assert count_transitions([1], 3).counts.sum() == 0
+    assert count_transitions([1], 3).sum() == 0
 
 
 def test_count_transitions_total_is_length_minus_one():
     rng = np.random.default_rng(0)
     for _ in range(50):
         trace = rng.integers(0, 6, size=rng.integers(1, 50))
-        assert count_transitions(trace, 6).counts.sum() == len(trace) - 1
+        assert count_transitions(trace, 6).sum() == len(trace) - 1
 
 
 def test_label_out_of_range():
@@ -44,8 +43,8 @@ def test_label_out_of_range():
 
 
 def test_model_alpha_zero_worked_example():
-    model = build_transition_model(count_transitions(AABBCC, 3), alpha=0.0)
-    assert np.allclose(model.P, [[0.5, 0.5, 0], [0, 0.5, 0.5], [0, 0, 1.0]])
+    P = build_transition_model(count_transitions(AABBCC, 3), alpha=0.0)
+    assert np.allclose(P, [[0.5, 0.5, 0], [0, 0.5, 0.5], [0, 0, 1.0]])
 
 
 def test_model_zero_row_without_teleport():
@@ -53,17 +52,26 @@ def test_model_zero_row_without_teleport():
         build_transition_model(count_transitions([0, 0], 2), alpha=0.0)
 
 
+def test_model_rejects_negative_and_non_square_counts():
+    # a negative cell would give P a cell above 1 and one below 0, and pi a silent [0, 1]
+    with pytest.raises(ValueError, match="non-negative"):
+        build_transition_model(np.array([[-5, 1], [0, 1]]), 0.15)
+    for counts in (np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="square"):
+            build_transition_model(counts, 0.15)
+
+
 def test_model_smoothing_row_values():
     # row A of the cyclic counts: (0.05, 2.05, 0.05) / 2.15
-    model = build_transition_model(count_transitions(ABCABC, 3), alpha=0.15)
-    assert np.allclose(model.P[0], np.array([0.05, 2.05, 0.05]) / 2.15)
+    P = build_transition_model(count_transitions(ABCABC, 3), alpha=0.15)
+    assert np.allclose(P[0], np.array([0.05, 2.05, 0.05]) / 2.15)
 
 
 def test_all_zero_row_becomes_uniform():
     counts = np.zeros((4, 4), dtype=np.int64)
     counts[0, 1] = 3
-    model = build_transition_model(counts, alpha=0.15)
-    assert np.allclose(model.P[2], np.full(4, 0.25))
+    P = build_transition_model(counts, alpha=0.15)
+    assert np.allclose(P[2], np.full(4, 0.25))
 
 
 def test_row_stochastic_for_random_counts():
@@ -72,7 +80,7 @@ def test_row_stochastic_for_random_counts():
         n = int(rng.integers(2, 12))
         counts = rng.integers(0, 20, size=(n, n))
         for alpha in (0.01, 0.15, 1.0, 7.5):
-            P = build_transition_model(counts, alpha).P
+            P = build_transition_model(counts, alpha)
             assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
             assert (P > 0).all()
 
@@ -81,14 +89,14 @@ def test_stationary_symmetric_two_state():
     # alternating trace ending where it started, so counts are symmetric
     trace = [0, 1] * 10 + [0]
     for alpha in (0.0, 0.15, 1.0):
-        model = build_transition_model(count_transitions(trace, 2), alpha=alpha)
-        pi = stationary_distribution(model).pi
+        P = build_transition_model(count_transitions(trace, 2), alpha=alpha)
+        pi = stationary_distribution(P)[0]
         assert np.allclose(pi, [0.5, 0.5], atol=1e-9)
 
 
 def test_stationary_oracle_value():
-    model = build_transition_model(count_transitions(ABCABC, 3), alpha=0.15)
-    pi = stationary_distribution(model).pi
+    P = build_transition_model(count_transitions(ABCABC, 3), alpha=0.15)
+    pi = stationary_distribution(P)[0]
     # frozen from an independent linear solve of the smoothed chain
     assert np.abs(pi - np.array([0.3261, 0.3335, 0.3404])).max() < 5e-4
 
@@ -98,9 +106,9 @@ def test_power_iteration_agrees_with_direct_solve():
     for _ in range(100):
         n = int(rng.integers(2, 11))
         counts = rng.integers(0, 25, size=(n, n))
-        model = build_transition_model(counts, alpha=0.15)
-        power = power_iteration(model.P)
-        direct = stationary_distribution(model).pi
+        P = build_transition_model(counts, alpha=0.15)
+        power = power_iteration(P)
+        direct = stationary_distribution(P)[0]
         oracle = stationary_oracle(counts, 0.15)
         assert np.abs(power - direct).sum() < 1e-8
         assert np.abs(power - oracle).sum() < 1e-8
@@ -111,56 +119,55 @@ def test_stationary_invariants():
     for _ in range(30):
         n = int(rng.integers(2, 9))
         counts = rng.integers(0, 15, size=(n, n))
-        model = build_transition_model(counts, alpha=0.15)
-        dist = stationary_distribution(model)
-        assert (dist.pi > 0).all()
-        assert abs(dist.pi.sum() - 1.0) < 1e-12
-        assert np.abs(dist.pi @ model.P - dist.pi).sum() <= 1e-10
-        assert dist.residual <= 1e-10
+        P = build_transition_model(counts, alpha=0.15)
+        pi, residual = stationary_distribution(P)
+        assert (pi > 0).all()
+        assert abs(pi.sum() - 1.0) < 1e-12
+        assert np.abs(pi @ P - pi).sum() <= 1e-10
+        assert residual <= 1e-10
 
 
 def test_permutation_equivariance():
     rng = np.random.default_rng(3)
     trace = rng.integers(0, 5, size=80)
     sigma = rng.permutation(5)
-    pi = stationary_distribution(build_transition_model(count_transitions(trace, 5), 0.15)).pi
+    pi = stationary_distribution(build_transition_model(count_transitions(trace, 5), 0.15))[0]
     permuted_trace = sigma[trace]
     pi_perm = stationary_distribution(
         build_transition_model(count_transitions(permuted_trace, 5), 0.15)
-    ).pi
+    )[0]
     assert np.allclose(pi_perm[sigma], pi, atol=1e-9)
 
 
 def test_single_state_concentration():
     alpha = 0.15
-    model = build_transition_model(count_transitions([0] * 20, 2), alpha=alpha)
-    pi = stationary_distribution(model).pi
+    P = build_transition_model(count_transitions([0] * 20, 2), alpha=alpha)
+    pi = stationary_distribution(P)[0]
     assert pi[0] >= 1 - alpha
 
 
 def test_direct_solve_of_slowly_mixing_chain():
     # power iteration needs hundreds of steps to mix this chain; the direct solve needs none
     counts = np.array([[5000, 1], [1, 50]])
-    model = build_transition_model(counts, alpha=0.001)
-    direct = stationary_distribution(model)
-    assert abs(direct.pi.sum() - 1.0) < 1e-12
-    assert np.abs(direct.pi - stationary_oracle(counts, 0.001)).max() < 1e-12
+    pi, _ = stationary_distribution(build_transition_model(counts, alpha=0.001))
+    assert abs(pi.sum() - 1.0) < 1e-12
+    assert np.abs(pi - stationary_oracle(counts, 0.001)).max() < 1e-12
 
 
 def test_order_sensitivity_witness():
-    v1 = page_view_vector(ABCABC, 3).views
-    v2 = page_view_vector(AABBCC, 3).views
+    v1 = page_view_vector(ABCABC, 3)
+    v2 = page_view_vector(AABBCC, 3)
     assert v1.tolist() == v2.tolist() == [2, 2, 2]
-    pi1 = stationary_distribution(build_transition_model(count_transitions(ABCABC, 3), 0.15)).pi
-    pi2 = stationary_distribution(build_transition_model(count_transitions(AABBCC, 3), 0.15)).pi
+    pi1 = stationary_distribution(build_transition_model(count_transitions(ABCABC, 3), 0.15))[0]
+    pi2 = stationary_distribution(build_transition_model(count_transitions(AABBCC, 3), 0.15))[0]
     assert np.abs(pi1 - pi2).sum() > 0.1
 
 
 def test_page_view_vector_empty_and_sum():
-    assert page_view_vector([], 4).views.tolist() == [0, 0, 0, 0]
+    assert page_view_vector([], 4).tolist() == [0, 0, 0, 0]
     rng = np.random.default_rng(1)
     trace = rng.integers(0, 4, size=33)
-    assert page_view_vector(trace, 4).views.sum() == 33
+    assert page_view_vector(trace, 4).sum() == 33
 
 
 def _trace(user, seq):
@@ -211,13 +218,13 @@ def test_batched_features_match_per_user_solves(m):
         assert fm.fallbacks == 0 and fm.max_residual <= 1e-10
         for row, trace in zip(fm.X, traces):
             counts = count_transitions(trace["sequence"], n)
-            power = power_iteration(build_transition_model(counts, alpha).P)
-            oracle = stationary_oracle(counts.counts, alpha)
+            power = power_iteration(build_transition_model(counts, alpha))
+            oracle = stationary_oracle(counts, alpha)
             assert np.abs(row - power).max() <= 1e-8
             assert np.abs(row - oracle).max() <= 1e-8
     pv = build_feature_matrix(_set(*traces), n, feature_kind="pageviews")
     for row, trace in zip(pv.X, traces):
-        assert row.tolist() == page_view_vector(trace["sequence"], n).views.tolist()
+        assert row.tolist() == page_view_vector(trace["sequence"], n).tolist()
 
 
 def test_feature_matrix_of_no_traces():
@@ -243,12 +250,13 @@ def test_feature_matrix_errors():
 
 def test_singular_system_falls_back_to_lstsq():
     # every state absorbing: pi (P - I) = 0 holds for any pi, the system is singular
-    uniform = stationary_distribution(TransitionModel(3, 0.0, np.eye(3)))
-    assert np.allclose(uniform.pi, np.full(3, 1 / 3))
-    good = build_transition_model(count_transitions(ABCABC, 3), 0.15).P
+    uniform, residual = stationary_distribution(np.eye(3))
+    assert np.allclose(uniform, np.full(3, 1 / 3))
+    assert residual < 1e-12
+    good = build_transition_model(count_transitions(ABCABC, 3), 0.15)
     pi, residual, fallbacks = markov._stationary_direct(np.stack([good, np.eye(3)]))
     assert fallbacks == 2
-    assert np.abs(pi[0] - stationary_oracle(count_transitions(ABCABC, 3).counts, 0.15)).max() < 1e-12
+    assert np.abs(pi[0] - stationary_oracle(count_transitions(ABCABC, 3), 0.15)).max() < 1e-12
     assert residual.max() < 1e-12
 
 
@@ -263,7 +271,7 @@ def test_grouped_counts_equal_sums_of_per_trace_counts():
     counts, hist = count_transitions_by_group(traces.labels, traces.offsets, rows, groups, n_groups, n)
     for g in range(n_groups):
         own = [sequences[r] for r, h in zip(rows, groups) if h == g]
-        want = sum((count_transitions(s, n).counts for s in own), np.zeros((n, n), dtype=np.int64))
+        want = sum((count_transitions(s, n) for s in own), np.zeros((n, n), dtype=np.int64))
         assert (counts[g] == want).all()
         assert hist[g].tolist() == np.bincount(np.concatenate([[]] + own).astype(int), minlength=n).tolist()
     with pytest.raises(ValueError):

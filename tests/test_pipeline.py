@@ -12,6 +12,7 @@ from trailmine.pipeline import (
     RunRecord,
     build_traces,
     ingest_paths,
+    read_assignments_csv,
     read_feature_csv,
     read_traces_jsonl,
     run_pipeline,
@@ -159,6 +160,32 @@ def test_feature_csv_roundtrip(tmp_path, corpus, ruleset):
     assert loaded.user_ids == fm.user_ids
     assert loaded.label_names == fm.label_names
     assert (loaded.X == fm.X).all()  # repr round-trips floats exactly
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["u1,0.5,0.5,0.0", "u2,0.5,0.5,0.0"], "line 2: 4 cells, the header has 3"),
+    (["u1,0.5,0.5", "u2,0.5,0.5,0.0"], "line 3: 4 cells, the header has 3"),
+    (["u1,0.5,0.5", "u2,0.5"], "line 3: 2 cells, the header has 3"),
+    (["u1,0.5,x"], "line 2: could not convert string to float: 'x'"),
+])
+def test_feature_csv_names_the_file_and_line_of_a_bad_row(tmp_path, lines, message):
+    path = tmp_path / "features.csv"
+    path.write_text("\n".join(["user,a,b", *lines]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_feature_csv(path)
+    assert str(info.value) == f"{path}, {message}"
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["u1,0", "u2"], "line 3: not enough values to unpack"),
+    (["u1,zero"], "line 2: invalid literal for int()"),
+])
+def test_assignments_csv_names_the_file_and_line_of_a_bad_row(tmp_path, lines, message):
+    path = tmp_path / "assignments.csv"
+    path.write_text("\n".join(["user,cluster", *lines]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_assignments_csv(path)
+    assert str(info.value).startswith(f"{path}, {message}")
 
 
 def test_rerun_is_byte_identical(tmp_path, corpus):

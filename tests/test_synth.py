@@ -130,6 +130,13 @@ def test_self_loop_archetype_concentrates():
     assert frac >= 0.9
 
 
+def test_negative_seed_is_rejected_by_name_before_any_draw(tmp_path):
+    log = tmp_path / "synth.log"
+    with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
+        generate_synthetic_log(default_archetypes(), 2, seed=-1, path=log)
+    assert not log.exists()
+
+
 def test_vocabulary_mismatch():
     with pytest.raises(VocabularyMismatch):
         generate_synthetic_log(
