@@ -66,11 +66,7 @@ def _add_config_flags(p: argparse.ArgumentParser, *names: str, required=("out_di
         p.add_argument(flag, dest=name, type=parse, required=name in required, **spec)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="trailmine", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("synth", help="generate a synthetic access log with ground truth")
+def _synth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="log file to write (.gz supported)")
     p.add_argument("--truth", help="ground-truth JSON file")
     p.add_argument("--users", type=int, default=500, help="users per archetype")
@@ -78,35 +74,56 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--archetypes", help="archetype JSON config (default: built-in set)")
 
-    p = sub.add_parser("ingest", help="parse logs into traces and usage statistics")
+
+def _ingest_flags(p: argparse.ArgumentParser) -> None:
     _add_config_flags(p, "logs", "out_dir", "log_format", "rules", "ua_blacklist",
                       "ip_blacklist", "asset_patterns", "gap_minutes", "jobs",
                       required=("logs", "out_dir"))
 
-    p = sub.add_parser("features", help="per-user feature matrix from traces")
+
+def _features_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--traces", required=True)
     p.add_argument("--out", required=True)
     _add_config_flags(p, "feature_kind", "alpha", "rules")
 
-    p = sub.add_parser("cluster", help="K-means over the feature matrix")
+
+def _cluster_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--features", required=True)
     p.add_argument("--traces", help="traces.jsonl for cluster profiles")
     _add_config_flags(p, "out_dir", "k", "k_range", "seed", "restarts", "rules")
 
-    p = sub.add_parser("pca", help="principal components of the feature matrix")
+
+def _pca_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--features", required=True)
     p.add_argument("--assignments", help="assignments.csv to color coordinates")
     _add_config_flags(p, "out_dir", "pca_components")
 
-    p = sub.add_parser("compare", help="per-resource behavior comparison")
+
+def _compare_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--traces", required=True)
     p.add_argument("--assignments", required=True)
     p.add_argument("--pair", nargs=2, metavar=("A", "B"), help="resources to diff (default: top two)")
     _add_config_flags(p, "out_dir", "alpha", "threshold_pct", "top_actions", "top_resources", "rules")
 
-    p = sub.add_parser("run", help="run the whole pipeline")
+
+def _run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="INI config file ([pipeline] section)")
     _add_config_flags(p, *_FIELDS, required=())
+
+
+def _build_parser(only: str | None = None) -> _Parser:
+    """The parser of every subcommand, or of ``only`` alone with the same texts.
+
+    A one-subcommand parser prints the full subcommand list in its usage
+    line, so its usage errors read as the full parser's do; its other
+    texts come from the subparser, which is the same in both.
+    """
+    parser = _Parser(prog="trailmine", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser,
+                                metavar="{" + ",".join(_SUBCOMMANDS) + "}" if only else None)
+    for name, (help_text, add_flags, _) in _SUBCOMMANDS.items():
+        if only in (None, name):
+            add_flags(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -157,8 +174,8 @@ def _cmd_features(args) -> int:
 def _cmd_cluster(args) -> int:
     record = RunRecord(_config(args))
     features = read_feature_csv(args.features)
-    curve = stage_elbow(record, features)
     traces = read_traces_jsonl(args.traces) if args.traces else None
+    curve = stage_elbow(record, features)
     model = stage_cluster(record, features, traces, curve)
     print(f"K={model.K} (knee suggestion {curve.knee}), inertia {model.inertia:.6g}; "
           f"wrote {record.config.out_dir}")
@@ -194,21 +211,24 @@ def _cmd_run(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "ingest": _cmd_ingest,
-    "features": _cmd_features,
-    "cluster": _cmd_cluster,
-    "pca": _cmd_pca,
-    "compare": _cmd_compare,
-    "run": _cmd_run,
+# each subcommand's help line, flags and handler, in the order the help lists them
+_SUBCOMMANDS = {
+    "synth": ("generate a synthetic access log with ground truth", _synth_flags, _cmd_synth),
+    "ingest": ("parse logs into traces and usage statistics", _ingest_flags, _cmd_ingest),
+    "features": ("per-user feature matrix from traces", _features_flags, _cmd_features),
+    "cluster": ("K-means over the feature matrix", _cluster_flags, _cmd_cluster),
+    "pca": ("principal components of the feature matrix", _pca_flags, _cmd_pca),
+    "compare": ("per-resource behavior comparison", _compare_flags, _cmd_compare),
+    "run": ("run the whole pipeline", _run_flags, _cmd_run),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # only the named subcommand's parser; an unknown name gets all of them for its error text
+    args = _build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _SUBCOMMANDS[args.command][2](args)
     except (ValueError, KeyError, OSError, RuntimeError, PipelineStageError) as exc:
         print(f"trailmine {args.command}: error: {exc}", file=sys.stderr)
         return DATA_EXIT

@@ -16,6 +16,12 @@ trailmine starts no thread of its own that a fork could cut off
 mid-work. Nothing here imports more than ``import trailmine`` already
 has; ``signal`` is imported only to stop the helpers of a failing call.
 A platform without ``os.fork`` runs ``jobs=1`` only (:func:`check_jobs`).
+
+Work cut into more tasks than processes can be dealt as each process
+asks: a :func:`shared_counter` made before the helpers start hands
+every process the next task index, each index once. Such work needs no
+more processes than :func:`usable_cpus`: one more would only take turns
+on a CPU with another.
 """
 
 from __future__ import annotations
@@ -25,7 +31,10 @@ import pickle
 from contextlib import contextmanager
 from typing import BinaryIO, Callable, Iterator, NoReturn, Sequence
 
-__all__ = ["check_jobs", "start_helpers", "receive"]
+__all__ = ["check_jobs", "usable_cpus", "shared_counter", "start_helpers", "receive"]
+
+# the width of the count a shared_counter's pipe holds
+_COUNT_BYTES = 8
 
 
 class _Failure:
@@ -39,6 +48,14 @@ def check_jobs(jobs: int) -> None:
     """Reject ``jobs > 1`` on a platform without ``os.fork``, where no helper can start."""
     if jobs > 1 and not hasattr(os, "fork"):
         raise ValueError(f"jobs must be 1 on a platform without os.fork, got {jobs}")
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity, as on macOS
+        return os.cpu_count() or 1
 
 
 def _serve(work: Callable, share: tuple, readers: list[BinaryIO], fd: int) -> NoReturn:
@@ -107,6 +124,30 @@ def start_helpers(work: Callable, shares: Sequence[tuple]) -> Iterator[list[Bina
             reader.close()
         for pid in pids:
             os.waitpid(pid, 0)
+
+
+@contextmanager
+def shared_counter() -> Iterator[Callable[[], int]]:
+    """A ``next`` callable that returns 0, 1, 2, ... across the caller and the helpers it forks in the block.
+
+    The count is the one message in a pipe that every process holds: a
+    call reads it, so any other call waits, and writes the next one back.
+    The message is shorter than ``PIPE_BUF``, so it is written and read
+    whole.
+    """
+    r, w = os.pipe()
+    try:
+        os.write(w, (0).to_bytes(_COUNT_BYTES, "little"))
+
+        def next_index() -> int:
+            i = int.from_bytes(os.read(r, _COUNT_BYTES), "little")
+            os.write(w, (i + 1).to_bytes(_COUNT_BYTES, "little"))
+            return i
+
+        yield next_index
+    finally:
+        os.close(r)
+        os.close(w)
 
 
 def receive(conn: BinaryIO):

@@ -32,6 +32,7 @@ __all__ = [
     "CompiledFilter",
     "LOG_FORMATS",
     "line_pattern",
+    "ingest_pattern",
     "parse_log_line",
     "format_log_line",
     "open_log",
@@ -66,6 +67,19 @@ _LINE_PATTERNS = {
     ),
 }
 LOG_FORMATS = tuple(_LINE_PATTERNS)
+# the groups bulk ingest keeps: IP, timestamp, request and, in "combined", user agent
+_INGEST_GROUPS = {"combined": (1, 4, 5, 9), "common": (1, 4, 5)}
+# the opening parenthesis of a capturing group; the grammar has no literal parenthesis
+_GROUP_OPEN = re.compile(r"\((?!\?)")
+
+
+def _capturing_only(pattern: re.Pattern, keep: tuple[int, ...]) -> re.Pattern:
+    """``pattern`` with each capturing group whose number is not in ``keep`` made non-capturing."""
+    numbers = iter(range(1, pattern.groups + 1))
+    return re.compile(_GROUP_OPEN.sub(lambda _: "(" if next(numbers) in keep else "(?:", pattern.pattern))
+
+
+_INGEST_PATTERNS = {name: _capturing_only(p, _INGEST_GROUPS[name]) for name, p in _LINE_PATTERNS.items()}
 
 _MONTHS = {
     "Jan": 1, "Feb": 2, "Mar": 3, "Apr": 4, "May": 5, "Jun": 6,
@@ -136,6 +150,17 @@ def line_pattern(log_format: str) -> re.Pattern:
         return _LINE_PATTERNS[log_format]
     except KeyError:
         raise ValueError(f"unknown log format: {log_format!r}") from None
+
+
+def ingest_pattern(log_format: str) -> re.Pattern:
+    """:func:`line_pattern` capturing only the IP, timestamp, request and user agent, in that order.
+
+    "common" has no user agent, so its pattern captures the first three.
+    The other groups are non-capturing, so it accepts exactly the lines
+    :func:`line_pattern` accepts.
+    """
+    line_pattern(log_format)  # raises for an unknown format
+    return _INGEST_PATTERNS[log_format]
 
 
 def _split_request(request: str) -> tuple[str, str, str]:

@@ -228,9 +228,21 @@ def stationary_distribution(P: np.ndarray) -> tuple[np.ndarray, float]:
     """Left principal eigenvector pi of P for its eigenvalue 1, and ||pi P - pi||_1.
 
     Solves the linear system of one chain, as :func:`build_feature_matrix`
-    does for each block of users.
+    does for each block of users. P must be a non-empty square matrix of
+    finite, non-negative cells whose rows sum to 1 within 1e-9; else a
+    ``ValueError`` names the check that failed.
     """
-    pi, residual, _ = _stationary_direct(np.array(P, dtype=np.float64)[None])
+    P = np.array(P, dtype=np.float64)
+    if P.ndim != 2 or P.shape[0] != P.shape[1] or P.size == 0:
+        raise ValueError(f"P must be a non-empty square matrix, not of shape {P.shape}")
+    if not np.isfinite(P).all():
+        raise ValueError("P must be finite")
+    if (P < 0).any():
+        raise ValueError("P must have no negative cell")
+    off = np.abs(P.sum(axis=1) - 1.0).max()
+    if off > 1e-9:
+        raise ValueError(f"each row of P must sum to 1 within 1e-9, one is off by {off:.3g}")
+    pi, residual, _ = _stationary_direct(P[None])
     return pi[0], float(residual[0])
 
 

@@ -13,10 +13,11 @@ lines in fixed-size chunks: each line is matched against the grammar, the
 timestamps of a chunk are decoded as arrays, and each distinct date,
 request, user agent and IP is decided once, from bounded tables kept
 across chunks, not once per line. Parsing and mapping are pure per line,
-so with ``jobs`` processes each plain file is read as ``jobs`` byte
-ranges: this process ingests the first share of the ranges and helper
-processes forked with ``os.fork`` the others (:mod:`trailmine.helpers`),
-and the parts are concatenated in path order. The elbow shares each K's
+so with ``jobs`` processes each plain file is read as up to ``jobs * 16``
+byte ranges: this process and helper processes forked with ``os.fork``
+(:mod:`trailmine.helpers`), no more in all than there are CPUs to run
+them, each take the next range as they finish one, and the parts are
+concatenated in path order. The elbow shares each K's
 restarts with helpers likewise (see :mod:`trailmine.cluster`). Where
 there is no ``os.fork``, :meth:`PipelineConfig.validate` rejects ``jobs
 > 1`` before any stage runs. :func:`~trailmine.sessions.build_traces` is
@@ -33,7 +34,7 @@ import os
 import time
 from dataclasses import Field, asdict, dataclass, field, fields
 from configparser import ConfigParser
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -61,7 +62,7 @@ from .compare import (
     project_resources,
     transition_diff,
 )
-from .helpers import check_jobs, receive, start_helpers
+from .helpers import check_jobs, receive, shared_counter, start_helpers, usable_cpus
 from .logs import (
     CompiledFilter,
     FilterConfig,
@@ -70,6 +71,7 @@ from .logs import (
     _split_request,
     _text_lines,
     default_filter_config,
+    ingest_pattern,
     line_pattern,
     load_list_file,
     open_log,
@@ -248,7 +250,8 @@ class _Verdicts:
         """The verdict of each value, from ``verdict`` called once per value not in the table.
 
         Each call decides one chunk's column, so a table that holds
-        ``_VERDICTS_MAX`` verdicts is emptied at a chunk start.
+        ``_VERDICTS_MAX`` verdicts is emptied at a chunk start. Tuple
+        verdicts give an int64 row per value.
         """
         table = self.tables[field]
         if len(table) >= _VERDICTS_MAX:
@@ -257,7 +260,12 @@ class _Verdicts:
         for value in distinct:
             if value not in table:
                 table[value] = verdict(value)
-        return np.array([table[value] for value in distinct])[codes]
+        decided = list(map(table.__getitem__, distinct))
+        if decided and type(decided[0]) is tuple:  # one flat fill, not an array of tuples
+            width = len(decided[0])
+            flat = np.fromiter(chain.from_iterable(decided), np.int64, width * len(decided))
+            return flat.reshape(-1, width)[codes]
+        return np.array(decided)[codes]
 
 
 def _decode_timestamps(stamps: Sequence[str], verdicts: _Verdicts) -> tuple[np.ndarray, np.ndarray]:
@@ -285,8 +293,9 @@ def _ingest_lines(
 ) -> tuple[EventBatch, IngestStats]:
     """Parse, filter and map raw lines, one chunk of ``_CHUNK_LINES`` at a time.
 
-    Each chunk is matched line by line against the grammar, keeping only
-    the IP, timestamp, request and user-agent fields. Timestamps are
+    Each chunk is matched line by line against the grammar's ingest form
+    (:func:`~trailmine.logs.ingest_pattern`), which captures only the IP,
+    timestamp, request and user-agent fields. Timestamps are
     decoded as arrays (:func:`_decode_timestamps`). Each distinct date,
     request, user agent and IP is decided once per ``verdicts`` (see
     :class:`_Verdicts`); a request is split, decoded, asset-checked and
@@ -297,9 +306,9 @@ def _ingest_lines(
     ontology ``verdicts`` handed an id.
     """
     stats = IngestStats()
-    match = line_pattern(log_format).match
-    fields = (1, 4, 5, 9) if log_format == "combined" else (1, 4, 5)
-    columns = [itemgetter(i) for i in range(len(fields))]
+    pattern = ingest_pattern(log_format)
+    match = pattern.match
+    columns = [itemgetter(i) for i in range(pattern.groups)]
     filt = verdicts.filt
     user_ids: dict[str, int] = {}
     parts: list[tuple[np.ndarray, ...]] = []
@@ -310,7 +319,7 @@ def _ingest_lines(
     it = iter(lines)
     while chunk := list(islice(it, _CHUNK_LINES)):
         stats.lines += len(chunk)
-        rows = [m.group(*fields) for m in map(match, chunk) if m is not None]
+        rows = [m.groups() for m in map(match, chunk) if m is not None]
         stats.malformed += len(chunk) - len(rows)
         del chunk  # only the fields are kept
         if not rows:
@@ -359,28 +368,43 @@ def _ingest_task(
         return _ingest_lines(lines, verdicts, log_format)
 
 
-def _ingest_share(
-    tasks: Sequence[tuple[str, int, int | None]], ruleset: RuleSet, filt: CompiledFilter, log_format: str,
-) -> list[tuple[EventBatch, IngestStats]]:
-    """Each task's part, in order, from one set of verdict tables."""
+def _ingest_claimed(
+    next_index: Callable[[], int], tasks: Sequence[tuple[str, int, int | None]],
+    ruleset: RuleSet, filt: CompiledFilter, log_format: str,
+) -> list[tuple[int, tuple[EventBatch, IngestStats]]]:
+    """(index, part) of each task ``next_index`` hands this process, from one set of verdict tables."""
     verdicts = _Verdicts(ruleset, filt)
-    return [_ingest_task(task, verdicts, log_format) for task in tasks]
+    parts = []
+    while (i := next_index()) < len(tasks):
+        parts.append((i, _ingest_task(tasks[i], verdicts, log_format)))
+    return parts
 
 
-def _send_share(send: Callable, *share) -> None:
+def _send_claimed(send: Callable, *args) -> None:
     # a helper's parts; each batch is factorized, so it pickles as small string pools plus index arrays
-    send(_ingest_share(*share))
+    send(_ingest_claimed(*args))
+
+
+# Byte ranges per job that a plain file is cut into when jobs > 1, each of at
+# least _MIN_RANGE_BYTES when the file is large enough. Each process takes the
+# next range as it finishes one, so it idles at the end for about one range
+# at most: on a 1 M-line file at jobs=4 on 2 CPUs, the caller's wait for the
+# helper was up to 0.3 s of a 2-3 s ingest at 4 ranges per job, and 0.06-0.17 s
+# at 16, the helper's transfer of its parts included.
+_RANGES_PER_JOB = 16
+_MIN_RANGE_BYTES = 1 << 20
 
 
 def _chunk_file(path: str, jobs: int) -> list[tuple[str, int, int]]:
-    """Byte ranges aligned to line boundaries."""
+    """Byte ranges aligned to line boundaries, for ``jobs`` processes to take one at a time."""
     size = os.path.getsize(path)
     if size == 0:
         return []
-    approx = max(1, size // jobs)
+    ranges = max(jobs, min(jobs * _RANGES_PER_JOB, size // _MIN_RANGE_BYTES))
+    approx = max(1, size // ranges)
     offsets = [0]
     with open(path, "rb") as fh:
-        for i in range(1, jobs):
+        for i in range(1, ranges):
             fh.seek(min(i * approx, size))
             fh.readline()
             pos = fh.tell()
@@ -402,15 +426,16 @@ def ingest_paths(
     """Parse, filter and map log files into an event batch, in the order given.
 
     Each file is one task, read whole through :func:`open_log`; with
-    ``jobs > 1`` a plain-text file is split into ``jobs`` byte ranges of
-    whole lines instead, and a gzip file stays whole. The tasks are cut
-    into ``min(jobs, tasks)`` contiguous shares in path order: this
-    process ingests the first, and one helper process each of the others
-    (:func:`~trailmine.helpers.start_helpers`). Each process decides with
-    its own verdict tables. The parts are merged in task order, so events
-    of one user keep the order of the paths. A helper's error is raised
-    here with its own type. ``filt`` defaults to the shipped lists
-    compiled. Raises ``ValueError`` for an unknown ``log_format``.
+    ``jobs > 1`` a plain-text file is split into up to ``jobs * 16`` byte
+    ranges of whole lines instead (:func:`_chunk_file`), and a gzip file
+    stays whole. This process and ``min(jobs, tasks, usable CPUs) - 1``
+    helper processes (:func:`~trailmine.helpers.start_helpers`) each take
+    the next task not yet taken (:func:`~trailmine.helpers.shared_counter`)
+    until none is left. Each process decides with its own verdict tables.
+    The parts are merged in task order, so events of one user keep the
+    order of the paths. A helper's error is raised here with its own
+    type. ``filt`` defaults to the shipped lists compiled. Raises
+    ``ValueError`` for an unknown ``log_format``.
     """
     line_pattern(log_format)  # reject an unknown format even when no line is read
     ruleset = ruleset or default_ruleset()
@@ -421,13 +446,14 @@ def ingest_paths(
             tasks += _chunk_file(path, jobs)
         else:
             tasks.append((path, 0, None))
-    n = max(1, min(jobs, len(tasks)))
-    shares = [(tasks[len(tasks) * i // n : len(tasks) * (i + 1) // n], ruleset, filt, log_format)
-              for i in range(n)]
-    with start_helpers(_send_share, shares[1:]) as conns:
-        results = _ingest_share(*shares[0])
-        for conn in conns:
-            results += receive(conn)
+    n = max(1, min(jobs, len(tasks), usable_cpus()))
+    with shared_counter() as next_index:
+        args = (next_index, tasks, ruleset, filt, log_format)
+        with start_helpers(_send_claimed, [args] * (n - 1)) as conns:
+            parts = _ingest_claimed(*args)
+            for conn in conns:
+                parts += receive(conn)
+    results = [part for _, part in sorted(parts, key=itemgetter(0))]
     stats = IngestStats()
     for _, part_stats in results:
         stats.merge(part_stats)
@@ -459,9 +485,50 @@ def write_traces_jsonl(traces: TraceSet, path: str | Path) -> None:
             fh.write("\n")
 
 
-def read_traces_jsonl(path: str | Path) -> TraceSet:
+_TRACE_KEYS = frozenset(("user", "sequence", "ontologies", "session_lengths"))
+
+
+def _decode_each_line(path: str | Path) -> list:
+    """The JSON value of each line; a line that is not one raises ``ValueError`` naming it."""
     with open(path, encoding="utf-8") as fh:
-        return TraceSet.from_rows(json.loads(line) for line in fh)
+        rows = []
+        for lineno, line in enumerate(fh, 1):
+            try:
+                rows.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc.msg} at column {exc.colno}") from None
+    return rows
+
+
+def read_traces_jsonl(path: str | Path) -> TraceSet:
+    """The traces ``write_traces_jsonl`` wrote; a bad line raises ``ValueError`` naming it.
+
+    The lines are decoded as one JSON array, each newline but a last one
+    read as a comma. A blank line or a value cut short fails that decode,
+    and two values on one line give more values than lines; either way
+    each line is then decoded alone, and the first that is not one value
+    is named. So is the first value that is not an object with the four
+    keys of a trace. (Only a file that also splits one value over two
+    lines could pair the counts again; ``write_traces_jsonl`` writes
+    neither.)
+    """
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    lines = text.count("\n") + (text[-1:] not in ("", "\n"))  # a last line may lack its newline
+    text = "[" + text.replace("\n", ",", lines - 1) + "]"
+    try:
+        rows = json.loads(text)
+    except json.JSONDecodeError:
+        rows = None
+    del text
+    if rows is None or len(rows) != lines:
+        rows = _decode_each_line(path)
+    for lineno, row in enumerate(rows, 1):
+        if type(row) is not dict:
+            raise ValueError(f"{path}, line {lineno}: not a JSON object")
+        if not _TRACE_KEYS <= row.keys():
+            raise ValueError(f"{path}, line {lineno}: no {sorted(_TRACE_KEYS - row.keys())[0]!r} key")
+    return TraceSet.from_rows(rows)
 
 
 def _label_names(features: FeatureMatrix) -> list[str]:

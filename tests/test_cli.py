@@ -407,3 +407,79 @@ def test_compare_skips_projection_of_one_resource(tmp_path, synth_log):
                  "--out-dir", str(cmp_dir), "--top-resources", "1"]) == 0
     assert (cmp_dir / "resource_profiles.csv").exists()
     assert not (cmp_dir / "resource_coordinates.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["features", "cluster", "compare"])
+def test_bad_traces_jsonl_is_a_data_error_before_any_file(tmp_path, capsys, command):
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text('{"user":"a","sequence":[0],"ontologies":[null],"session_lengths":[1]}\n[0]\n',
+                      encoding="utf-8")
+    features, assignments = tmp_path / "features.csv", tmp_path / "assignments.csv"
+    features.write_text("user,a,b\nu1,0.5,0.5\nu2,0.25,0.75\n", encoding="utf-8")
+    assignments.write_text("user,cluster\na,0\n", encoding="utf-8")
+    out = tmp_path / "o"
+    argv = {
+        "features": ["--traces", str(traces), "--out", str(out / "features.csv")],
+        "cluster": ["--features", str(features), "--traces", str(traces), "--k", "1",
+                    "--k-range", "1:1", "--out-dir", str(out)],
+        "compare": ["--traces", str(traces), "--assignments", str(assignments), "--out-dir", str(out)],
+    }[command]
+    assert main([command, *argv]) == 2
+    assert f"trailmine {command}: error: {traces}, line 2: not a JSON object" in capsys.readouterr().err
+    assert not out.exists()  # nothing ran, nothing was written
+
+
+def _outcome(call, capsys):
+    """(exit code, stdout, stderr) of ``call()``, which parses or exits."""
+    try:
+        call()
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    *([name, "--help"] for name in cli._SUBCOMMANDS),
+    ["--help"],
+    [],
+    ["nosuch"],
+    ["cluster", "--no-such-flag"],
+    ["features"],
+    # left over after the subcommand's parse: the top-level parser's usage line reports them
+    ["cluster", "--features", "f.csv", "--out-dir", "o", "--no-such-flag"],
+    ["pca", "--features", "f.csv", "--out-dir", "o", "extra"],
+    ["ingest", "--logs", "a.log", "--out-dir", "o", "--log-format", "nosuch"],
+])
+def test_lazy_parser_texts_match_the_full_parser(argv, capsys):
+    """``main`` builds one subcommand's parser, yet prints what the parser of all seven prints."""
+    want = _outcome(lambda: cli._build_parser().parse_args(argv), capsys)
+    assert want[0] in (0, 1)
+    assert _outcome(lambda: main(argv), capsys) == want
+
+
+def test_main_builds_only_the_named_subcommand(monkeypatch, capsys):
+    built = []
+    build = cli._build_parser
+
+    def spied(only=None):
+        parser = build(only)
+        built.append(sorted(next(a for a in parser._actions
+                                 if isinstance(a, argparse._SubParsersAction)).choices))
+        return parser
+
+    monkeypatch.setattr(cli, "_build_parser", spied)
+    for argv in (["pca", "--help"], ["nosuch"], ["--help"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert built == [["pca"], sorted(cli._SUBCOMMANDS), sorted(cli._SUBCOMMANDS)]
+
+
+@pytest.mark.parametrize("argv, code", [(["pca", "--help"], 0), (["nosuch"], 1), (["--help"], 0)])
+def test_main_reads_sys_argv_without_argv(argv, code, monkeypatch, capsys):
+    # the console script calls main() with no arguments
+    want = _outcome(lambda: cli._build_parser().parse_args(argv), capsys)
+    monkeypatch.setattr(sys, "argv", ["trailmine", *argv])
+    assert _outcome(main, capsys) == want
+    assert want[0] == code

@@ -12,10 +12,10 @@ import os
 import numpy as np
 import pytest
 
-from trailmine import cluster
+from trailmine import cluster, pipeline
 from trailmine.cluster import explained_variance_curve
 from trailmine.cli import main
-from trailmine.helpers import receive, start_helpers
+from trailmine.helpers import receive, shared_counter, start_helpers
 from trailmine.pipeline import PipelineConfig, ingest_paths
 from trailmine.synth import default_archetypes, generate_synthetic_log
 
@@ -55,10 +55,28 @@ def _fail_at(pid_test, K_fail):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_ingest_raises_a_helper_error_with_its_type(logs, capfd, jobs):
     plain, corrupt = logs
-    with pytest.raises(gzip.BadGzipFile):  # jobs=2: the gzip file is the helper's share
+    with pytest.raises(gzip.BadGzipFile):  # jobs=2: either process may take the gzip file
         ingest_paths([plain, corrupt], jobs=jobs)
     assert "Traceback" not in capfd.readouterr().err
     _no_child_left()
+
+
+def test_ingest_starts_no_more_processes_than_cpus(logs, monkeypatch):
+    plain, _ = logs
+    one = ingest_paths([plain], jobs=1)
+    shares = []
+    real = pipeline.start_helpers
+
+    def start_helpers(work, helper_shares):
+        shares.append(len(helper_shares))
+        return real(work, helper_shares)
+
+    monkeypatch.setattr(pipeline, "start_helpers", start_helpers)
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
+    four = ingest_paths([plain], jobs=4)
+    _no_child_left()
+    assert shares == [1]  # one helper beside this process
+    assert one[1] == four[1] and len(one[0]) == len(four[0])
 
 
 def test_ingest_joins_its_helpers(logs):
@@ -139,3 +157,25 @@ def test_a_helper_error_that_does_not_unpickle_arrives_as_its_text(capfd):
             receive(conns[0])
     assert "Traceback" not in capfd.readouterr().err
     _no_child_left()
+
+
+def _taken(next_index, stop):
+    """The indices one process takes before it is handed ``stop`` or more."""
+    taken = []
+    while (i := next_index()) < stop:
+        taken.append(i)
+    return taken
+
+
+def _send_taken(send, next_index, stop):
+    send(_taken(next_index, stop))
+
+
+def test_a_shared_counter_hands_each_index_once():
+    stop = 2000
+    with shared_counter() as next_index:
+        with start_helpers(_send_taken, [(next_index, stop)] * 3) as conns:
+            taken = [_taken(next_index, stop)] + [receive(conn) for conn in conns]
+    _no_child_left()
+    assert sorted(sum(taken, [])) == list(range(stop))
+    assert all(t == sorted(t) for t in taken)

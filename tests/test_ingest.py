@@ -17,7 +17,7 @@ import pytest
 
 from testutil import reference_ingest_paths
 from trailmine import pipeline
-from trailmine.logs import default_filter_config
+from trailmine.logs import LOG_FORMATS, default_filter_config, ingest_pattern, line_pattern
 from trailmine.pipeline import build_traces, ingest_paths
 from trailmine.synth import default_archetypes, generate_synthetic_log
 
@@ -106,6 +106,40 @@ def _assert_same(got, want, ruleset):
 def faulty_lines():
     lines, _ = generate_synthetic_log(default_archetypes(), 6, seed=31, bot_fraction=0.2)
     return _with_faults(lines, seed=31)
+
+
+_GOOD = '10.0.0.1 - - [14/Mar/2016:09:07:32 -0700] "GET /ontologies/GO HTTP/1.1" 200 512 "-" "Mozilla/5.0"'
+_ODD_LINES = (
+    _GOOD,
+    _GOOD.replace("10.0.0.1", '10.0."0.1', 1),  # a quote inside the IP token
+    _GOOD.replace(" - - ", ' "- - ', 1),  # and inside the ident token
+    _GOOD.replace(" - - ", " -\t- ", 1),  # a tab between fields
+    _GOOD.replace(" 200 ", " 2000 ", 1),  # a 4-digit status
+    _GOOD + "\r\n",
+    _GOOD[:-1] + '\u2028"',  # a line separator inside the user agent
+    "",
+    _GOOD + "   ",
+    _GOOD.replace(' "-" "Mozilla/5.0"', "") + "  ",
+)
+
+
+@pytest.mark.parametrize("log_format", LOG_FORMATS)
+def test_ingest_pattern_accepts_what_the_grammar_accepts(faulty_lines, log_format):
+    """The ingest pattern matches the same lines and captures the grammar's IP, timestamp, request and user agent."""
+    common = [re.sub(r' "[^"]*" "[^"]*"\s*$', "", line) for line in faulty_lines]
+    lines = [*faulty_lines, *common, *_ODD_LINES]
+    kept = (1, 4, 5, 9) if log_format == "combined" else (1, 4, 5)
+    grammar, ingest = line_pattern(log_format), ingest_pattern(log_format)
+    assert ingest.groups == len(kept)
+    matched = 0
+    for line in lines:
+        want, got = grammar.match(line), ingest.match(line)
+        assert (want is None) == (got is None), line
+        if want is not None:
+            assert got.groups() == want.group(*kept), line
+            assert got.span() == want.span(), line
+            matched += 1
+    assert 0 < matched < len(lines)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,26 @@ def test_stationary_oracle_value():
     pi = stationary_distribution(P)[0]
     # frozen from an independent linear solve of the smoothed chain
     assert np.abs(pi - np.array([0.3261, 0.3335, 0.3404])).max() < 5e-4
+
+
+@pytest.mark.parametrize("P, check", [
+    ([[0.5, 0.6], [0.1, 0.9]], "sum to 1 within 1e-9, one is off by 0.1"),
+    ([[0.5, 0.5 + 2e-9], [0.5, 0.5]], "sum to 1 within 1e-9"),
+    ([[-0.5, 1.5], [0.5, 0.5]], "no negative cell"),
+    ([[np.nan, 0.5], [0.5, 0.5]], "finite"),
+    ([[np.inf, 0.5], [0.5, 0.5]], "finite"),
+    ([0.5, 0.5], "square matrix, not of shape (2,)"),
+    (np.full((2, 3), 1 / 3), "square matrix, not of shape (2, 3)"),
+    (np.zeros((0, 0)), "non-empty square matrix"),
+])
+def test_stationary_distribution_rejects_a_p_that_is_not_a_chain(P, check):
+    with pytest.raises(ValueError, match=re.escape(check)):
+        stationary_distribution(P)
+
+
+def test_stationary_distribution_takes_row_sums_within_tolerance():
+    pi, residual = stationary_distribution([[0.5, 0.5 + 5e-10], [0.25, 0.75]])
+    assert np.allclose(pi, [1 / 3, 2 / 3]) and residual < 1e-8
 
 
 def test_power_iteration_agrees_with_direct_solve():

@@ -146,6 +146,41 @@ def test_traces_jsonl_roundtrip(tmp_path, corpus, ruleset):
         )
 
 
+_TRACE = '{"user":"%s","sequence":[0,1],"ontologies":[null,"GO"],"session_lengths":[2]}'
+_A, _B, _C = (_TRACE % user for user in "abc")
+
+
+@pytest.mark.parametrize("text, line, problem", [
+    (f"{_A}\n[1, 2]\n{_C}\n", 2, "not a JSON object"),
+    (f'{_A}\n{{"user":"b","sequence":[],"ontologies":[]}}\n', 2, "no 'session_lengths' key"),
+    (f"{_A}\n\n{_C}\n", 2, "Expecting value at column 1"),
+    (f"{_A}\n{_B}\n\n", 3, "Expecting value at column 1"),
+    (f"{_A}\n{_B},{_C}\n", 2, "Extra data at column"),  # one value more than lines when joined
+    (f"{_A}\n{_B} {_C}\n", 2, "Extra data at column"),
+    (f"{_A}\n{_B}\n{_C[:30]}", 3, "at column"),  # cut short, no last newline
+])
+def test_bad_traces_jsonl_line_is_named(tmp_path, text, line, problem):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        read_traces_jsonl(path)
+    assert str(exc.value).startswith(f"{path}, line {line}: ")
+    assert problem in str(exc.value)
+
+
+@pytest.mark.parametrize("text, users", [
+    ("", []),
+    (f"{_A}\n{_B}", ["a", "b"]),  # the last line lacks its newline
+    (f" {_A} \n\t{_B}\r\n", ["a", "b"]),  # whitespace around a value, as json.loads allows
+])
+def test_traces_jsonl_reads_what_each_line_decodes_to(tmp_path, text, users):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    traces = read_traces_jsonl(path)
+    assert traces.users == users
+    assert [row["ontologies"] for row in traces.rows()] == [[None, "GO"]] * len(users)
+
+
 def test_feature_csv_roundtrip(tmp_path, corpus, ruleset):
     log, _ = corpus
     batch, _ = ingest_paths([log], ruleset=ruleset)
