@@ -395,7 +395,8 @@ def explained_variance_curve(
     ``kmeans_fit`` makes alone. With ``jobs > 1``, ``min(jobs,
     restarts) - 1`` forked helper processes draw and run a share of
     every K's restarts (see the module notes); ``processes`` counts them
-    plus this one. The curve only guarantees EV(K) >= EV(1) = 0, not
+    plus this one; set ``OPENBLAS_NUM_THREADS=1`` before NumPy loads, as
+    :mod:`trailmine.cli` does, for one BLAS thread in each. The curve only guarantees EV(K) >= EV(1) = 0, not
     monotonicity. All points identical (zero total sum of squares)
     defines EV = 1 for every K, with no fit and no helper. The knee
     suggestion is the largest K whose marginal EV gain still exceeds

@@ -434,7 +434,9 @@ def ingest_paths(
     until none is left. Each process decides with its own verdict tables.
     The parts are merged in task order, so events of one user keep the
     order of the paths. A helper's error is raised here with its own
-    type. ``filt`` defaults to the shipped lists compiled. Raises
+    type. With ``jobs > 1``, set ``OPENBLAS_NUM_THREADS=1`` before NumPy
+    loads, as :mod:`trailmine.cli` does, for one BLAS thread in each
+    process. ``filt`` defaults to the shipped lists compiled. Raises
     ``ValueError`` for an unknown ``log_format``.
     """
     line_pattern(log_format)  # reject an unknown format even when no line is read
@@ -485,50 +487,44 @@ def write_traces_jsonl(traces: TraceSet, path: str | Path) -> None:
             fh.write("\n")
 
 
+def _decode_lines(fh: Iterable[str], path: str | Path, decode: Callable, first: int = 1) -> list:
+    """``decode`` of each line left in ``fh``, the first of them line ``first`` of ``path``.
+
+    A line that ``decode`` rejects with ``ValueError`` raises one that names the file and line.
+    """
+    decoded = []
+    for lineno, line in enumerate(fh, first):
+        try:
+            decoded.append(decode(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {lineno}: {exc}") from None
+    return decoded
+
+
 _TRACE_KEYS = frozenset(("user", "sequence", "ontologies", "session_lengths"))
 
 
-def _decode_each_line(path: str | Path) -> list:
-    """The JSON value of each line; a line that is not one raises ``ValueError`` naming it."""
-    with open(path, encoding="utf-8") as fh:
-        rows = []
-        for lineno, line in enumerate(fh, 1):
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}, line {lineno}: {exc.msg} at column {exc.colno}") from None
-    return rows
+def _trace_record(line: str) -> dict:
+    """The one JSON object of a ``traces.jsonl`` line, with the four keys of a trace."""
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{exc.msg} at column {exc.colno}") from None
+    if type(row) is not dict:
+        raise ValueError("not a JSON object")
+    if not _TRACE_KEYS <= row.keys():
+        raise ValueError(f"no {sorted(_TRACE_KEYS - row.keys())[0]!r} key")
+    return row
 
 
 def read_traces_jsonl(path: str | Path) -> TraceSet:
     """The traces ``write_traces_jsonl`` wrote; a bad line raises ``ValueError`` naming it.
 
-    The lines are decoded as one JSON array, each newline but a last one
-    read as a comma. A blank line or a value cut short fails that decode,
-    and two values on one line give more values than lines; either way
-    each line is then decoded alone, and the first that is not one value
-    is named. So is the first value that is not an object with the four
-    keys of a trace. (Only a file that also splits one value over two
-    lines could pair the counts again; ``write_traces_jsonl`` writes
-    neither.)
+    Each line is decoded alone and must hold one JSON object with the
+    four keys of a trace, as JSON Lines allows no value over two lines.
     """
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    lines = text.count("\n") + (text[-1:] not in ("", "\n"))  # a last line may lack its newline
-    text = "[" + text.replace("\n", ",", lines - 1) + "]"
-    try:
-        rows = json.loads(text)
-    except json.JSONDecodeError:
-        rows = None
-    del text
-    if rows is None or len(rows) != lines:
-        rows = _decode_each_line(path)
-    for lineno, row in enumerate(rows, 1):
-        if type(row) is not dict:
-            raise ValueError(f"{path}, line {lineno}: not a JSON object")
-        if not _TRACE_KEYS <= row.keys():
-            raise ValueError(f"{path}, line {lineno}: no {sorted(_TRACE_KEYS - row.keys())[0]!r} key")
-    return TraceSet.from_rows(rows)
+        return TraceSet.from_rows(_decode_lines(fh, path, _trace_record))
 
 
 def _label_names(features: FeatureMatrix) -> list[str]:
@@ -545,19 +541,21 @@ def read_feature_csv(path: str | Path) -> FeatureMatrix:
     """The features ``write_feature_csv`` wrote; a bad line raises ``ValueError`` naming it."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
-        names = header[1:]
-        user_ids, rows = [], []
-        for lineno, line in enumerate(fh, 2):
-            parts = line.rstrip("\n").split(",")
-            try:
-                if len(parts) != len(header):
-                    raise ValueError(f"{len(parts)} cells, the header has {len(header)}")
-                rows.append([float(v) for v in parts[1:]])
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {lineno}: {exc}") from None
-            user_ids.append(parts[0])
-    X = np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, len(names)))
-    return FeatureMatrix(user_ids, X, "unknown", names)
+
+        def row(line: str) -> tuple[str, list[float]]:
+            cells = line.rstrip("\n").split(",")
+            if len(cells) != len(header):
+                raise ValueError(f"{len(cells)} cells, the header has {len(header)}")
+            return cells[0], [float(v) for v in cells[1:]]
+
+        rows = _decode_lines(fh, path, row, first=2)
+    X = np.asarray([cells for _, cells in rows], dtype=np.float64) if rows else np.zeros((0, len(header) - 1))
+    return FeatureMatrix([user for user, _ in rows], X, "unknown", header[1:])
+
+
+def _assignment(line: str) -> tuple[str, int]:
+    user, cluster = line.rstrip("\n").rsplit(",", 1)
+    return user, int(cluster)
 
 
 def read_assignments_csv(path: str | Path) -> dict[str, int]:
@@ -565,16 +563,9 @@ def read_assignments_csv(path: str | Path) -> dict[str, int]:
 
     A line that is not ``user,cluster`` raises ``ValueError`` naming it.
     """
-    out = {}
     with open(path, encoding="utf-8") as fh:
         fh.readline()
-        for lineno, line in enumerate(fh, 2):
-            try:
-                user, cluster = line.rstrip("\n").rsplit(",", 1)
-                out[user] = int(cluster)
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {lineno}: {exc}") from None
-    return out
+        return dict(_decode_lines(fh, path, _assignment, first=2))
 
 
 def write_usage_stats(stats, record: RunRecord) -> None:
@@ -811,26 +802,25 @@ class PipelineConfig:
             base.drop_asset_patterns = load_list_file(self.asset_patterns)
         return base
 
-    def ruleset(self) -> RuleSet:
-        """Compile the rules; a :class:`RunRecord` calls this once, when it is made."""
-        return compile_ruleset(self.rules) if self.rules else default_ruleset()
-
 
 class RunRecord:
     """What one run did: its config, rules and filter, each stage's entry and the files written.
 
-    The rules are compiled once, here, and so is the filter when the
-    config has logs to ingest (:func:`stage_ingest` is its only reader),
-    so a bad rules or list file fails before any file is written. Stages
+    The rules are compiled once, here, unless ``rules`` is false (the
+    ``pca`` subcommand reads none), and so is the filter when the config
+    has logs to ingest (:func:`stage_ingest` is its only reader), so a
+    bad rules or list file fails before any file is written. Stages
     set their entry in ``stages``, and writers name each file they write
     in the out dir through :meth:`path`, so ``outputs`` lists the files
     in the order they were written. The out dir is made when the first
     file needs it.
     """
 
-    def __init__(self, config: PipelineConfig):
+    def __init__(self, config: PipelineConfig, rules: bool = True):
         self.config = config
-        self.ruleset = config.ruleset()
+        self.ruleset: RuleSet | None = None
+        if rules:
+            self.ruleset = compile_ruleset(config.rules) if config.rules else default_ruleset()
         self.filt: CompiledFilter | None = config.filter_config().compile() if config.logs else None
         self.stages: dict[str, dict] = {}
         self.outputs: list[str] = []
@@ -842,14 +832,14 @@ class RunRecord:
         self.outputs.append(name)
         return out_dir / name
 
-    def run(self, stage: str, fn: Callable, *inputs):
-        """``fn(self, *inputs)``, timed into the entry it sets.
+    def run(self, stage: str, fn: Callable, *inputs, **options):
+        """``fn(self, *inputs, **options)``, timed into the entry it sets.
 
         A failure saves ``manifest.partial.json`` and raises :class:`PipelineStageError`.
         """
         t0 = time.perf_counter()
         try:
-            result = fn(self, *inputs)
+            result = fn(self, *inputs, **options)
         except Exception as exc:
             self.save("manifest.partial.json")
             raise PipelineStageError(stage, exc) from exc
@@ -898,8 +888,15 @@ def stage_sessionize(record: RunRecord, batch: EventBatch) -> TraceSet:
     return traces
 
 
-def stage_features(record: RunRecord, traces: TraceSet, path: Path | None = None) -> FeatureMatrix:
-    """The feature matrix, written to ``path`` (default: ``features.csv``)."""
+def stage_features(
+    record: RunRecord, traces: TraceSet, path: Path | None = None, for_pca: bool = False,
+) -> FeatureMatrix:
+    """The feature matrix, written to ``path`` (default: ``features.csv``).
+
+    ``for_pca`` fails a corpus of one user before any file is written; one of none fails at the elbow.
+    """
+    if for_pca and len(traces):
+        _check_pca_users(len(traces))
     config, vocab = record.config, record.ruleset.vocabulary
     features = build_feature_matrix(
         traces, vocab.n,
@@ -955,8 +952,14 @@ def stage_cluster(
     return model
 
 
+def _check_pca_users(users: int) -> None:
+    if users < 2:
+        raise ValueError(f"PCA needs at least 2 users, got {users}")
+
+
 def stage_pca(record: RunRecord, features: FeatureMatrix, assignments: dict[str, int] | None) -> PcaModel:
     """Principal components of the features; ``assignments`` color the coordinates."""
+    _check_pca_users(features.m)
     pca_model = pca_fit(features.X, min(record.config.pca_components, features.m, features.n))
     coords = pca_project(pca_model, features.X)
     clusters = None
@@ -1014,13 +1017,13 @@ def run_pipeline(config: PipelineConfig) -> dict:
     ``manifest.partial.json``. An invalid config raises ``ValueError``
     before any stage runs or any file is written; so does a rules or
     list file that does not compile, and a missing one raises ``OSError``
-    there.
+    there. A one-user corpus, too small for PCA, fails before ``features.csv``.
     """
     config.validate()
     record = RunRecord(config)
     batch = record.run("ingest", stage_ingest)
     traces = record.run("sessionize", stage_sessionize, batch)
-    features = record.run("features", stage_features, traces)
+    features = record.run("features", stage_features, traces, for_pca=True)
     curve = record.run("elbow", stage_elbow, features)
     model = record.run("cluster", stage_cluster, features, traces, curve)
     assignments = dict(zip(features.user_ids, (int(c) for c in model.assignments)))

@@ -141,27 +141,46 @@ def test_run_does_not_import_numpy_random(tmp_path, synth_log, jobs):
     assert not _imported_by_run(tmp_path, synth_log, "numpy.random", "--jobs", jobs)
 
 
-# the modules outside the package that trailmine's modules import as the package loads; one
+# the modules outside the package that trailmine's modules import as the CLI loads; one
 # more (or one that these start to pull in) is start-up time that every run and benchmark set-up pays
 TOP_LEVEL_IMPORTS = (
-    "numpy", "__future__", "bisect", "calendar", "configparser", "contextlib", "dataclasses",
-    "datetime", "gzip", "io", "ipaddress", "itertools", "json", "operator", "os", "pathlib", "pickle",
-    "re", "sys", "time", "typing", "urllib.parse", "warnings",
+    "numpy", "__future__", "argparse", "bisect", "calendar", "configparser", "contextlib",
+    "dataclasses", "datetime", "gettext", "gzip", "io", "ipaddress", "itertools", "json", "operator",
+    "os", "pathlib", "pickle", "re", "sys", "time", "typing", "urllib.parse", "warnings",
 )
+_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def test_import_loads_no_module_beyond_its_list():
-    script = (
-        f"import {', '.join(TOP_LEVEL_IMPORTS)}\nbefore = set(sys.modules)\nimport trailmine\n"
-        "print(' '.join(sorted(set(sys.modules) - before)))\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+def _fresh(script, **env_changes):
+    """The stdout of ``script`` run by a fresh interpreter, with each ``None`` variable removed."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"), **env_changes}
+    env = {name: value for name, value in env.items() if value is not None}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
-    loaded = set(done.stdout.split())
+    return done.stdout
+
+
+def test_import_loads_no_module_beyond_its_list():
+    loaded = set(_fresh(
+        f"import {', '.join(TOP_LEVEL_IMPORTS)}\nbefore = set(sys.modules)\nimport trailmine.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    ).split())
     assert "trailmine.helpers" in loaded
     assert all(m == "trailmine" or m.startswith("trailmine.") for m in loaded), sorted(loaded)
+
+
+def test_package_import_loads_no_numpy():
+    # the re-exports load on first use, so the CLI runs before NumPy starts its BLAS threads
+    assert _fresh("import sys, trailmine\nprint('numpy' in sys.modules)\n").split() == ["False"]
+
+
+def test_cli_pins_one_blas_thread_unless_set():
+    script = "import os, trailmine.cli\nprint(*(os.environ[v] for v in %r))\n" % (_BLAS_VARIABLES,)
+    assert _fresh(script, **dict.fromkeys(_BLAS_VARIABLES)).split() == ["1", "1", "1"]
+    # a value the user set wins
+    unset = dict.fromkeys(_BLAS_VARIABLES[1:])
+    assert _fresh(script, OPENBLAS_NUM_THREADS="2", **unset).split() == ["2", "1", "1"]
 
 
 def test_usage_error_exit_code():
@@ -263,6 +282,39 @@ def test_all_bot_corpus_is_a_data_error_naming_no_users(tmp_path, capsys):
     assert main(["run", "--logs", str(log), "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "stage 'elbow' failed" in err and "no users" in err
+
+
+def test_one_user_run_is_a_data_error_before_features(tmp_path, capsys):
+    log = tmp_path / "one.log"
+    log.write_text("".join(f'1.2.3.4 - - [14/Mar/2016:09:07:{s} -0700] "GET /ontologies/MCCV HTTP/1.1" '
+                           f'200 512 "-" "Mozilla/5.0"\n' for s in (10, 20)), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--logs", str(log), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "stage 'features' failed: PCA needs at least 2 users, got 1" in err
+    assert (out / "traces.jsonl").exists() and not (out / "features.csv").exists()
+
+
+def test_pca_of_one_row_is_a_data_error_naming_users(tmp_path, capsys):
+    features = tmp_path / "features.csv"
+    features.write_text("user,a,b\nu1,0.5,0.5\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["pca", "--features", str(features), "--out-dir", str(out)]) == 2
+    assert "trailmine pca: error: PCA needs at least 2 users, got 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pca_compiles_no_rules(tmp_path, monkeypatch):
+    import trailmine.pipeline
+
+    def compile_rules(*args):
+        raise AssertionError("pca compiled the rules")
+
+    for compiler in ("compile_ruleset", "default_ruleset"):
+        monkeypatch.setattr(trailmine.pipeline, compiler, compile_rules)
+    features = tmp_path / "features.csv"
+    features.write_text("user,a,b\nu1,0.5,0.1\nu2,0.2,0.9\nu3,0.7,0.3\n", encoding="utf-8")
+    assert main(["pca", "--features", str(features), "--out-dir", str(tmp_path / "o")]) == 0
 
 
 def test_unknown_log_format_in_config(tmp_path, synth_log, capsys):

@@ -147,7 +147,7 @@ def test_traces_jsonl_roundtrip(tmp_path, corpus, ruleset):
 
 
 _TRACE = '{"user":"%s","sequence":[0,1],"ontologies":[null,"GO"],"session_lengths":[2]}'
-_A, _B, _C = (_TRACE % user for user in "abc")
+_A, _B, _C, _D = (_TRACE % user for user in "abcd")
 
 
 @pytest.mark.parametrize("text, line, problem", [
@@ -158,6 +158,8 @@ _A, _B, _C = (_TRACE % user for user in "abc")
     (f"{_A}\n{_B},{_C}\n", 2, "Extra data at column"),  # one value more than lines when joined
     (f"{_A}\n{_B} {_C}\n", 2, "Extra data at column"),
     (f"{_A}\n{_B}\n{_C[:30]}", 3, "at column"),  # cut short, no last newline
+    # one record split over lines 1 and 2 and two joined on line 3: as many values as lines
+    (f'{_A[:-1]},"x":[1\n2]}}\n{_C},{_D}\n', 1, "Expecting ',' delimiter at column"),
 ])
 def test_bad_traces_jsonl_line_is_named(tmp_path, text, line, problem):
     path = tmp_path / "bad.jsonl"
@@ -273,6 +275,19 @@ def test_k_range_above_the_user_count_names_both(tmp_path):
         run_pipeline(cfg)
     assert exc.value.stage == "elbow" and isinstance(exc.value.cause, KTooLarge)
     assert "K=5" in str(exc.value) and "3 users" in str(exc.value)
+
+
+def test_one_user_corpus_fails_before_features(tmp_path):
+    log = tmp_path / "one.log"
+    log.write_text("".join(_LINE.format(ip="1.2.3.4", s=s, ua="Mozilla/5.0") + "\n" for s in (10, 20)),
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    with pytest.raises(PipelineStageError) as exc:
+        run_pipeline(PipelineConfig(logs=[str(log)], out_dir=str(out)))
+    assert exc.value.stage == "features"
+    assert str(exc.value.cause) == "PCA needs at least 2 users, got 1"
+    assert (out / "traces.jsonl").exists() and not (out / "features.csv").exists()
+    assert json.loads((out / "manifest.partial.json").read_text())["stages"]["sessionize"]["users"] == 1
 
 
 def test_elbow_entry_names_the_range_used_and_its_processes(tmp_path):
