@@ -34,7 +34,7 @@ import os
 import time
 from dataclasses import Field, asdict, dataclass, field, fields
 from configparser import ConfigParser
-from itertools import chain, islice
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -194,14 +194,8 @@ _CHUNK_LINES = 1024
 _VERDICTS_MAX = 1 << 18
 # request verdicts that are not a label id
 _MALFORMED, _ASSET, _UNMAPPED = -3, -2, -1
-
-
-def _factorize(values: Sequence[str]) -> tuple[list[str], np.ndarray]:
-    """The distinct values in first-appearance order, and each value's index among them."""
-    index = dict.fromkeys(values)
-    for i, value in enumerate(index):
-        index[value] = i
-    return list(index), np.fromiter(map(index.__getitem__, values), np.int64, len(values))
+# the date and offset columns of a 26-character timestamp field
+_DATE_COLUMNS = [*range(12), *range(20, 26)]
 
 
 def _midnight(date: str) -> tuple[int, bool]:
@@ -230,54 +224,88 @@ def _request_verdict(
     return label, -1 if onto is None else onto_ids.setdefault(onto, len(onto_ids))
 
 
+class _Table(dict):
+    """Each value's code, handed out in first-appearance order, and its verdict at that row of ``rows``.
+
+    Looking up a value the table does not hold calls ``verdict`` on it
+    once. A table with no ``verdict`` only hands out codes.
+    """
+
+    verdict: Callable[[str], object] | None = None
+    rows = np.empty(0)
+
+    def __missing__(self, value: str) -> int:
+        code = len(self)
+        if self.verdict is not None:
+            row = self.verdict(value)
+            if not len(self.rows):  # the first verdict sets the dtype and row shape
+                first = np.asarray(row)
+                self.rows = np.empty((64, *first.shape), first.dtype)
+            elif code == len(self.rows):
+                self.rows = np.concatenate((self.rows, np.empty_like(self.rows)))
+            self.rows[code] = row
+        self[value] = code
+        return code
+
+    def codes(self, values: Sequence[str]) -> np.ndarray:
+        """The code of each value: one table probe per value."""
+        return np.fromiter(map(self.__getitem__, values), np.int64, len(values))
+
+
 class _Verdicts:
     """The rules and filter of an ingest, with a bounded memo of field verdicts.
 
-    There is one table per field: timestamp date and offset, request,
-    user agent and IP. One set of tables serves every chunk of every
-    :func:`_ingest_lines` call that shares it: all tasks of one process's
-    share of an ``ingest_paths`` call. Ontology ids are handed out as
-    requests are decided, so one id keeps its ontology across those calls.
+    There is one :class:`_Table` per field: timestamp date and offset,
+    request, user agent and IP. One set of tables serves every chunk of
+    every :func:`_ingest_lines` call that shares it: all tasks of one
+    process's share of an ``ingest_paths`` call. Ontology ids are handed
+    out as requests are decided, so one id keeps its ontology across
+    those calls. A date key is taken only from a 26-character timestamp
+    field, or from a field on its own (see :func:`_decode_timestamps`).
     """
 
     def __init__(self, ruleset: RuleSet, filt: CompiledFilter):
         self.ruleset = ruleset
         self.filt = filt
         self.onto_ids: dict[str, int] = {}
-        self.tables: dict[str, dict] = {field: {} for field in ("date", "request", "useragent", "ip")}
+        self.tables = {field: _Table() for field in ("date", "request", "useragent", "ip")}
 
     def decide(self, field: str, values: Sequence[str], verdict: Callable[[str], object]) -> np.ndarray:
-        """The verdict of each value, from ``verdict`` called once per value not in the table.
+        """The verdict row of each value, from ``verdict`` called once per value not in the table.
 
         Each call decides one chunk's column, so a table that holds
-        ``_VERDICTS_MAX`` verdicts is emptied at a chunk start. Tuple
-        verdicts give an int64 row per value.
+        ``_VERDICTS_MAX`` verdicts is emptied at a chunk start.
         """
         table = self.tables[field]
         if len(table) >= _VERDICTS_MAX:
             table.clear()
-        distinct, codes = _factorize(values)
-        for value in distinct:
-            if value not in table:
-                table[value] = verdict(value)
-        decided = list(map(table.__getitem__, distinct))
-        if decided and type(decided[0]) is tuple:  # one flat fill, not an array of tuples
-            width = len(decided[0])
-            flat = np.fromiter(chain.from_iterable(decided), np.int64, width * len(decided))
-            return flat.reshape(-1, width)[codes]
-        return np.array(decided)[codes]
+        table.verdict = verdict
+        codes = table.codes(values)  # may grow table.rows
+        table.verdict = None  # a closure over these verdicts would make a cycle that outlives the ingest
+        return table.rows[codes]
 
 
 def _decode_timestamps(stamps: Sequence[str], verdicts: _Verdicts) -> tuple[np.ndarray, np.ndarray]:
     """Epoch seconds of each timestamp field, and a mask of the valid ones.
 
-    :func:`_midnight` checks each distinct date and offset once; the time
-    of day is read from one fixed-width digit matrix under the rules of
-    :func:`parse_clf_timestamp`. A field that is not 26 characters long
-    fails at its date and offset, which then are not 18 characters.
+    The fields are read as one ``U26`` code-point matrix. Rows whose 18
+    date and offset columns equal the row before form a run, and
+    :func:`_midnight` checks the date and offset of a run's first field,
+    once per distinct key. ``U26`` truncates a longer field, so a field
+    that is not 26 characters long starts a run and so does the row
+    after it; its key is then not 18 characters and fails. The time of
+    day is read from the digit columns under the rules of
+    :func:`parse_clf_timestamp`.
     """
-    midnight, date_ok = verdicts.decide("date", [s[:12] + s[20:] for s in stamps], _midnight).T
-    chars = np.array(stamps, dtype="U26").view(np.uint32).reshape(len(stamps), 26)
+    n = len(stamps)
+    chars = np.array(stamps, dtype="U26").view(np.uint32).reshape(n, 26)
+    odd = np.fromiter(map(len, stamps), np.int64, n) != 26
+    dates = chars[:, _DATE_COLUMNS]
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    starts[1:] = (dates[1:] != dates[:-1]).any(axis=1) | odd[1:] | odd[:-1]
+    keys = [stamps[i][:12] + stamps[i][20:] for i in np.flatnonzero(starts).tolist()]
+    midnight, date_ok = verdicts.decide("date", keys, _midnight)[np.cumsum(starts) - 1].T
     digits = chars[:, [12, 13, 15, 16, 18, 19]] - ord("0")  # wraps below "0"
     hh, mm, ss = (digits[:, i].astype(np.int64) * 10 + digits[:, i + 1] for i in (0, 2, 4))
     valid = (
@@ -295,22 +323,24 @@ def _ingest_lines(
 
     Each chunk is matched line by line against the grammar's ingest form
     (:func:`~trailmine.logs.ingest_pattern`), which captures only the IP,
-    timestamp, request and user-agent fields. Timestamps are
-    decoded as arrays (:func:`_decode_timestamps`). Each distinct date,
-    request, user agent and IP is decided once per ``verdicts`` (see
-    :class:`_Verdicts`); a request is split, decoded, asset-checked and
-    matched to a rule. The verdicts combine as boolean arrays in the
-    precedence malformed, user agent, IP, asset, unmapped. The user of
-    an event is its IP field: each distinct IP of a chunk gets its code
-    in this call once. The pools hold every IP this call saw and every
-    ontology ``verdicts`` handed an id.
+    timestamp, request and user-agent fields. Timestamps are decoded
+    as arrays (:func:`_decode_timestamps`): a date and offset is decided
+    once per run of rows that share them, and a field that is not 26
+    characters long is a run of its own. Each distinct date, request,
+    user agent and IP is decided once per ``verdicts`` (see
+    :class:`_Verdicts`), and each value costs one table probe; a request
+    is split, decoded, asset-checked and matched to a rule. The verdicts
+    combine as boolean arrays in the precedence malformed, user agent,
+    IP, asset, unmapped. The user of an event is its IP field, coded in
+    first-appearance order by one table per call. The pools hold every
+    IP this call saw and every ontology ``verdicts`` handed an id.
     """
     stats = IngestStats()
     pattern = ingest_pattern(log_format)
     match = pattern.match
     columns = [itemgetter(i) for i in range(pattern.groups)]
     filt = verdicts.filt
-    user_ids: dict[str, int] = {}
+    user_ids = _Table()  # each IP's user code, in first-appearance order
     parts: list[tuple[np.ndarray, ...]] = []
 
     def request_verdict(request: str) -> tuple[int, int]:
@@ -331,10 +361,10 @@ def _ingest_lines(
         ok &= labels != _MALFORMED
         stats.malformed += len(rows) - int(ok.sum())
         stats.parsed += int(ok.sum())
-        distinct_ips, ip_codes = _factorize(ips)
+        ip_codes = user_ids.codes(ips)
         drops = (
             ("dropped_useragent", verdicts.decide("useragent", useragents, filt.ua_dropped)),
-            ("dropped_ip", verdicts.decide("ip", distinct_ips, filt.ip_dropped)[ip_codes]),
+            ("dropped_ip", verdicts.decide("ip", ips, filt.ip_dropped)),
             ("dropped_asset", labels == _ASSET),
             ("unmapped", labels == _UNMAPPED),
         )
@@ -342,8 +372,7 @@ def _ingest_lines(
             setattr(stats, counter, getattr(stats, counter) + int((ok & dropped).sum()))
             ok &= ~dropped
         mapped = np.flatnonzero(ok)
-        users = np.array([user_ids.setdefault(ip, len(user_ids)) for ip in distinct_ips], dtype=np.int64)
-        parts.append((users[ip_codes[mapped]], epochs[mapped], labels[mapped], ontos[mapped]))
+        parts.append((ip_codes[mapped], epochs[mapped], labels[mapped], ontos[mapped]))
     user_codes, timestamps, labels, onto_codes = (
         np.concatenate([p[i] for p in parts] + [np.empty(0, dtype=np.int64)]) for i in range(4)
     )
