@@ -16,10 +16,13 @@ formulation it replaces, so every iterate is bit for bit the same:
 - centroid sums are one ``np.bincount`` over the flat cell index
   ``assign * n + column`` weighted by ``X.ravel()``. It adds the rows of
   each cell in row order starting from 0.0, as ``np.add.at(sums, assign,
-  X)`` does. ``assign * n`` is taken once per row, not once per cell,
-  and the re-seeding branch is entered only when some count is 0;
-- the squared row norms ``(X * X).sum(1)`` are computed once per fit and
-  passed to every distance computation;
+  X)`` does. A run takes the index rows of ``assign`` from one table
+  ``arange(K * n).reshape(K, n)``, and re-seeds only when some count is 0;
+- the squared row norms ``(X * X).sum(1)`` are computed once per fit.
+  A distance is ``(xx + cc) - 2g`` with ``g *= 2.0`` in place, and the
+  means, shift and k-means++ minima are updated in place too. ``(X + X)
+  @ C.T`` is not used: it equals ``2.0 * (X @ C.T)`` only while no
+  product leaves the normal range;
 - restart ``r`` draws its k-means++ seeding from :class:`_Pcg64Stream`
   ``(seed, r)``, which gives the draws of ``np.random.default_rng([seed,
   r])`` for the two calls the seeding makes, ``integers(high)`` and
@@ -54,9 +57,10 @@ formulation it replaces, so every iterate is bit for bit the same:
   any order is drawn: helper process ``i`` draws the orders of restarts
   ``i, i + step, ...`` and makes their ``_lloyd`` runs for every K > 1,
   each run one process makes alone, while this process draws and runs
-  restarts ``0, step, ...``. The fit of K puts the runs back by restart
-  index, so ``min`` still keeps the first restart on ties and
-  ``restart_inertias`` keeps restart order.
+  restarts ``0, step, ...``. Per K a helper sends its inertias and its
+  first lowest run that is not NaN; the fit takes the first lowest of
+  all inertias in restart order, which is ``min``'s pick over every run
+  (a NaN wins only at restart 0, which this process runs).
 """
 
 from __future__ import annotations
@@ -142,9 +146,12 @@ def _feature_rows(features: FeatureMatrix | np.ndarray, seed: int, restarts: int
 
 def _sqdist(X: np.ndarray, C: np.ndarray, xx: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, m x K; ``xx`` is ``(X * X).sum(1)``."""
-    # (x - c)^2 expanded; clip tiny negatives from cancellation
-    d = xx[:, None] + (C * C).sum(1)[None, :] - 2.0 * (X @ C.T)
-    return np.maximum(d, 0.0)
+    # (x - c)^2 expanded as (xx + cc) - 2g, in place; clip tiny negatives from cancellation
+    d = xx[:, None] + (C * C).sum(1)
+    g = X @ C.T
+    g *= 2.0
+    d -= g
+    return np.maximum(d, 0.0, out=d)
 
 
 # NumPy's SeedSequence hash constants (bit_generator.pyx) and PCG64's 128-bit multiplier (pcg64.h)
@@ -237,7 +244,8 @@ def _weighted_draw(w: np.ndarray, total: float, rng: _Pcg64Stream) -> int:
 
     ``rng`` is a :class:`_Pcg64Stream` or a NumPy ``Generator``; both take the same draw.
     """
-    cdf = (w / total).cumsum()
+    cdf = np.divide(w, total)
+    np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
     return int(cdf.searchsorted(rng.random(), side="right"))
 
@@ -258,7 +266,7 @@ def _kmeanspp_order(
             idx = _weighted_draw(d2, total, rng)
         order[k] = idx
         if k < K - 1:  # the last draw's distances are never read
-            d2 = np.minimum(d2, _sqdist(X, X[idx : idx + 1], xx).ravel())
+            np.minimum(d2, _sqdist(X, X[idx : idx + 1], xx).ravel(), out=d2)
     return order
 
 
@@ -277,7 +285,7 @@ def _lloyd(
     m, n = X.shape
     K = C.shape[0]
     rows = np.arange(m)
-    cols = np.arange(n)
+    cells_of = np.arange(K * n).reshape(K, n)  # row k: the flat sums cells of cluster k
     weights = X.ravel()
     reseeded = 0
     prev = None  # the last assignment that left no cluster empty, whose means C holds
@@ -288,7 +296,7 @@ def _lloyd(
         if prev is not None and (assign == prev).all():
             # a fixed point: C would be rebuilt bit for bit (see the module notes)
             return C, assign, float(D[rows, assign].sum()), it, reseeded
-        cells = ((assign * n)[:, None] + cols).ravel()
+        cells = cells_of.take(assign, axis=0).ravel()
         sums = np.bincount(cells, weights=weights, minlength=K * n).reshape(K, n)
         counts = np.bincount(assign, minlength=K)
         prev = assign
@@ -302,9 +310,11 @@ def _lloyd(
             for k, idx in zip(empty, order[: empty.size]):
                 sums[k] = X[idx]
                 counts[k] = 1
-        newC = sums / counts[:, None]
-        shift = float(np.sqrt(((newC - C) ** 2).sum(axis=1).max()))
-        C = newC
+        sums /= counts[:, None]
+        diff = sums - C
+        diff *= diff
+        shift = float(np.sqrt(diff.sum(axis=1).max()))
+        C = sums
         if shift < LLOYD_TOL:
             break
     D = _sqdist(X, C, xx)
@@ -314,15 +324,19 @@ def _lloyd(
 
 def _send_restarts(send, X: np.ndarray, ks: Sequence[int], seed: int, restarts: int, first: int,
                    step: int) -> None:
-    """A helper's share of an elbow: the runs of restarts ``first, first + step, ...`` for each K > 1.
+    """A helper's share of an elbow: restarts ``first, first + step, ...`` for each K > 1.
 
-    The helper draws those restarts' orders itself, for the largest K of ``ks``.
+    The helper draws those restarts' orders itself, for the largest K of ``ks``, and sends one
+    message per K: the inertias, and the index and run of the first lowest that is not NaN.
     """
     xx = (X * X).sum(1)
     orders = _restart_orders(X, xx, ks[-1], seed, range(first, restarts, step))
     for K in ks:
         if K > 1:
-            send([_lloyd(X, xx, X[order[:K]]) for order in orders])
+            runs = [_lloyd(X, xx, X[order[:K]]) for order in orders]
+            inertias = [run[2] for run in runs]
+            j = min(range(len(runs)), key=lambda j: (inertias[j] != inertias[j], inertias[j]))
+            send((inertias, j, runs[j]))
 
 
 def kmeans_fit(
@@ -348,8 +362,8 @@ def kmeans_fit(
     processes that :func:`explained_variance_curve` started. With ``step
     = len(helpers) + 1`` this process runs restarts ``0, step, ...``, and
     reads only those rows of ``orders``; the helper behind ``helpers[i -
-    1]`` draws and sends the runs of restarts ``i, i + step, ...`` (see
-    the module notes). At K=1 none sends anything.
+    1]`` runs restarts ``i, i + step, ...`` and sends their inertias and
+    first lowest run (see the module notes). At K=1 none sends anything.
     """
     X = _feature_rows(features, seed, restarts)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -366,12 +380,13 @@ def kmeans_fit(
         if orders.ndim != 2 or orders.shape[0] != restarts or orders.shape[1] < K:
             raise ValueError(f"orders must be ({restarts}, >= {K}), got shape {orders.shape}")
     step = len(helpers) + 1 if n_runs > 1 else 1
-    runs: list = [None] * n_runs
-    runs[::step] = [_lloyd(X, xx, X[orders[r, :K]]) for r in range(0, n_runs, step)]
+    runs = {r: _lloyd(X, xx, X[orders[r, :K]]) for r in range(0, n_runs, step)}
+    inertias = [runs[r][2] if r in runs else None for r in range(n_runs)]
     for i, conn in enumerate(helpers[: step - 1], 1):
-        runs[i::step] = receive(conn)
-    inertias = [run[2] for run in runs] * (restarts if K == 1 else 1)
-    C, assign, inertia, iters, reseeded = min(runs, key=lambda run: run[2])  # the first on ties
+        inertias[i::step], j, runs[i + j * step] = receive(conn)
+    best = min(range(n_runs), key=inertias.__getitem__)  # the first restart on ties
+    C, assign, inertia, iters, reseeded = runs[best]
+    inertias *= restarts if K == 1 else 1
     return ClusterModel(K=K, centroids=C, assignments=assign, inertia=inertia, n_iter=iters,
                         reseeded=reseeded, restart_inertias=inertias)
 

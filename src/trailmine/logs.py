@@ -96,6 +96,10 @@ _STAMP_RE = re.compile(
 )
 
 
+# the first and last UTC instants a datetime holds, in epoch seconds: 0001-01-01 and 9999-12-31T23:59:59
+_EPOCH_MIN, _EPOCH_MAX = timegm((1, 1, 1, 0, 0, 0)), timegm((9999, 12, 31, 23, 59, 59))
+
+
 def parse_clf_timestamp(ts: str) -> int:
     """Parse ``14/Mar/2016:09:07:32 -0700`` into UTC epoch seconds.
 
@@ -186,13 +190,16 @@ def parse_log_line(line: str, log_format: str = "combined") -> RequestRecord:
 
     Raises :class:`MalformedLine` (or its subclass
     :class:`InvalidTimestamp`) on anything that does not match the
-    grammar; callers doing bulk ingestion count and skip those.
+    grammar, and on a timestamp whose UTC instant lies outside years
+    1-9999; callers doing bulk ingestion count and skip those.
     """
     m = line_pattern(log_format).match(line)
     if m is None:
         raise MalformedLine(f"unparsable line: {line[:120]!r}")
     g = m.groups()
     epoch = parse_clf_timestamp(g[3])
+    if not _EPOCH_MIN <= epoch <= _EPOCH_MAX:
+        raise InvalidTimestamp(f"instant outside years 1-9999 in UTC: {g[3]!r}")
     method, raw_path, query = _split_request(g[4])
     path = unquote(raw_path) if "%" in raw_path else raw_path
     return RequestRecord(

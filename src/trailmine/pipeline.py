@@ -68,6 +68,8 @@ from .logs import (
     FilterConfig,
     InvalidTimestamp,
     MalformedLine,
+    _EPOCH_MAX,
+    _EPOCH_MIN,
     _split_request,
     _text_lines,
     default_filter_config,
@@ -295,7 +297,8 @@ def _decode_timestamps(stamps: Sequence[str], verdicts: _Verdicts) -> tuple[np.n
     that is not 26 characters long starts a run and so does the row
     after it; its key is then not 18 characters and fails. The time of
     day is read from the digit columns under the rules of
-    :func:`parse_clf_timestamp`.
+    :func:`parse_clf_timestamp`. An instant outside the UTC years 1-9999
+    is not valid, as in :func:`~trailmine.logs.parse_log_line`.
     """
     n = len(stamps)
     chars = np.array(stamps, dtype="U26").view(np.uint32).reshape(n, 26)
@@ -308,12 +311,15 @@ def _decode_timestamps(stamps: Sequence[str], verdicts: _Verdicts) -> tuple[np.n
     midnight, date_ok = verdicts.decide("date", keys, _midnight)[np.cumsum(starts) - 1].T
     digits = chars[:, [12, 13, 15, 16, 18, 19]] - ord("0")  # wraps below "0"
     hh, mm, ss = (digits[:, i].astype(np.int64) * 10 + digits[:, i + 1] for i in (0, 2, 4))
+    epochs = midnight + hh * 3600 + mm * 60 + ss
     valid = (
         (date_ok == 1) & (digits < 10).all(axis=1)
         & (chars[:, 14] == ord(":")) & (chars[:, 17] == ord(":"))
         & (hh < 24) & (mm < 60) & (ss < 61)
+        # one compare for both ends: an instant before _EPOCH_MIN wraps to a large offset
+        & ((epochs - _EPOCH_MIN).view(np.uint64) <= _EPOCH_MAX - _EPOCH_MIN)
     )
-    return midnight + hh * 3600 + mm * 60 + ss, valid
+    return epochs, valid
 
 
 def _ingest_lines(

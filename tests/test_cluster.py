@@ -320,6 +320,22 @@ def test_ev_curve_matches_reference_on_stationary_features(tmp_path, ruleset):
     _assert_same_curve(X, range(1, min(25, len(X)) + 1), seed=7, restarts=10)
 
 
+def test_ev_curve_ties_go_to_the_first_restart_across_processes():
+    # a square's corners at K=2: a run ends on one of the two axis splits (inertia 1) or with
+    # one corner alone (4/3). At seed 29 restarts 2, 3 and 4 tie restart 0 on other centroids,
+    # and at jobs 2 and 3 a helper runs some of them and sends the first
+    X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    runs = [reference_lloyd(X, 2, np.random.default_rng([29, r])) for r in range(5)]
+    inertias = [run[2] for run in runs]
+    assert inertias[1] > inertias[0] == inertias[2] == inertias[3] == inertias[4]
+    assert not any(np.array_equal(run[0], runs[0][0]) for run in runs[1:])
+    for jobs in (2, 3):
+        model = explained_variance_curve(X, [2], seed=29, restarts=5, jobs=jobs).models[2]
+        assert np.array_equal(model.centroids, runs[0][0])
+        assert np.array_equal(model.assignments, runs[0][1])
+        assert model.restart_inertias == inertias
+
+
 def test_kmeanspp_order_prefix_is_the_smaller_draw():
     rng = np.random.default_rng(31)
     X = rng.normal(size=(24, 3))

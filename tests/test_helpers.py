@@ -97,8 +97,9 @@ def test_elbow_raises_a_helper_error_with_its_type(monkeypatch, capfd):
 
 
 def test_elbow_terminates_its_helpers_when_it_fails(monkeypatch, capfd):
-    # the helpers' runs fill their pipes, so here they are still busy or blocked on them; one
-    # left running would fail on its closed pipe and print that
+    # this process fails at its first K=2 run, while each helper still has the runs of K up to 25
+    # ahead of it: only the SIGTERM of a failing call ends them before the call returns. One left
+    # running would outlive the call, or fail on its closed pipe and print that
     parent = os.getpid()
     monkeypatch.setattr(cluster, "_lloyd", _fail_at(lambda pid: pid == parent, 2))
     with pytest.raises(FloatingPointError, match="failed at K=2"):

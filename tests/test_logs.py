@@ -1,5 +1,6 @@
 import gzip
 import re
+from datetime import datetime, timezone
 
 import pytest
 
@@ -110,6 +111,36 @@ def test_impossible_date_counts_as_malformed_in_ingest(tmp_path):
     path.write_text(EXAMPLE + "\n" + EXAMPLE.replace("14/Mar", "31/Feb") + "\n", encoding="utf-8")
     _, stats = ingest_paths([path])
     assert (stats.lines, stats.malformed, stats.events) == (2, 1, 1)
+
+
+_EDGE_STAMPS = {  # the first and last UTC instants a datetime holds, and instants past them (None)
+    "01/Jan/0001:00:00:00 +0000": datetime.min,
+    "01/Jan/0001:01:00:00 +0100": datetime.min,  # its date at 00:00:00 lies before year 1
+    "01/Jan/0001:00:59:59 +0100": None,
+    "01/Jan/0001:00:00:00 +0100": None,
+    "31/Dec/9999:23:59:59 +0000": datetime.max.replace(microsecond=0),
+    "31/Dec/9999:23:59:60 +0000": None,  # the leap second is 10000-01-01T00:00:00Z
+    "31/Dec/9999:23:59:59 -0100": None,
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name", ["edges.log", "edges.log.gz"])
+def test_instants_outside_years_1_to_9999_are_malformed(tmp_path, jobs, name):
+    lines = [EXAMPLE.replace("14/Mar/2016:09:07:32 -0700", stamp) for stamp in _EDGE_STAMPS]
+    for line, want in zip(lines, _EDGE_STAMPS.values()):
+        if want is None:
+            with pytest.raises(InvalidTimestamp):
+                parse_log_line(line)
+        else:
+            assert parse_log_line(line).timestamp == want.replace(tzinfo=timezone.utc)
+    path = tmp_path / name
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    path.write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
+    batch, stats = ingest_paths([path], jobs=jobs)
+    assert (stats.lines, stats.malformed, stats.events) == (7, 4, 3)
+    epochs = [int(want.replace(tzinfo=timezone.utc).timestamp()) for want in _EDGE_STAMPS.values() if want]
+    assert sorted(batch.timestamps.tolist()) == epochs
 
 
 def test_percent_decoding_applies_to_path_only():
