@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 from trailmine import parse_log_line
-from trailmine.pipeline import ingest_paths
+from trailmine.ingest import ingest_paths
 from trailmine.synth import default_archetypes, generate_synthetic_log
 
 with tempfile.TemporaryDirectory() as workdir:

@@ -8,7 +8,7 @@ import numpy as np
 
 from trailmine import build_traces
 from trailmine.actions import default_ruleset
-from trailmine.pipeline import EventBatch
+from trailmine.ingest import EventBatch
 
 ruleset = default_ruleset()
 vocab = ruleset.vocabulary

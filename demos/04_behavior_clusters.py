@@ -13,8 +13,9 @@ import numpy as np
 from trailmine import build_feature_matrix, explained_variance_curve, kmeans_fit, pca_fit, pca_project
 from trailmine.actions import default_ruleset
 from trailmine.cluster import profile_clusters
+from trailmine.ingest import ingest_paths
 from trailmine.pca import loading_extremes
-from trailmine.pipeline import build_traces, ingest_paths
+from trailmine.sessions import build_traces
 from trailmine.synth import default_archetypes, generate_synthetic_log
 
 archetypes = default_archetypes()

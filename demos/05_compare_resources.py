@@ -21,7 +21,8 @@ from trailmine import (
     transition_diff,
 )
 from trailmine.actions import default_ruleset
-from trailmine.pipeline import build_traces, ingest_paths
+from trailmine.ingest import ingest_paths
+from trailmine.sessions import build_traces
 from trailmine.synth import default_archetypes, generate_synthetic_log
 
 ruleset = default_ruleset()

@@ -21,15 +21,13 @@ from pathlib import Path
 for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_variable, "1")
 
+from .formats import read_assignments_csv, read_feature_csv, read_traces_jsonl
 from .logs import LOG_FORMATS
 from .markov import FEATURE_KINDS
 from .pipeline import (
     PipelineConfig,
     PipelineStageError,
     RunRecord,
-    read_assignments_csv,
-    read_feature_csv,
-    read_traces_jsonl,
     run_pipeline,
     setting_parser,
     stage_cluster,
@@ -40,7 +38,6 @@ from .pipeline import (
     stage_pca,
     stage_sessionize,
 )
-from .synth import default_archetypes, generate_synthetic_log, load_archetypes_json
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -146,6 +143,8 @@ def _config(args) -> PipelineConfig:
 
 
 def _cmd_synth(args) -> int:
+    from .synth import default_archetypes, generate_synthetic_log, load_archetypes_json
+
     archetypes = (
         load_archetypes_json(args.archetypes) if args.archetypes else default_archetypes()
     )

@@ -7,7 +7,7 @@ pattern that marks a request as non-human traffic. A run reads its list
 files and compiles its filter once, when its
 :class:`trailmine.pipeline.RunRecord` is made, so a missing list file or
 a pattern that does not compile fails before anything is written. Bulk
-ingestion of files goes through :func:`trailmine.pipeline.ingest_paths`;
+ingestion of files goes through :func:`trailmine.ingest.ingest_paths`;
 :func:`parse_log_line` turns a single line into a :class:`RequestRecord`.
 """
 

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 import numpy as np
 
 if TYPE_CHECKING:
-    from .pipeline import EventBatch
+    from .ingest import EventBatch
 
 __all__ = [
     "TraceSet",

@@ -14,6 +14,8 @@ from testutil import brute_force_two_partition_inertia, power_iteration, purity,
 from trailmine.actions import default_ruleset
 from trailmine.cluster import kmeans_fit
 from trailmine.compare import aggregate_cluster_actions, extract_resource_traces, transition_diff
+from trailmine.formats import read_traces_jsonl
+from trailmine.ingest import EventBatch, ingest_paths
 from trailmine.logs import parse_log_line
 from trailmine.markov import (
     build_feature_matrix,
@@ -23,9 +25,8 @@ from trailmine.markov import (
     stationary_distribution,
 )
 from trailmine.pca import pca_fit, pca_project, pca_reconstruct
-from trailmine.pipeline import (
-    EventBatch, PipelineConfig, build_traces, ingest_paths, read_traces_jsonl, run_pipeline,
-)
+from trailmine.pipeline import PipelineConfig, run_pipeline
+from trailmine.sessions import build_traces
 from trailmine.synth import ArchetypeSpec, default_archetypes, generate_synthetic_log
 
 ABCABC = [0, 1, 2, 0, 1, 2]

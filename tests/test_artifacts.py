@@ -10,11 +10,7 @@ import numpy as np
 
 from trailmine.cluster import ClusterModel, ClusterProfile, ElbowCurve
 from trailmine.compare import ATTRIBUTION_NOTE, ResourceProfile, ResourceProjection, TransitionDiff
-from trailmine.markov import FeatureMatrix
-from trailmine.pca import PcaModel
-from trailmine.pipeline import (
-    PipelineConfig,
-    RunRecord,
+from trailmine.formats import (
     write_cluster_outputs,
     write_compare_outputs,
     write_elbow_csv,
@@ -22,6 +18,9 @@ from trailmine.pipeline import (
     write_pca_outputs,
     write_usage_stats,
 )
+from trailmine.markov import FeatureMatrix
+from trailmine.pca import PcaModel
+from trailmine.pipeline import PipelineConfig, RunRecord
 from trailmine.sessions import UsageStats
 
 NAMES = ["BREAK", "search", "browse"]

@@ -21,9 +21,9 @@ from trailmine.cluster import (
     profile_clusters,
     total_sum_of_squares,
 )
+from trailmine.ingest import ingest_paths
 from trailmine.markov import FeatureMatrix, build_feature_matrix, count_transitions
-from trailmine.pipeline import build_traces, ingest_paths
-from trailmine.sessions import TraceSet
+from trailmine.sessions import TraceSet, build_traces
 from trailmine.synth import default_archetypes, generate_synthetic_log
 
 

@@ -12,11 +12,12 @@ import os
 import numpy as np
 import pytest
 
-from trailmine import cluster, pipeline
+from trailmine import cluster, ingest
 from trailmine.cluster import explained_variance_curve
 from trailmine.cli import main
 from trailmine.helpers import receive, shared_counter, start_helpers
-from trailmine.pipeline import PipelineConfig, ingest_paths
+from trailmine.ingest import ingest_paths
+from trailmine.pipeline import PipelineConfig
 from trailmine.synth import default_archetypes, generate_synthetic_log
 
 
@@ -65,14 +66,14 @@ def test_ingest_starts_no_more_processes_than_cpus(logs, monkeypatch):
     plain, _ = logs
     one = ingest_paths([plain], jobs=1)
     shares = []
-    real = pipeline.start_helpers
+    real = ingest.start_helpers
 
     def start_helpers(work, helper_shares):
         shares.append(len(helper_shares))
         return real(work, helper_shares)
 
-    monkeypatch.setattr(pipeline, "start_helpers", start_helpers)
-    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(ingest, "start_helpers", start_helpers)
+    monkeypatch.setattr(ingest, "usable_cpus", lambda: 2)
     four = ingest_paths([plain], jobs=4)
     _no_child_left()
     assert shares == [1]  # one helper beside this process

@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 
 from testutil import reference_ingest_paths
-from trailmine import pipeline
+from trailmine import ingest
+from trailmine.ingest import ingest_paths
 from trailmine.logs import LOG_FORMATS, default_filter_config, ingest_pattern, line_pattern
-from trailmine.pipeline import build_traces, ingest_paths
+from trailmine.sessions import build_traces
 from trailmine.synth import default_archetypes, generate_synthetic_log
 
 _STAMP = re.compile(r"\[[^\]]*\]")
@@ -182,10 +183,10 @@ def test_chunked_ingest_matches_reference_common_format(tmp_path, ruleset, fault
 def test_request_verdicts_reset_mid_file(tmp_path, ruleset, monkeypatch):
     lines, _ = generate_synthetic_log(default_archetypes(), 40, seed=32, bot_fraction=0.1)
     lines = _with_faults(lines, seed=32)
-    assert len(lines) > 4 * pipeline._CHUNK_LINES
+    assert len(lines) > 4 * ingest._CHUNK_LINES
     path = _write(tmp_path / "long.log", lines)
     calls = []
-    request_verdict = pipeline._request_verdict
+    request_verdict = ingest._request_verdict
 
     def counted(request, *args):
         calls.append(request)
@@ -193,7 +194,7 @@ def test_request_verdicts_reset_mid_file(tmp_path, ruleset, monkeypatch):
 
     # the values each table decided, in order, with repeats
     decided = {}
-    decide = pipeline._Verdicts.decide
+    decide = ingest._Verdicts.decide
 
     def spied(self, field, values, verdict):
         def noted(value):
@@ -204,9 +205,9 @@ def test_request_verdicts_reset_mid_file(tmp_path, ruleset, monkeypatch):
         assert len(self.tables[field]) <= 8 + len(set(values))
         return out
 
-    monkeypatch.setattr(pipeline, "_VERDICTS_MAX", 8)
-    monkeypatch.setattr(pipeline, "_request_verdict", counted)
-    monkeypatch.setattr(pipeline._Verdicts, "decide", spied)
+    monkeypatch.setattr(ingest, "_VERDICTS_MAX", 8)
+    monkeypatch.setattr(ingest, "_request_verdict", counted)
+    monkeypatch.setattr(ingest._Verdicts, "decide", spied)
     filt = _filter()
     got = ingest_paths([path], ruleset=ruleset, filt=filt)
     assert len(calls) > len(set(calls))  # the request table was emptied and refilled

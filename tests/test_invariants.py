@@ -15,8 +15,9 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from trailmine.formats import read_assignments_csv, read_feature_csv
 from trailmine.logs import parse_clf_timestamp
-from trailmine.pipeline import PipelineConfig, read_assignments_csv, read_feature_csv, run_pipeline
+from trailmine.pipeline import PipelineConfig, run_pipeline
 from trailmine.synth import HUMAN_USERAGENTS, default_archetypes, generate_synthetic_log
 
 _BLOCKED = "203.0.113.0/24"

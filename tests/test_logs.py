@@ -5,6 +5,7 @@ from datetime import datetime, timezone
 import pytest
 
 from trailmine import logs
+from trailmine.ingest import ingest_paths
 from trailmine.logs import (
     CompiledFilter,
     FilterConfig,
@@ -13,7 +14,6 @@ from trailmine.logs import (
     format_log_line,
     parse_log_line,
 )
-from trailmine.pipeline import ingest_paths
 from trailmine.synth import default_archetypes, generate_synthetic_log
 
 EXAMPLE = '1.2.3.4 - - [14/Mar/2016:09:07:32 -0700] "GET /ontologies/MCCV HTTP/1.1" 200 512 "-" "Mozilla/5.0"'

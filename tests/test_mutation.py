@@ -18,8 +18,8 @@ from calendar import timegm
 
 import pytest
 
+from trailmine.ingest import IngestStats, ingest_paths
 from trailmine.logs import MalformedLine, default_filter_config, open_log, parse_log_line
-from trailmine.pipeline import IngestStats, ingest_paths
 from trailmine.synth import default_archetypes, generate_synthetic_log
 
 _STAMP = re.compile(r"\[([^\]]*)\]")

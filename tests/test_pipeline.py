@@ -4,23 +4,23 @@ import numpy as np
 import pytest
 
 from trailmine.cluster import LLOYD_MAX_ITER, EmptyMatrix, KTooLarge
-from trailmine.markov import FeatureMatrix, build_feature_matrix
-from trailmine.pipeline import (
-    EventBatch,
-    PipelineConfig,
-    PipelineStageError,
-    RunRecord,
-    build_traces,
-    ingest_paths,
+from trailmine.formats import (
     read_assignments_csv,
     read_feature_csv,
     read_traces_jsonl,
-    run_pipeline,
-    stage_elbow,
     write_feature_csv,
     write_traces_jsonl,
 )
-from trailmine.sessions import TraceSet
+from trailmine.ingest import EventBatch, ingest_paths
+from trailmine.markov import FeatureMatrix, build_feature_matrix
+from trailmine.pipeline import (
+    PipelineConfig,
+    PipelineStageError,
+    RunRecord,
+    run_pipeline,
+    stage_elbow,
+)
+from trailmine.sessions import TraceSet, build_traces
 from trailmine.synth import default_archetypes, generate_synthetic_log
 
 

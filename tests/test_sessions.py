@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from testutil import naive_sessionize, naive_traces, naive_traces_jsonl
+from trailmine.formats import read_traces_jsonl, write_traces_jsonl
+from trailmine.ingest import EventBatch
 from trailmine.logs import parse_log_line
-from trailmine.pipeline import EventBatch, read_traces_jsonl, write_traces_jsonl
 from trailmine.sessions import TraceSet, build_traces
 
 BREAK = 33

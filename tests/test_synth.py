@@ -9,8 +9,8 @@ import pytest
 from testutil import reference_generate_synthetic_log
 
 from trailmine.actions import default_ruleset
+from trailmine.ingest import ingest_paths
 from trailmine.logs import format_log_line, parse_log_line
-from trailmine.pipeline import ingest_paths
 from trailmine.synth import (
     ArchetypeSpec,
     GroundTruth,

@@ -261,17 +261,17 @@ def reference_ev_curve(X, ks, seed=0, restarts=10, knee_fraction=0.1):
 
 
 # Reference ingest: the fused per-line parse + filter + map loop as first
-# written. The chunked pass of ``pipeline._ingest_lines`` must reproduce its
+# written. The chunked pass of ``ingest._ingest_lines`` must reproduce its
 # EventBatch and IngestStats exactly.
 
 def reference_ingest_lines(lines, ruleset, filt, log_format="combined"):
     """(EventBatch, IngestStats) of ``lines``, one line at a time."""
     from urllib.parse import unquote
 
+    from trailmine.ingest import EventBatch, IngestStats
     from trailmine.logs import (
         MalformedLine, _split_request, line_pattern, parse_clf_timestamp,
     )
-    from trailmine.pipeline import EventBatch, IngestStats
 
     stats = IngestStats()
     user_pool, onto_pool = {}, {}
@@ -315,8 +315,8 @@ def reference_ingest_lines(lines, ruleset, filt, log_format="combined"):
 
 def reference_ingest_paths(paths, ruleset, filt, log_format="combined"):
     """The reference loop over each file in turn, merged as ``ingest_paths`` merges."""
+    from trailmine.ingest import EventBatch, IngestStats
     from trailmine.logs import open_log
-    from trailmine.pipeline import EventBatch, IngestStats
 
     parts, stats = [], IngestStats()
     for path in paths:
