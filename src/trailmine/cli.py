@@ -176,10 +176,22 @@ def _cmd_features(args) -> int:
     return 0
 
 
+def _check_profile_inputs(args, features, traces, names: list[str]) -> None:
+    """Reject features that the rules' label ``names`` or the traces do not describe, naming the files."""
+    if features.label_names != names:
+        raise ValueError(f"{args.features}: the header's labels are not the {len(names)} labels of the rules")
+    traced = set(traces.users)
+    missing = next((user for user in features.user_ids if user not in traced), None)
+    if missing is not None:
+        raise ValueError(f"{args.traces} has no trace of user {missing!r} of {args.features}")
+
+
 def _cmd_cluster(args) -> int:
     record = RunRecord(_config(args))
     features = read_feature_csv(args.features)
     traces = read_traces_jsonl(args.traces) if args.traces else None
+    if traces is not None:  # before the elbow writes anything
+        _check_profile_inputs(args, features, traces, record.ruleset.vocabulary.names())
     curve = stage_elbow(record, features)
     model = stage_cluster(record, features, traces, curve)
     print(f"K={model.K} (knee suggestion {curve.knee}), inertia {model.inertia:.6g}; "

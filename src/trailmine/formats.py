@@ -25,7 +25,8 @@ if TYPE_CHECKING:
     from .pipeline import RunRecord
 
 __all__ = [
-    "write_traces_jsonl", "read_traces_jsonl", "write_feature_csv", "read_feature_csv", "read_assignments_csv",
+    "write_traces_jsonl", "read_traces_jsonl", "write_feature_csv", "read_feature_csv",
+    "read_assignments_csv",
 ]
 
 
@@ -50,25 +51,31 @@ def write_traces_jsonl(traces: TraceSet, path: str | Path) -> None:
             fh.write("\n")
 
 
-def _decode_lines(fh: Iterable[str], path: str | Path, decode: Callable, first: int = 1) -> list:
-    """``decode`` of each line left in ``fh``, the first of them line ``first`` of ``path``.
+def _decode_lines(fh: Iterable[str], path: str | Path, decode: Callable, first: int = 1) -> dict:
+    """User to value of each line left in ``fh``, which ``decode`` reads as a (user, value) pair.
 
-    A line that ``decode`` rejects with ``ValueError`` raises one that names the file and line.
+    The first line left is line ``first`` of ``path``. A line that
+    ``decode`` rejects with ``ValueError`` raises one that names the file
+    and line, and a user named twice one that names both lines.
     """
-    decoded = []
+    decoded = {}
     for lineno, line in enumerate(fh, first):
         try:
-            decoded.append(decode(line))
+            user, value = decode(line)
         except ValueError as exc:
             raise ValueError(f"{path}, line {lineno}: {exc}") from None
+        if user in decoded:  # each line before added one user, in line order
+            earlier = first + list(decoded).index(user)
+            raise ValueError(f"{path}, lines {earlier} and {lineno}: user {user!r} appears twice")
+        decoded[user] = value
     return decoded
 
 
 _TRACE_KEYS = frozenset(("user", "sequence", "ontologies", "session_lengths"))
 
 
-def _trace_record(line: str) -> dict:
-    """The one JSON object of a ``traces.jsonl`` line, with the four keys of a trace."""
+def _trace_record(line: str) -> tuple[str, dict]:
+    """The user and the one JSON object of a ``traces.jsonl`` line, with the four keys of a trace."""
     try:
         row = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -77,7 +84,9 @@ def _trace_record(line: str) -> dict:
         raise ValueError("not a JSON object")
     if not _TRACE_KEYS <= row.keys():
         raise ValueError(f"no {sorted(_TRACE_KEYS - row.keys())[0]!r} key")
-    return row
+    if type(row["user"]) is not str:
+        raise ValueError("'user' is not a string")
+    return row["user"], row
 
 
 def read_traces_jsonl(path: str | Path) -> TraceSet:
@@ -85,9 +94,10 @@ def read_traces_jsonl(path: str | Path) -> TraceSet:
 
     Each line is decoded alone and must hold one JSON object with the
     four keys of a trace, as JSON Lines allows no value over two lines.
+    A user may have one line only.
     """
     with open(path, encoding="utf-8") as fh:
-        return TraceSet.from_rows(_decode_lines(fh, path, _trace_record))
+        return TraceSet.from_rows(_decode_lines(fh, path, _trace_record).values())
 
 
 def _label_names(features: FeatureMatrix) -> list[str]:
@@ -101,7 +111,7 @@ def write_feature_csv(features: FeatureMatrix, path: str | Path) -> None:
 
 
 def read_feature_csv(path: str | Path) -> FeatureMatrix:
-    """The features ``write_feature_csv`` wrote; a bad line raises ``ValueError`` naming it."""
+    """The features ``write_feature_csv`` wrote; a bad line or a user's second row raises ``ValueError``."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
 
@@ -112,23 +122,27 @@ def read_feature_csv(path: str | Path) -> FeatureMatrix:
             return cells[0], [float(v) for v in cells[1:]]
 
         rows = _decode_lines(fh, path, row, first=2)
-    X = np.asarray([cells for _, cells in rows], dtype=np.float64) if rows else np.zeros((0, len(header) - 1))
-    return FeatureMatrix([user for user, _ in rows], X, "unknown", header[1:])
+    X = np.asarray(list(rows.values()), dtype=np.float64) if rows else np.zeros((0, len(header) - 1))
+    return FeatureMatrix(list(rows), X, "unknown", header[1:])
 
 
 def _assignment(line: str) -> tuple[str, int]:
-    user, cluster = line.rstrip("\n").rsplit(",", 1)
-    return user, int(cluster)
+    user, text = line.rstrip("\n").rsplit(",", 1)
+    cluster = int(text)
+    if cluster < 0:
+        raise ValueError(f"cluster id {cluster} is negative")
+    return user, cluster
 
 
 def read_assignments_csv(path: str | Path) -> dict[str, int]:
     """User to cluster, as ``write_cluster_outputs`` wrote ``assignments.csv``.
 
-    A line that is not ``user,cluster`` raises ``ValueError`` naming it.
+    A line that is not ``user,cluster`` with an id of at least 0, or a
+    user's second line, raises ``ValueError`` naming it.
     """
     with open(path, encoding="utf-8") as fh:
         fh.readline()
-        return dict(_decode_lines(fh, path, _assignment, first=2))
+        return _decode_lines(fh, path, _assignment, first=2)
 
 
 def write_usage_stats(stats, record: RunRecord) -> None:

@@ -170,6 +170,16 @@ def test_import_loads_no_module_beyond_its_list():
     assert all(m == "trailmine" or m.startswith("trailmine.") for m in loaded), sorted(loaded)
 
 
+@pytest.mark.parametrize("module, unloaded", [
+    ("trailmine.cli", ["synth"]),  # the synth subcommand imports it itself
+    ("trailmine.ingest", ["cluster", "compare", "markov", "pca", "sessions", "synth"]),
+    ("trailmine.formats", ["logs", "actions", "helpers", "cluster", "synth"]),
+])
+def test_import_loads_none_of_the_modules_it_does_not_run(module, unloaded):
+    loaded = set(_fresh(f"import sys, {module}\nprint(*sys.modules)\n").split())
+    assert not loaded & {f"trailmine.{name}" for name in unloaded}
+
+
 def test_package_import_loads_no_numpy():
     # the re-exports load on first use, so the CLI runs before NumPy starts its BLAS threads
     assert _fresh("import sys, trailmine\nprint('numpy' in sys.modules)\n").split() == ["False"]
@@ -479,6 +489,76 @@ def test_bad_traces_jsonl_is_a_data_error_before_any_file(tmp_path, capsys, comm
     assert main([command, *argv]) == 2
     assert f"trailmine {command}: error: {traces}, line 2: not a JSON object" in capsys.readouterr().err
     assert not out.exists()  # nothing ran, nothing was written
+
+
+_TRACE_LINE = '{"user":"%s","sequence":[0],"ontologies":[null],"session_lengths":[1]}\n'
+
+
+@pytest.mark.parametrize("command, read, lines, user", [
+    ("features", "traces", "1 and 3", "a"),
+    ("cluster", "features", "2 and 5", "u1"),
+    ("pca", "assignments", "2 and 3", "u1"),
+])
+def test_a_user_named_twice_is_a_data_error_before_any_file(tmp_path, capsys, command, read, lines, user):
+    files = {name: tmp_path / name for name in ("traces", "features", "assignments")}
+    files["traces"].write_text("".join(_TRACE_LINE % u for u in "aba"), encoding="utf-8")
+    files["features"].write_text("user,a,b\nu1,0.5,0.1\nu2,0.2,0.9\nu3,0.7,0.3\nu1,0.5,0.1\n", encoding="utf-8")
+    files["assignments"].write_text("user,cluster\nu1,0\nu1,1\n", encoding="utf-8")
+    out = tmp_path / "o"  # the features file, or the out dir
+    argv = {
+        "features": ["--traces", str(files["traces"]), "--out", str(out)],
+        "cluster": ["--features", str(files["features"]), "--k", "1", "--k-range", "1:1", "--out-dir", str(out)],
+        "pca": ["--features", str(files["features"]), "--assignments", str(files["assignments"]),
+                "--out-dir", str(out)],
+    }[command]
+    assert main([command, *argv]) == 2
+    message = f"trailmine {command}: error: {files[read]}, lines {lines}: user {user!r} appears twice"
+    assert message in capsys.readouterr().err
+    assert not out.exists()  # nothing ran, nothing was written
+
+
+@pytest.fixture(scope="module")
+def stage_files(tmp_path_factory, synth_log):
+    """(traces.jsonl, features.csv) of the synthetic log, through the per-stage subcommands."""
+    tmp = tmp_path_factory.mktemp("stage_files")
+    assert main(["ingest", "--logs", str(synth_log), "--out-dir", str(tmp)]) == 0
+    assert main(["features", "--traces", str(tmp / "traces.jsonl"), "--out", str(tmp / "features.csv")]) == 0
+    return tmp / "traces.jsonl", tmp / "features.csv"
+
+
+@pytest.mark.parametrize("command", ["pca", "compare"])
+def test_negative_cluster_id_is_a_data_error_before_any_file(tmp_path, capsys, stage_files, command):
+    traces, features = stage_files
+    users = [line.split(",", 1)[0] for line in features.read_text(encoding="utf-8").splitlines()[1:]]
+    assignments = tmp_path / "assignments.csv"
+    assignments.write_text("user,cluster\n" + "".join(f"{user},{-3 if i == 1 else i % 2}\n"
+                                                     for i, user in enumerate(users)), encoding="utf-8")
+    source = ["--features", str(features)] if command == "pca" else ["--traces", str(traces)]
+    out = tmp_path / "o"
+    assert main([command, *source, "--assignments", str(assignments), "--out-dir", str(out)]) == 2
+    assert f"trailmine {command}: error: {assignments}, line 3: cluster id -3 is negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("change", ["drop a trace", "rename a label"])
+def test_cluster_traces_that_disagree_are_a_data_error_before_any_file(tmp_path, capsys, stage_files, change):
+    traces, features = stage_files
+    if change == "drop a trace":
+        lines = traces.read_text(encoding="utf-8").splitlines(keepends=True)
+        traces = tmp_path / "traces.jsonl"
+        traces.write_text("".join(lines[:3] + lines[4:]), encoding="utf-8")
+        message = f"{traces} has no trace of user {json.loads(lines[3])['user']!r} of {features}"
+    else:
+        header, *rows = features.read_text(encoding="utf-8").splitlines(keepends=True)
+        features = tmp_path / "features.csv"
+        features.write_text(header.replace(",", ",Nope ", 1) + "".join(rows), encoding="utf-8")
+        message = f"{features}: the header's labels are not the 34 labels of the rules"
+    out = tmp_path / "o"
+    argv = ["cluster", "--features", str(features), "--traces", str(traces), "--k", "2",
+            "--k-range", "1:3", "--out-dir", str(out)]
+    assert main(argv) == 2
+    assert f"trailmine cluster: error: {message}" in capsys.readouterr().err
+    assert not out.exists()  # the elbow wrote nothing
 
 
 def _outcome(call, capsys):

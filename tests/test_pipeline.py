@@ -158,6 +158,7 @@ _A, _B, _C, _D = (_TRACE % user for user in "abcd")
     (f"{_A}\n{_B},{_C}\n", 2, "Extra data at column"),  # one value more than lines when joined
     (f"{_A}\n{_B} {_C}\n", 2, "Extra data at column"),
     (f"{_A}\n{_B}\n{_C[:30]}", 3, "at column"),  # cut short, no last newline
+    (f'{_A}\n{{"user":1,"sequence":[],"ontologies":[],"session_lengths":[]}}\n', 2, "'user' is not a string"),
     # one record split over lines 1 and 2 and two joined on line 3: as many values as lines
     (f'{_A[:-1]},"x":[1\n2]}}\n{_C},{_D}\n', 1, "Expecting ',' delimiter at column"),
 ])
