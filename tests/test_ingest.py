@@ -130,11 +130,11 @@ def test_ingest_pattern_accepts_what_the_grammar_accepts(faulty_lines, log_forma
     common = [re.sub(r' "[^"]*" "[^"]*"\s*$', "", line) for line in faulty_lines]
     lines = [*faulty_lines, *common, *_ODD_LINES]
     kept = (1, 4, 5, 9) if log_format == "combined" else (1, 4, 5)
-    grammar, ingest = line_pattern(log_format), ingest_pattern(log_format)
-    assert ingest.groups == len(kept)
+    grammar, fields = line_pattern(log_format), ingest_pattern(log_format)
+    assert fields.groups == len(kept)
     matched = 0
     for line in lines:
-        want, got = grammar.match(line), ingest.match(line)
+        want, got = grammar.match(line), fields.match(line)
         assert (want is None) == (got is None), line
         if want is not None:
             assert got.groups() == want.group(*kept), line
