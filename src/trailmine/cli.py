@@ -21,6 +21,7 @@ from pathlib import Path
 for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_variable, "1")
 
+from .compare import UnassignedUser
 from .formats import read_assignments_csv, read_feature_csv, read_traces_jsonl
 from .logs import LOG_FORMATS
 from .markov import FEATURE_KINDS
@@ -169,9 +170,20 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
+def _read_traces(path: str, record: RunRecord):
+    """The traces of ``path``; a label outside the rules' vocabulary raises ``ValueError`` naming its line."""
+    traces = read_traces_jsonl(path)
+    labels, n = traces.labels, record.ruleset.vocabulary.n
+    bad = ((labels < 0) | (labels >= n)).nonzero()[0]
+    if bad.size:  # row u is line u + 1
+        line = traces.offsets.searchsorted(bad[0], side="right")
+        raise ValueError(f"{path}, line {line}: label {labels[bad[0]]} is not one of the rules' [0, {n})")
+    return traces
+
+
 def _cmd_features(args) -> int:
     record = RunRecord(_config(args))
-    features = stage_features(record, read_traces_jsonl(args.traces), Path(args.out))
+    features = stage_features(record, _read_traces(args.traces, record), Path(args.out))
     print(f"wrote {features.m} x {features.n} {record.config.feature_kind} features to {args.out}")
     return 0
 
@@ -189,7 +201,7 @@ def _check_profile_inputs(args, features, traces, names: list[str]) -> None:
 def _cmd_cluster(args) -> int:
     record = RunRecord(_config(args))
     features = read_feature_csv(args.features)
-    traces = read_traces_jsonl(args.traces) if args.traces else None
+    traces = _read_traces(args.traces, record) if args.traces else None
     if traces is not None:  # before the elbow writes anything
         _check_profile_inputs(args, features, traces, record.ruleset.vocabulary.names())
     curve = stage_elbow(record, features)
@@ -212,7 +224,12 @@ def _cmd_compare(args) -> int:
     record = RunRecord(_config(args))
     assignments = read_assignments_csv(args.assignments)
     K = max(assignments.values(), default=0) + 1
-    profiles = stage_compare(record, read_traces_jsonl(args.traces), assignments, K, args.pair)
+    traces = _read_traces(args.traces, record)
+    try:
+        profiles = stage_compare(record, traces, assignments, K, args.pair)
+    except UnassignedUser as exc:  # K is past every id read, so the user has no line
+        message = f"{args.assignments} has no cluster of user {exc.args[0]!r} of {args.traces}"
+        raise ValueError(message) from None
     print(f"{len(profiles)} resources; wrote {record.config.out_dir}")
     return 0
 

@@ -72,10 +72,16 @@ def _decode_lines(fh: Iterable[str], path: str | Path, decode: Callable, first: 
 
 
 _TRACE_KEYS = frozenset(("user", "sequence", "ontologies", "session_lengths"))
+# the types of item each list of a trace may hold; JSON's true and false are bool, not int
+_TRACE_LISTS = {
+    "sequence": ({int}, "integers"),
+    "ontologies": ({str, type(None)}, "strings and nulls"),
+    "session_lengths": ({int}, "integers"),
+}
 
 
 def _trace_record(line: str) -> tuple[str, dict]:
-    """The user and the one JSON object of a ``traces.jsonl`` line, with the four keys of a trace."""
+    """The user and the one JSON object of a ``traces.jsonl`` line, with a trace's keys and types."""
     try:
         row = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -86,6 +92,9 @@ def _trace_record(line: str) -> tuple[str, dict]:
         raise ValueError(f"no {sorted(_TRACE_KEYS - row.keys())[0]!r} key")
     if type(row["user"]) is not str:
         raise ValueError("'user' is not a string")
+    for key, (types, items) in _TRACE_LISTS.items():
+        if type(row[key]) is not list or not types.issuperset(map(type, row[key])):
+            raise ValueError(f"{key!r} is not a list of {items}")
     return row["user"], row
 
 
@@ -93,8 +102,9 @@ def read_traces_jsonl(path: str | Path) -> TraceSet:
     """The traces ``write_traces_jsonl`` wrote; a bad line raises ``ValueError`` naming it.
 
     Each line is decoded alone and must hold one JSON object with the
-    four keys of a trace, as JSON Lines allows no value over two lines.
-    A user may have one line only.
+    four keys of a trace (a user name, a list of integer labels, one of
+    ontology names or nulls, one of integer session lengths), as JSON
+    Lines allows no value over two lines. A user may have one line only.
     """
     with open(path, encoding="utf-8") as fh:
         return TraceSet.from_rows(_decode_lines(fh, path, _trace_record).values())
@@ -123,6 +133,9 @@ def read_feature_csv(path: str | Path) -> FeatureMatrix:
 
         rows = _decode_lines(fh, path, row, first=2)
     X = np.asarray(list(rows.values()), dtype=np.float64) if rows else np.zeros((0, len(header) - 1))
+    if not np.isfinite(X).all():  # float() reads nan and inf; row i is line i + 2
+        i, j = np.argwhere(~np.isfinite(X))[0]
+        raise ValueError(f"{path}, line {i + 2}: {header[j + 1]} is {float(X[i, j])}, not a finite number")
     return FeatureMatrix(list(rows), X, "unknown", header[1:])
 
 

@@ -3,17 +3,18 @@
 Ingest has one pass, :func:`_ingest_lines`, for every route. It takes the
 lines in fixed-size chunks: each line is matched against the grammar, the
 timestamps of a chunk are decoded as arrays, and each distinct date,
-request, user agent and IP is decided once, from bounded tables kept
-across chunks, not once per line. Parsing and mapping are pure per line,
-so with ``jobs`` processes each plain file is read as up to ``jobs * 16``
-byte ranges: this process and helper processes forked with ``os.fork``
+request and user agent is decided once, from bounded tables kept across
+chunks, not once per line; each IP once per call, with its user code.
+Parsing and mapping are pure per line, so with ``jobs`` processes each
+plain file is read as up to ``jobs * 16`` byte ranges: this process and
+helper processes forked with ``os.fork``
 (:mod:`trailmine.helpers`), no more in all than there are CPUs to run
 them, each take the next range as they finish one, and the parts are
-concatenated in path order. The elbow shares each K's
-restarts with helpers likewise (see :mod:`trailmine.cluster`). Where
-there is no ``os.fork``, :meth:`~trailmine.pipeline.PipelineConfig.validate` rejects ``jobs
-> 1`` before any stage runs. :func:`~trailmine.sessions.build_traces` is
-the one place that gives users and ontologies their final codes, by
+concatenated in path order. The elbow shares each K's restarts with
+helpers likewise (see :mod:`trailmine.cluster`). Where there is no
+``os.fork``, :meth:`~trailmine.pipeline.PipelineConfig.validate` rejects
+``jobs > 1`` before any stage runs. :func:`~trailmine.sessions.build_traces`
+is the one place that gives users and ontologies their final codes, by
 name, and its stable (user, timestamp) sort keeps the path order between
 a user's events of one second.
 """
@@ -114,8 +115,8 @@ class EventBatch:
 # at once: on the long_traces corpus 1024 lines ran within noise of 2048 and
 # peaked about 1 MB lower in RSS.
 _CHUNK_LINES = 1024
-# Distinct values whose verdicts each _Verdicts table keeps; a table is
-# emptied at a chunk start once it holds this many.
+# Distinct values whose verdicts each _Verdicts table keeps; _Table.decide
+# empties a table at a chunk start once it holds this many.
 _VERDICTS_MAX = 1 << 18
 # request verdicts that are not a label id
 _MALFORMED, _ASSET, _UNMAPPED = -3, -2, -1
@@ -150,25 +151,23 @@ def _request_verdict(
 
 
 class _Table(dict):
-    """Each value's code, handed out in first-appearance order, and its verdict at that row of ``rows``.
+    """Each value's code, handed out in first-appearance order, and its verdict at that row of ``rows``."""
 
-    Looking up a value the table does not hold calls ``verdict`` on it
-    once. A table with no ``verdict`` only hands out codes.
-    """
-
-    verdict: Callable[[str], object] | None = None
     rows = np.empty(0)
+
+    def __init__(self, verdict: Callable[[str], object]):
+        super().__init__()
+        self.verdict = verdict
 
     def __missing__(self, value: str) -> int:
         code = len(self)
-        if self.verdict is not None:
-            row = self.verdict(value)
-            if not len(self.rows):  # the first verdict sets the dtype and row shape
-                first = np.asarray(row)
-                self.rows = np.empty((64, *first.shape), first.dtype)
-            elif code == len(self.rows):
-                self.rows = np.concatenate((self.rows, np.empty_like(self.rows)))
-            self.rows[code] = row
+        row = self.verdict(value)
+        if not len(self.rows):  # the first verdict sets the dtype and row shape
+            first = np.asarray(row)
+            self.rows = np.empty((64, *first.shape), first.dtype)
+        elif code == len(self.rows):
+            self.rows = np.concatenate((self.rows, np.empty_like(self.rows)))
+        self.rows[code] = row
         self[value] = code
         return code
 
@@ -176,49 +175,46 @@ class _Table(dict):
         """The code of each value: one table probe per value."""
         return np.fromiter(map(self.__getitem__, values), np.int64, len(values))
 
+    def decide(self, values: Sequence[str]) -> np.ndarray:
+        """Each value's verdict row; a table of ``_VERDICTS_MAX`` is emptied first, at a chunk start."""
+        if len(self) >= _VERDICTS_MAX:
+            self.clear()
+        codes = self.codes(values)  # may grow self.rows
+        return self.rows[codes]
+
 
 class _Verdicts:
-    """The rules and filter of an ingest, with a bounded memo of field verdicts.
+    """The filter of an ingest, with bounded tables of date, request and user-agent verdicts.
 
-    There is one :class:`_Table` per field: timestamp date and offset,
-    request, user agent and IP. One set of tables serves every chunk of
-    every :func:`_ingest_lines` call that shares it: all tasks of one
-    process's share of an ``ingest_paths`` call. Ontology ids are handed
-    out as requests are decided, so one id keeps its ontology across
-    those calls. A date key is taken only from a 26-character timestamp
-    field, or from a field on its own (see :func:`_decode_timestamps`).
+    One set of tables serves every chunk of every :func:`_ingest_lines`
+    call that shares it: all tasks of one process's share of an
+    ``ingest_paths`` call. Ontology ids are handed out as requests are
+    decided, so one id keeps its ontology across those calls. A date key
+    is taken only from a 26-character timestamp field, or from a field on
+    its own (see :func:`_decode_timestamps`).
     """
 
     def __init__(self, ruleset: RuleSet, filt: CompiledFilter):
-        self.ruleset = ruleset
-        self.filt = filt
-        self.onto_ids: dict[str, int] = {}
-        self.tables = {field: _Table() for field in ("date", "request", "useragent", "ip")}
+        onto_ids: dict[str, int] = {}
+        self.filt, self.onto_ids = filt, onto_ids
 
-    def decide(self, field: str, values: Sequence[str], verdict: Callable[[str], object]) -> np.ndarray:
-        """The verdict row of each value, from ``verdict`` called once per value not in the table.
+        def request_verdict(request: str) -> tuple[int, int]:  # no self: a cycle would outlive the ingest
+            return _request_verdict(request, ruleset, filt, onto_ids)
 
-        Each call decides one chunk's column, so a table that holds
-        ``_VERDICTS_MAX`` verdicts is emptied at a chunk start.
-        """
-        table = self.tables[field]
-        if len(table) >= _VERDICTS_MAX:
-            table.clear()
-        table.verdict = verdict
-        codes = table.codes(values)  # may grow table.rows
-        table.verdict = None  # a closure over these verdicts would make a cycle that outlives the ingest
-        return table.rows[codes]
+        self.date = _Table(_midnight)
+        self.request = _Table(request_verdict)
+        self.useragent = _Table(filt.ua_dropped)
 
 
-def _decode_timestamps(stamps: Sequence[str], verdicts: _Verdicts) -> tuple[np.ndarray, np.ndarray]:
+def _decode_timestamps(stamps: Sequence[str], date_verdicts: _Table) -> tuple[np.ndarray, np.ndarray]:
     """Epoch seconds of each timestamp field, and a mask of the valid ones.
 
     The fields are read as one ``U26`` code-point matrix. Rows whose 18
     date and offset columns equal the row before form a run, and
-    :func:`_midnight` checks the date and offset of a run's first field,
-    once per distinct key. ``U26`` truncates a longer field, so a field
-    that is not 26 characters long starts a run and so does the row
-    after it; its key is then not 18 characters and fails. The time of
+    ``date_verdicts`` decides the date and offset of a run's first field
+    by :func:`_midnight`, once per distinct key. ``U26`` truncates a
+    longer field, so a field that is not 26 characters long starts a run
+    and so does the row after it; its key is then not 18 characters and fails. The time of
     day is read from the digit columns under the rules of
     :func:`parse_clf_timestamp`. An instant outside the UTC years 1-9999
     is not valid, as in :func:`~trailmine.logs.parse_log_line`.
@@ -231,7 +227,7 @@ def _decode_timestamps(stamps: Sequence[str], verdicts: _Verdicts) -> tuple[np.n
     starts[0] = True
     starts[1:] = (dates[1:] != dates[:-1]).any(axis=1) | odd[1:] | odd[:-1]
     keys = [stamps[i][:12] + stamps[i][20:] for i in np.flatnonzero(starts).tolist()]
-    midnight, date_ok = verdicts.decide("date", keys, _midnight)[np.cumsum(starts) - 1].T
+    midnight, date_ok = date_verdicts.decide(keys)[np.cumsum(starts) - 1].T
     digits = chars[:, [12, 13, 15, 16, 18, 19]] - ord("0")  # wraps below "0"
     hh, mm, ss = (digits[:, i].astype(np.int64) * 10 + digits[:, i + 1] for i in (0, 2, 4))
     epochs = midnight + hh * 3600 + mm * 60 + ss
@@ -255,26 +251,22 @@ def _ingest_lines(
     timestamp, request and user-agent fields. Timestamps are decoded
     as arrays (:func:`_decode_timestamps`): a date and offset is decided
     once per run of rows that share them, and a field that is not 26
-    characters long is a run of its own. Each distinct date, request,
-    user agent and IP is decided once per ``verdicts`` (see
-    :class:`_Verdicts`), and each value costs one table probe; a request
-    is split, decoded, asset-checked and matched to a rule. The verdicts
-    combine as boolean arrays in the precedence malformed, user agent,
-    IP, asset, unmapped. The user of an event is its IP field, coded in
-    first-appearance order by one table per call. The pools hold every
-    IP this call saw and every ontology ``verdicts`` handed an id.
+    characters long is a run of its own. Each distinct date, request
+    and user agent is decided once per ``verdicts`` (see
+    :class:`_Verdicts`); a request is split, decoded, asset-checked and
+    matched to a rule. The user of an event is its IP field, coded in
+    first-appearance order by one table per call, whose probe decides
+    each IP once too. Each value costs one probe. The verdicts combine
+    as boolean arrays in the precedence malformed, user agent, IP,
+    asset, unmapped. The pools hold every IP this call saw and every
+    ontology ``verdicts`` handed an id.
     """
     stats = IngestStats()
     pattern = ingest_pattern(log_format)
     match = pattern.match
     columns = [itemgetter(i) for i in range(pattern.groups)]
-    filt = verdicts.filt
-    user_ids = _Table()  # each IP's user code, in first-appearance order
+    user_ids = _Table(verdicts.filt.ip_dropped)  # each IP's user code, in first-appearance order
     parts: list[tuple[np.ndarray, ...]] = []
-
-    def request_verdict(request: str) -> tuple[int, int]:
-        return _request_verdict(request, verdicts.ruleset, filt, verdicts.onto_ids)
-
     it = iter(lines)
     while chunk := list(islice(it, _CHUNK_LINES)):
         stats.lines += len(chunk)
@@ -285,15 +277,15 @@ def _ingest_lines(
             continue
         ips, stamps, requests, *uas = (list(map(column, rows)) for column in columns)
         useragents = uas[0] if uas else [""] * len(rows)  # "common" has no user agent
-        epochs, ok = _decode_timestamps(stamps, verdicts)
-        labels, ontos = verdicts.decide("request", requests, request_verdict).T
+        epochs, ok = _decode_timestamps(stamps, verdicts.date)
+        labels, ontos = verdicts.request.decide(requests).T
         ok &= labels != _MALFORMED
         stats.malformed += len(rows) - int(ok.sum())
         stats.parsed += int(ok.sum())
         ip_codes = user_ids.codes(ips)
         drops = (
-            ("dropped_useragent", verdicts.decide("useragent", useragents, filt.ua_dropped)),
-            ("dropped_ip", verdicts.decide("ip", ips, filt.ip_dropped)),
+            ("dropped_useragent", verdicts.useragent.decide(useragents)),
+            ("dropped_ip", user_ids.rows[ip_codes]),
             ("dropped_asset", labels == _ASSET),
             ("unmapped", labels == _UNMAPPED),
         )

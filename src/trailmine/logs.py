@@ -277,11 +277,13 @@ class CompiledFilter:
     """Compiled form of :class:`FilterConfig`, compiled once per run.
 
     One check per field: :meth:`ua_dropped`, :meth:`ip_dropped` and
-    :meth:`asset_dropped`. They keep no memo; the chunked ingest pass
-    calls each once per distinct value, and :meth:`drop_reason` combines
-    them in precedence order for a single request. Every asset pattern
-    is decided by ``re.search``. The ``--jobs`` helpers are ``os.fork``
-    children, so each inherits the filter the run compiled.
+    :meth:`asset_dropped`. They keep no memo: the chunked ingest pass
+    calls each once per distinct value of a bounded table, or of one
+    :func:`~trailmine.ingest._ingest_lines` call for an IP, and
+    :meth:`drop_reason` combines them in precedence order for a single
+    request. Every asset pattern is decided by ``re.search``. The
+    ``--jobs`` helpers are ``os.fork`` children, so each inherits the
+    filter the run compiled.
     """
 
     def __init__(self, cfg: FilterConfig):

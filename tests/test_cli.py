@@ -376,6 +376,19 @@ def test_ragged_features_csv_is_a_data_error_before_any_file(tmp_path, capsys, c
     assert not out.exists()  # nothing ran, nothing was written
 
 
+@pytest.mark.parametrize("command", ["cluster", "pca"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+def test_non_finite_features_csv_is_a_data_error_before_any_file(tmp_path, capsys, command, cell):
+    features = tmp_path / "features.csv"
+    features.write_text(f"user,a,b\nu1,0.5,0.5\nu2,0.25,{cell}\nu3,0.75,0.25\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main([command, "--features", str(features), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    value = float(cell)
+    assert f"trailmine {command}: error: {features}, line 3: b is {value}, not a finite number" in err
+    assert not out.exists()  # nothing ran, nothing was written
+
+
 @pytest.mark.parametrize("command", ["pca", "compare"])
 def test_bad_assignments_csv_is_a_data_error_before_any_file(tmp_path, capsys, command):
     assignments = tmp_path / "assignments.csv"
@@ -471,10 +484,28 @@ def test_compare_skips_projection_of_one_resource(tmp_path, synth_log):
     assert not (cmp_dir / "resource_coordinates.csv").exists()
 
 
+def _bad_trace(key, value, message):
+    """A param: the second line of a traces file, user "b" with ``value`` for ``key``, and the error it gives."""
+    lists = {"sequence": "[0]", "ontologies": "[null]", "session_lengths": "[1]", key: value}
+    line = json.dumps({"user": "b", **{k: json.loads(v) for k, v in lists.items()}}, separators=(",", ":"))
+    return pytest.param(line, message, id=f"{key}={value}")
+
+
 @pytest.mark.parametrize("command", ["features", "cluster", "compare"])
-def test_bad_traces_jsonl_is_a_data_error_before_any_file(tmp_path, capsys, command):
+@pytest.mark.parametrize("line, message", [
+    pytest.param("[0]", "not a JSON object", id="not-an-object"),
+    *(_bad_trace("sequence", value, "'sequence' is not a list of integers")
+      for value in ("5", "null", "[1.5]", '["7"]', "[true]")),
+    *(_bad_trace("ontologies", value, "'ontologies' is not a list of strings and nulls")
+      for value in ("null", "[3]", "[false]")),
+    *(_bad_trace("session_lengths", value, "'session_lengths' is not a list of integers")
+      for value in ("1", "[false]", "[1.0]")),
+    _bad_trace("sequence", "[99]", "label 99 is not one of the rules' [0, 34)"),
+    _bad_trace("sequence", "[-1]", "label -1 is not one of the rules' [0, 34)"),
+])
+def test_bad_traces_jsonl_is_a_data_error_before_any_file(tmp_path, capsys, command, line, message):
     traces = tmp_path / "traces.jsonl"
-    traces.write_text('{"user":"a","sequence":[0],"ontologies":[null],"session_lengths":[1]}\n[0]\n',
+    traces.write_text('{"user":"a","sequence":[0],"ontologies":[null],"session_lengths":[1]}\n' + line + "\n",
                       encoding="utf-8")
     features, assignments = tmp_path / "features.csv", tmp_path / "assignments.csv"
     features.write_text("user,a,b\nu1,0.5,0.5\nu2,0.25,0.75\n", encoding="utf-8")
@@ -487,7 +518,7 @@ def test_bad_traces_jsonl_is_a_data_error_before_any_file(tmp_path, capsys, comm
         "compare": ["--traces", str(traces), "--assignments", str(assignments), "--out-dir", str(out)],
     }[command]
     assert main([command, *argv]) == 2
-    assert f"trailmine {command}: error: {traces}, line 2: not a JSON object" in capsys.readouterr().err
+    assert f"trailmine {command}: error: {traces}, line 2: {message}" in capsys.readouterr().err
     assert not out.exists()  # nothing ran, nothing was written
 
 
@@ -559,6 +590,21 @@ def test_cluster_traces_that_disagree_are_a_data_error_before_any_file(tmp_path,
     assert main(argv) == 2
     assert f"trailmine cluster: error: {message}" in capsys.readouterr().err
     assert not out.exists()  # the elbow wrote nothing
+
+
+def test_compare_names_a_user_with_no_cluster(tmp_path, capsys, stage_files):
+    traces, features = stage_files
+    users = [line.split(",", 1)[0] for line in features.read_text(encoding="utf-8").splitlines()[1:]]
+    assignments = tmp_path / "assignments.csv"
+    assignments.write_text("user,cluster\n" + "".join(f"{user},{i % 2}\n" for i, user in enumerate(users[:4])),
+                           encoding="utf-8")
+    out = tmp_path / "o"
+    argv = ["compare", "--traces", str(traces), "--assignments", str(assignments), "--out-dir", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    message = "trailmine compare: error: {} has no cluster of user {!r} of {}"
+    assert any(message.format(assignments, user, traces) in err for user in users[4:])
+    assert not out.exists()  # nothing ran, nothing was written
 
 
 def _outcome(call, capsys):

@@ -9,8 +9,12 @@ order, repeat them or hold unused ones, so they are compared through the
 traces ``build_traces`` makes of them.
 """
 
+import gc
 import gzip
+import json
+import os
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -194,24 +198,83 @@ def test_request_verdicts_reset_mid_file(tmp_path, ruleset, monkeypatch):
 
     # the values each table decided, in order, with repeats
     decided = {}
-    decide = ingest._Verdicts.decide
+    decide = ingest._Table.decide
 
-    def spied(self, field, values, verdict):
+    def spied(self, values):
+        verdict = self.verdict
+        field = {ingest._midnight: "date", filt.ua_dropped: "useragent"}.get(verdict, "request")
+
         def noted(value):
             decided.setdefault(field, []).append(value)
             return verdict(value)
 
-        out = decide(self, field, values, noted)
-        assert len(self.tables[field]) <= 8 + len(set(values))
+        self.verdict = noted
+        out = decide(self, values)
+        self.verdict = verdict
+        assert len(self) <= 8 + len(set(values))
         return out
 
+    filt = _filter()
     monkeypatch.setattr(ingest, "_VERDICTS_MAX", 8)
     monkeypatch.setattr(ingest, "_request_verdict", counted)
-    monkeypatch.setattr(ingest._Verdicts, "decide", spied)
-    filt = _filter()
+    monkeypatch.setattr(ingest._Table, "decide", spied)
     got = ingest_paths([path], ruleset=ruleset, filt=filt)
     assert len(calls) > len(set(calls))  # the request table was emptied and refilled
-    assert sorted(decided) == ["date", "ip", "request", "useragent"]
+    assert sorted(decided) == ["date", "request", "useragent"]
     for field, values in decided.items():  # so was every table
         assert len(values) > len(set(values)), field
     _assert_same(got, reference_ingest_paths([path], ruleset, filt), ruleset)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_each_ip_is_decided_once_per_call_with_its_user_code(
+    tmp_path, ruleset, faulty_lines, monkeypatch, jobs,
+):
+    # two files that share IPs: some process makes two calls or more that see one IP
+    paths = [_write(tmp_path / "faulty.log", faulty_lines),
+             _write(tmp_path / "half.log.gz", faulty_lines[1::2])]
+    out = tmp_path / "calls"
+    out.mkdir()
+    filt = _filter()
+    ip_dropped = filt.ip_dropped
+    ips = []  # the IPs decided in this process's current _ingest_lines call
+    ingest_lines = ingest._ingest_lines
+
+    def counted(ip):
+        ips.append(ip)
+        return ip_dropped(ip)
+
+    def spied(lines, verdicts, log_format):
+        ips.clear()
+        batch, stats = ingest_lines(lines, verdicts, log_format)
+        # one file per call, since helper processes are forked and keep their own `ips`
+        name = f"{os.getpid()}-{len(list(out.glob(f'{os.getpid()}-*')))}.json"
+        (out / name).write_text(json.dumps([ips, batch.user_pool]), encoding="utf-8")
+        return batch, stats
+
+    monkeypatch.setattr(filt, "ip_dropped", counted)
+    monkeypatch.setattr(ingest, "_ingest_lines", spied)
+    got = ingest_paths(paths, ruleset=ruleset, filt=filt, jobs=jobs)
+    _assert_same(got, reference_ingest_paths(paths, ruleset, filt), ruleset)
+    calls = [json.loads(f.read_text(encoding="utf-8")) for f in out.iterdir()]
+    assert len(calls) == (2 if jobs == 1 else len(ingest._chunk_file(str(paths[0]), jobs)) + 1)
+    for decided, user_pool in calls:  # the pool holds every IP the call saw, once each
+        assert decided == user_pool == list(dict.fromkeys(user_pool))
+
+
+def test_verdicts_are_freed_without_the_cyclic_gc(tmp_path, ruleset, faulty_lines, monkeypatch):
+    path = _write(tmp_path / "faulty.log", faulty_lines)
+    refs = []
+
+    class Spied(ingest._Verdicts):
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(ingest, "_Verdicts", Spied)
+    gc.disable()
+    try:
+        ingest_paths([path], ruleset=ruleset, filt=_filter())
+    finally:
+        gc.enable()
+    assert len(refs) == 1 and refs[0]() is None
