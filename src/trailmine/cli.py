@@ -170,20 +170,9 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _read_traces(path: str, record: RunRecord):
-    """The traces of ``path``; a label outside the rules' vocabulary raises ``ValueError`` naming its line."""
-    traces = read_traces_jsonl(path)
-    labels, n = traces.labels, record.ruleset.vocabulary.n
-    bad = ((labels < 0) | (labels >= n)).nonzero()[0]
-    if bad.size:  # row u is line u + 1
-        line = traces.offsets.searchsorted(bad[0], side="right")
-        raise ValueError(f"{path}, line {line}: label {labels[bad[0]]} is not one of the rules' [0, {n})")
-    return traces
-
-
 def _cmd_features(args) -> int:
     record = RunRecord(_config(args))
-    features = stage_features(record, _read_traces(args.traces, record), Path(args.out))
+    features = stage_features(record, read_traces_jsonl(args.traces, record.ruleset.vocabulary), Path(args.out))
     print(f"wrote {features.m} x {features.n} {record.config.feature_kind} features to {args.out}")
     return 0
 
@@ -201,7 +190,7 @@ def _check_profile_inputs(args, features, traces, names: list[str]) -> None:
 def _cmd_cluster(args) -> int:
     record = RunRecord(_config(args))
     features = read_feature_csv(args.features)
-    traces = _read_traces(args.traces, record) if args.traces else None
+    traces = read_traces_jsonl(args.traces, record.ruleset.vocabulary) if args.traces else None
     if traces is not None:  # before the elbow writes anything
         _check_profile_inputs(args, features, traces, record.ruleset.vocabulary.names())
     curve = stage_elbow(record, features)
@@ -223,8 +212,11 @@ def _cmd_pca(args) -> int:
 def _cmd_compare(args) -> int:
     record = RunRecord(_config(args))
     assignments = read_assignments_csv(args.assignments)
-    K = max(assignments.values(), default=0) + 1
-    traces = _read_traces(args.traces, record)
+    used = set(assignments.values())
+    K = max(used, default=0) + 1
+    if used and len(used) < K:  # one of the K cluster columns would be all zero
+        raise ValueError(f"{args.assignments}: no user has cluster id {min(set(range(K)) - used)} of 0..{K - 1}")
+    traces = read_traces_jsonl(args.traces, record.ruleset.vocabulary)
     try:
         profiles = stage_compare(record, traces, assignments, K, args.pair)
     except UnassignedUser as exc:  # K is past every id read, so the user has no line

@@ -21,6 +21,7 @@ from .pca import PcaModel, loading_extremes
 from .sessions import TraceSet
 
 if TYPE_CHECKING:
+    from .actions import ActionVocabulary
     from .cluster import ClusterModel, ClusterProfile
     from .pipeline import RunRecord
 
@@ -78,10 +79,11 @@ _TRACE_LISTS = {
     "ontologies": ({str, type(None)}, "strings and nulls"),
     "session_lengths": ({int}, "integers"),
 }
+_NOT_RUNS = "'session_lengths' are not the runs between the BREAKs of 'sequence'"
 
 
 def _trace_record(line: str) -> tuple[str, dict]:
-    """The user and the one JSON object of a ``traces.jsonl`` line, with a trace's keys and types."""
+    """The user and the one JSON object of a ``traces.jsonl`` line, with a trace's keys, types and lengths."""
     try:
         row = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -95,19 +97,42 @@ def _trace_record(line: str) -> tuple[str, dict]:
     for key, (types, items) in _TRACE_LISTS.items():
         if type(row[key]) is not list or not types.issuperset(map(type, row[key])):
             raise ValueError(f"{key!r} is not a list of {items}")
+    sequence, lengths = row["sequence"], row["session_lengths"]
+    if len(row["ontologies"]) != len(sequence):
+        raise ValueError("'ontologies' and 'sequence' differ in length")
+    if lengths and not 1 <= min(lengths) <= max(lengths) <= len(sequence):  # each fits int64 now
+        raise ValueError(_NOT_RUNS)
     return row["user"], row
 
 
-def read_traces_jsonl(path: str | Path) -> TraceSet:
-    """The traces ``write_traces_jsonl`` wrote; a bad line raises ``ValueError`` naming it.
+def read_traces_jsonl(path: str | Path, vocabulary: ActionVocabulary) -> TraceSet:
+    """The traces ``write_traces_jsonl`` wrote; a line that breaks a rule raises ``ValueError`` naming it.
 
-    Each line is decoded alone and must hold one JSON object with the
-    four keys of a trace (a user name, a list of integer labels, one of
-    ontology names or nulls, one of integer session lengths), as JSON
-    Lines allows no value over two lines. A user may have one line only.
+    Each line is decoded alone, as JSON Lines allows no value over two
+    lines, and holds one trace: a user with no other line, labels in
+    ``[0, vocabulary.n)``, as many ontology names or nulls, and the
+    lengths (each at least 1) of the runs that BREAK labels cut them into.
     """
     with open(path, encoding="utf-8") as fh:
-        return TraceSet.from_rows(_decode_lines(fh, path, _trace_record).values())
+        rows = list(_decode_lines(fh, path, _trace_record).values())
+    n = vocabulary.n
+    try:
+        traces = TraceSet.from_rows(rows)
+    except OverflowError:  # a label past int64
+        traces = None
+    if traces is None or ((traces.labels < 0) | (traces.labels >= n)).any():  # seek the line only now
+        line, label = next((i, x) for i, row in enumerate(rows, 1) for x in row["sequence"] if not 0 <= x < n)
+        raise ValueError(f"{path}, line {line}: label {label} is not one of the rules' [0, {n})")
+    # the runs between BREAKs in row order: one starts at a row start or past a BREAK and ends at a
+    # BREAK or a row end, so the sorted starts and ends pair up; a row has one run more than BREAKs
+    offsets, breaks = traces.offsets, np.flatnonzero(traces.labels == vocabulary.break_id)
+    runs = np.sort(np.concatenate((breaks, offsets[1:]))) - np.sort(np.concatenate((offsets[:-1], breaks + 1)))
+    cuts = np.arange(len(offsets)) + breaks.searchsorted(offsets)
+    if not (np.array_equal(cuts, traces.session_offsets) and np.array_equal(runs, traces.session_lengths)):
+        pairs = zip(np.split(runs, cuts[1:-1]), np.split(traces.session_lengths, traces.session_offsets[1:-1]))
+        line = next(i for i, (want, got) in enumerate(pairs, 1) if not np.array_equal(want, got))
+        raise ValueError(f"{path}, line {line}: {_NOT_RUNS}")
+    return traces
 
 
 def _label_names(features: FeatureMatrix) -> list[str]:

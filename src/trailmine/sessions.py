@@ -68,7 +68,7 @@ class TraceSet:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Mapping]) -> "TraceSet":
-        """Build from per-user ``traces.jsonl`` records.
+        """Build from per-user records; ``formats.read_traces_jsonl`` checks those of a file.
 
         A record whose ``ontologies`` and ``sequence`` differ in length raises ``ValueError``.
         """

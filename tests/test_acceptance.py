@@ -140,7 +140,7 @@ def test_criterion_5_end_to_end_archetype_recovery(archetype_corpus):
 
     # page-view features cannot tell the order-only-distinct pair apart
     vocab = default_ruleset().vocabulary
-    traces = read_traces_jsonl(out / "traces.jsonl")
+    traces = read_traces_jsonl(out / "traces.jsonl", vocab)
     fm = build_feature_matrix(traces, vocab.n, feature_kind="pageviews", label_names=vocab.names())
     pv_model = kmeans_fit(fm, 7, seed=0, restarts=10)
     by_user = dict(zip(fm.user_ids, pv_model.assignments))

@@ -484,11 +484,18 @@ def test_compare_skips_projection_of_one_resource(tmp_path, synth_log):
     assert not (cmp_dir / "resource_coordinates.csv").exists()
 
 
-def _bad_trace(key, value, message):
-    """A param: the second line of a traces file, user "b" with ``value`` for ``key``, and the error it gives."""
-    lists = {"sequence": "[0]", "ontologies": "[null]", "session_lengths": "[1]", key: value}
+def _bad_trace(key, value, message, **others):
+    """A param: the second line of a traces file, user "b" with ``value`` for ``key``, and the error it gives.
+
+    ``others`` are the JSON texts of the other lists where they are not the one-label defaults.
+    """
+    lists = {"sequence": "[0]", "ontologies": "[null]", "session_lengths": "[1]", **others, key: value}
     line = json.dumps({"user": "b", **{k: json.loads(v) for k, v in lists.items()}}, separators=(",", ":"))
-    return pytest.param(line, message, id=f"{key}={value}")
+    return pytest.param(line, message, id=f"{key}={value}" + "".join(f",{k}={v}" for k, v in others.items()))
+
+
+_HUGE = "100000000000000000000000"  # past int64
+_NOT_RUNS = "'session_lengths' are not the runs between the BREAKs of 'sequence'"
 
 
 @pytest.mark.parametrize("command", ["features", "cluster", "compare"])
@@ -502,6 +509,20 @@ def _bad_trace(key, value, message):
       for value in ("1", "[false]", "[1.0]")),
     _bad_trace("sequence", "[99]", "label 99 is not one of the rules' [0, 34)"),
     _bad_trace("sequence", "[-1]", "label -1 is not one of the rules' [0, 34)"),
+    _bad_trace("sequence", f"[{_HUGE}]", f"label {_HUGE} is not one of the rules' [0, 34)"),
+    _bad_trace("ontologies", "[]", "'ontologies' and 'sequence' differ in length"),
+    _bad_trace("ontologies", "[null,null]", "'ontologies' and 'sequence' differ in length"),
+    _bad_trace("session_lengths", "[7,-3]", _NOT_RUNS, sequence="[0,1]", ontologies="[null,null]"),
+    _bad_trace("session_lengths", f"[{_HUGE}]", _NOT_RUNS),
+    _bad_trace("session_lengths", "[0]", _NOT_RUNS),
+    _bad_trace("session_lengths", "[]", _NOT_RUNS),
+    # the BREAK label is 33: runs [1, 2] in another order, one length for two runs, a doubled BREAK,
+    # a trailing BREAK and an empty trace
+    _bad_trace("session_lengths", "[2,1]", _NOT_RUNS, sequence="[0,33,1,2]", ontologies="[null,null,null,null]"),
+    _bad_trace("session_lengths", "[3]", _NOT_RUNS, sequence="[0,33,1]", ontologies="[null,null,null]"),
+    _bad_trace("session_lengths", "[1,1]", _NOT_RUNS, sequence="[0,33,33,1]", ontologies="[null,null,null,null]"),
+    _bad_trace("session_lengths", "[1]", _NOT_RUNS, sequence="[0,33]", ontologies="[null,null]"),
+    _bad_trace("session_lengths", "[]", _NOT_RUNS, sequence="[]", ontologies="[]"),
 ])
 def test_bad_traces_jsonl_is_a_data_error_before_any_file(tmp_path, capsys, command, line, message):
     traces = tmp_path / "traces.jsonl"
@@ -568,6 +589,20 @@ def test_negative_cluster_id_is_a_data_error_before_any_file(tmp_path, capsys, s
     out = tmp_path / "o"
     assert main([command, *source, "--assignments", str(assignments), "--out-dir", str(out)]) == 2
     assert f"trailmine {command}: error: {assignments}, line 3: cluster id -3 is negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_names_a_cluster_id_no_user_has(tmp_path, capsys, stage_files):
+    traces, features = stage_files
+    users = [line.split(",", 1)[0] for line in features.read_text(encoding="utf-8").splitlines()[1:]]
+    assignments = tmp_path / "assignments.csv"
+    # ids 0, 1 and 5, as if cluster 2 were renumbered 5: no user has 2, 3 or 4
+    assignments.write_text("user,cluster\n" + "".join(f"{user},{(0, 1, 5)[i % 3]}\n" for i, user in enumerate(users)),
+                           encoding="utf-8")
+    out = tmp_path / "o"
+    argv = ["compare", "--traces", str(traces), "--assignments", str(assignments), "--out-dir", str(out)]
+    assert main(argv) == 2
+    assert f"trailmine compare: error: {assignments}: no user has cluster id 2 of 0..5" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -9,15 +9,24 @@ lines of the same date, ``31/Feb``, and a day or offset that changes
 inside a run. ``ingest_paths`` at ``jobs`` 1-3, plain and gzip, must give
 the funnel and the events that ``parse_log_line``, ``drop_reason`` and
 ``RuleSet.match`` give line by line.
+
+A second probe mutates one list of one line of a clean ``traces.jsonl``
+(never the user): an item becomes an odd value, an item is dropped,
+inserted or swapped, the session lengths are swapped with another
+line's, or the line is cut short. ``features``, ``cluster --traces`` and
+``compare`` must exit 0 on a line that a plain reading of the file's
+rules calls valid, and exit 2 naming the file and line otherwise.
 """
 
 import gzip
+import json
 import random
 import re
 from calendar import timegm
 
 import pytest
 
+from trailmine.cli import main
 from trailmine.ingest import IngestStats, ingest_paths
 from trailmine.logs import MalformedLine, default_filter_config, open_log, parse_log_line
 from trailmine.synth import default_archetypes, generate_synthetic_log
@@ -124,3 +133,96 @@ def test_ingest_agrees_with_per_line_route_on_mutated_corpora(corpora, ruleset, 
     # every outcome occurs
     assert min(stats.malformed, stats.dropped_useragent, stats.dropped_ip, stats.dropped_asset,
                stats.unmapped, stats.events) > 0
+
+
+_TRACE_LISTS = ("sequence", "ontologies", "session_lengths")
+_ODD_VALUES = (10**23, -10**23, -1, -7, 0.5, 1.0, True, False, "7", "GO", None)
+
+
+def _valid_trace(line, vocab):
+    """Whether a ``traces.jsonl`` line is a trace under ``vocab``, read plainly from the format's rules."""
+    try:
+        row = json.loads(line)
+    except ValueError:
+        return False
+    if type(row) is not dict or not set(("user", *_TRACE_LISTS)) <= row.keys() or type(row["user"]) is not str:
+        return False
+    sequence, ontologies, lengths = (row[key] for key in _TRACE_LISTS)
+    if not all(type(value) is list for value in (sequence, ontologies, lengths)):
+        return False
+    if not all(type(x) is int and 0 <= x < vocab.n for x in sequence):
+        return False
+    if len(ontologies) != len(sequence) or not all(x is None or type(x) is str for x in ontologies):
+        return False
+    runs = [0]  # the run lengths between BREAKs
+    for x in sequence:
+        if x == vocab.break_id:
+            runs.append(0)
+        else:
+            runs[-1] += 1
+    return all(type(x) is int for x in lengths) and lengths == runs and 0 not in runs
+
+
+def _mutate_trace(lines, rng):
+    """The index and new text of one line of ``lines``, with one of its lists edited or the line cut short."""
+    i = rng.randrange(len(lines))
+    if rng.random() < 0.1:
+        return i, lines[i][:rng.randrange(1, len(lines[i]) - 1)]
+    row = json.loads(lines[i])
+    key = rng.choice(_TRACE_LISTS)
+    items = row[key]
+    kind = rng.choice(("value", "drop", "insert", "swap", "lengths") if items else ("insert", "lengths"))
+    k = rng.randrange(len(items) or 1)
+    if kind == "value":
+        items[k] = rng.choice(_ODD_VALUES)
+    elif kind == "drop":
+        del items[k]
+    elif kind == "insert":
+        items.insert(rng.randrange(len(items) + 1), rng.choice(items) if items else rng.choice(_ODD_VALUES))
+    elif kind == "swap":
+        j = rng.randrange(len(items))
+        items[k], items[j] = items[j], items[k]
+    else:
+        row["session_lengths"] = json.loads(rng.choice(lines))["session_lengths"]
+    return i, json.dumps(row, separators=(",", ":"))
+
+
+@pytest.fixture(scope="module")
+def clean_stage_files(tmp_path_factory):
+    """The traces.jsonl, features.csv and assignments.csv of a 14-user corpus, through the per-stage CLI."""
+    root = tmp_path_factory.mktemp("stages")
+    log = root / "corpus.log"
+    generate_synthetic_log(default_archetypes(), 2, seed=44, bot_fraction=0.1, path=log)
+    assert main(["ingest", "--logs", str(log), "--out-dir", str(root)]) == 0
+    assert main(["features", "--traces", str(root / "traces.jsonl"), "--out", str(root / "features.csv")]) == 0
+    assert main(["cluster", "--features", str(root / "features.csv"), "--k", "3", "--k-range", "3:3",
+                 "--restarts", "1", "--out-dir", str(root)]) == 0
+    return root
+
+
+@pytest.mark.parametrize("command", ["features", "cluster", "compare"])
+def test_mutated_traces_jsonl_exits_0_or_names_its_line(tmp_path, capsys, clean_stage_files, vocab, command):
+    root = clean_stage_files
+    lines = (root / "traces.jsonl").read_text(encoding="utf-8").splitlines()
+    rng = random.Random(45)
+    codes = []
+    for trial in range(300):
+        i, text = _mutate_trace(lines, rng)
+        traces, out = tmp_path / f"traces{trial}.jsonl", tmp_path / f"out{trial}"
+        traces.write_text("\n".join(lines[:i] + [text] + lines[i + 1:]) + "\n", encoding="utf-8")
+        argv = {
+            "features": ["--traces", str(traces), "--out", str(out)],
+            "cluster": ["--features", str(root / "features.csv"), "--traces", str(traces), "--k", "3",
+                        "--k-range", "3:3", "--restarts", "1", "--out-dir", str(out)],
+            "compare": ["--traces", str(traces), "--assignments", str(root / "assignments.csv"),
+                        "--out-dir", str(out)],
+        }[command]
+        code = main([command, *argv])
+        err = capsys.readouterr().err
+        if _valid_trace(text, vocab):
+            assert code == 0, (text, err)
+        else:
+            assert code == 2 and f"trailmine {command}: error: {traces}, line {i + 1}: " in err, (text, err)
+            assert not out.exists()
+        codes.append(code)
+    assert 0 in codes and 2 in codes

@@ -138,7 +138,7 @@ def test_traces_jsonl_roundtrip(tmp_path, corpus, ruleset):
     traces, _ = build_traces(batch, ruleset.vocabulary.break_id)
     path = tmp_path / "traces.jsonl"
     write_traces_jsonl(traces, path)
-    loaded = read_traces_jsonl(path)
+    loaded = read_traces_jsonl(path, ruleset.vocabulary)
     assert len(loaded) == len(traces)
     for a, b in zip(loaded.rows(), traces.rows()):
         assert (a["user"], a["sequence"], a["ontologies"], a["session_lengths"]) == (
@@ -162,11 +162,11 @@ _A, _B, _C, _D = (_TRACE % user for user in "abcd")
     # one record split over lines 1 and 2 and two joined on line 3: as many values as lines
     (f'{_A[:-1]},"x":[1\n2]}}\n{_C},{_D}\n', 1, "Expecting ',' delimiter at column"),
 ])
-def test_bad_traces_jsonl_line_is_named(tmp_path, text, line, problem):
+def test_bad_traces_jsonl_line_is_named(tmp_path, vocab, text, line, problem):
     path = tmp_path / "bad.jsonl"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError) as exc:
-        read_traces_jsonl(path)
+        read_traces_jsonl(path, vocab)
     assert str(exc.value).startswith(f"{path}, line {line}: ")
     assert problem in str(exc.value)
 
@@ -176,10 +176,10 @@ def test_bad_traces_jsonl_line_is_named(tmp_path, text, line, problem):
     (f"{_A}\n{_B}", ["a", "b"]),  # the last line lacks its newline
     (f" {_A} \n\t{_B}\r\n", ["a", "b"]),  # whitespace around a value, as json.loads allows
 ])
-def test_traces_jsonl_reads_what_each_line_decodes_to(tmp_path, text, users):
+def test_traces_jsonl_reads_what_each_line_decodes_to(tmp_path, vocab, text, users):
     path = tmp_path / "t.jsonl"
     path.write_bytes(text.encode("utf-8"))
-    traces = read_traces_jsonl(path)
+    traces = read_traces_jsonl(path, vocab)
     assert traces.users == users
     assert [row["ontologies"] for row in traces.rows()] == [[None, "GO"]] * len(users)
 

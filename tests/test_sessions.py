@@ -250,7 +250,7 @@ def test_build_traces_matches_naive_reference():
         assert asdict(usage) == want_usage
 
 
-def test_traces_jsonl_bytes_match_naive_writer(tmp_path):
+def test_traces_jsonl_bytes_match_naive_writer(tmp_path, vocab):
     """The flat writer gives the per-user ``json.dumps`` bytes, and a read-back rewrites them."""
     rng = np.random.default_rng(77)
     path, again = tmp_path / "traces.jsonl", tmp_path / "again.jsonl"
@@ -262,7 +262,7 @@ def test_traces_jsonl_bytes_match_naive_writer(tmp_path):
         write_traces_jsonl(traces, path)
         want, _ = naive_traces(users, ts, labels, ontologies, BREAK, 1800)
         assert path.read_bytes() == naive_traces_jsonl(want)
-        write_traces_jsonl(read_traces_jsonl(path), again)
+        write_traces_jsonl(read_traces_jsonl(path, vocab), again)
         assert again.read_bytes() == path.read_bytes()
 
 
